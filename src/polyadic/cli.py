@@ -170,6 +170,8 @@ def _cmd_cohom(args) -> int:
 
 
 def _cmd_takagi(args) -> int:
+    if args.grid < 1:
+        raise ValueError("grid must be >= 1")
     rows = []
     for i in range(args.grid + 1):
         x = i / args.grid

@@ -8,23 +8,35 @@ cylinder's mass then depends only on its end vertex.
 
 The coding of [0, 1] subdivides nested intervals in letter-label order, first
 letter most significant; stationary numbers are the points with a finite
-expansion.
+expansion.  One coder serves every number type: ``encode`` runs Horner over
+the digits in any ring (float, ``Fraction``, jets), and ``decode`` extracts
+digits in fixed-point integer arithmetic, which keeps them faithful far past
+the depth where a float remainder has run out of bits.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
+from itertools import accumulate
 
 from .errors import CapacityError, NoRoot
 from .paths import letter_table
 from .poly import GenPolynomial
 
 _STATIONARY_BUDGET = 2_000_000
+
+# Fractional bits of the fixed-point coder (50 decimal digits are 166 bits).
+# After k letters the decoder's remainder is off by about 2^-PREC over the
+# width of their cylinder, so digits are exact while that width stays well
+# above 2^-PREC: all 60 for two letters at q = 1/2, the first 36 for 33
+# letters of 1/33, beyond which a letter moves a value by less than 2^-180.
+PREC = 192
+_ONE = 1 << PREC
 
 
 def _weight_poly_coeffs(poly: GenPolynomial, q):
@@ -94,12 +106,13 @@ def weight_residual(poly: GenPolynomial, q: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class MeasureParams:
-    """Parameter q, its root t, and the per-letter weight vector."""
+    """Parameter q, its root t, the per-letter weights and their low sums."""
 
     poly: GenPolynomial
     q: float
     t: float
     weights: tuple[float, ...]
+    lows: tuple[float, ...]
 
 
 @lru_cache(maxsize=512)
@@ -111,7 +124,7 @@ def measure_params(poly: GenPolynomial, q: float) -> MeasureParams:
     total = sum(weights)
     if abs(total - 1.0) > 1e-9:
         raise NoRoot(f"weights sum to {total}, not 1; degenerate parameters")
-    return MeasureParams(poly, q, t, weights)
+    return MeasureParams(poly, q, t, weights, low_sums(weights, 0.0))
 
 
 def letter_weights(mp: MeasureParams) -> tuple[float, ...]:
@@ -176,20 +189,7 @@ def _mp_of(params) -> MeasureParams:
 def encode_theta(params, word) -> float:
     """Left endpoint in [0, 1] of the word's nested coding interval."""
     mp = _mp_of(params)
-    lows = _low_cums(mp.weights)
-    acc = 0.0
-    scale = 1.0
-    for c in word:
-        acc += scale * lows[c]
-        scale *= mp.weights[c]
-    return acc
-
-
-def _low_cums(weights) -> list[float]:
-    lows = [0.0]
-    for w in weights[:-1]:
-        lows.append(lows[-1] + w)
-    return lows
+    return encode(mp.weights, mp.lows, word)
 
 
 def decode_digits(cp: CodingParams, x: float, m: int | None = None) -> tuple[int, ...]:
@@ -201,25 +201,7 @@ def decode_digits(cp: CodingParams, x: float, m: int | None = None) -> tuple[int
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
-    mp = cp.mp
-    if m is None:
-        m = cp.max_depth
-    weights = mp.weights
-    lows = _low_cums(weights)
-    top = len(weights) - 1
-    out = []
-    y = x
-    for _ in range(m):
-        if y >= 1.0:
-            out.append(top)
-            y = 1.0
-            continue
-        c = bisect_right(lows, y) - 1
-        out.append(c)
-        y = (y - lows[c]) / weights[c]
-        if y < 0.0:
-            y = 0.0
-    return tuple(out)
+    return decode(cp.mp.poly, cp.mp.q, x, cp.max_depth if m is None else m)
 
 
 def stationary_points(cp: CodingParams, m: int) -> list[float]:
@@ -228,7 +210,7 @@ def stationary_points(cp: CodingParams, m: int) -> list[float]:
     r = len(mp.weights)
     if r ** m > _STATIONARY_BUDGET:
         raise CapacityError(f"{r}^{m} stationary points exceed budget")
-    lows = _low_cums(mp.weights)
+    lows = mp.lows
     points = {0.0}
     level = [(0.0, 1.0)]
     for _ in range(m):
@@ -241,82 +223,85 @@ def stationary_points(cp: CodingParams, m: int) -> list[float]:
     return sorted(points)
 
 
-# -- high-precision twins -----------------------------------------------------
-#
-# Decoding a float in double precision loses one letter of accuracy per level
-# once the running remainder has been rescaled ~16 decimal digits' worth; the
-# reparametrization map and its derivatives need digit streams that stay
-# faithful to depth ~60, so they decode through mpmath and only the final
-# weighted sums run in floats.
-
-_HP_DPS = 50
+# -- the digit coder ----------------------------------------------------------
 
 
-def _hp_solve_t(poly: GenPolynomial, q, dps: int = _HP_DPS):
-    with mpmath.workdps(dps):
-        q = mpmath.mpf(q)
-        if poly.degree == 0:
-            return q
-        coeffs = _weight_poly_coeffs(poly, q)
-        deriv = [j * c for j, c in enumerate(coeffs)][1:]
-        t = mpmath.mpf(solve_t(poly, float(q)))
-        for _ in range(8):
-            t = t - _horner(coeffs, t) / _horner(deriv, t)
-        return t
+def low_sums(weights, zero) -> tuple:
+    """Left ends of the rank-1 coding intervals: zero, w_0, w_0 + w_1, ..."""
+    return tuple(accumulate(weights[:-1], initial=zero))
 
 
-@lru_cache(maxsize=128)
-def _hp_weights(poly: GenPolynomial, q, dps: int = _HP_DPS):
-    with mpmath.workdps(dps):
-        q = mpmath.mpf(q)
-        t = _hp_solve_t(poly, q, dps)
-        b = t / q
-        ks = letter_table(poly).kstep
-        return tuple(q * b ** s for s in ks)
+def encode(weights, lows, digits):
+    """Left end of the digits' coding interval, by Horner from the last digit.
+
+    Works in any ring the weights and lows live in (float, ``Fraction``,
+    jets); ``lows[0]`` is that ring's zero, the value of the empty word.
+    """
+    acc = lows[0]
+    for c in reversed(digits):
+        acc = lows[c] + weights[c] * acc
+    return acc
 
 
-def _hp_decode(poly: GenPolynomial, q, x, m: int, dps: int = _HP_DPS) -> tuple[int, ...]:
-    with mpmath.workdps(dps):
-        weights = _hp_weights(poly, q, dps)
-        lows = [mpmath.mpf(0)]
-        for w in weights[:-1]:
-            lows.append(lows[-1] + w)
-        top = len(weights) - 1
-        y = mpmath.mpf(x)
-        out = []
-        for _ in range(m):
-            if y >= 1:
-                out.append(top)
-                y = mpmath.mpf(1)
-                continue
-            c = top
-            while c > 0 and lows[c] > y:
-                c -= 1
-            out.append(c)
-            y = (y - lows[c]) / weights[c]
-            if y < 0:
-                y = mpmath.mpf(0)
-        return tuple(out)
+def _exact_t(poly: GenPolynomial, q: Fraction, t0: float) -> Fraction:
+    """Root of the weight equation by Fraction Newton from the float root t0.
+
+    Each iterate is kept on the grid of 2^-(2 PREC) so that its size stays
+    bounded; the root is then correct far below the coder's resolution.
+    """
+    if poly.degree == 0:
+        return q
+    coeffs = _weight_poly_coeffs(poly, q)
+    deriv = [j * c for j, c in enumerate(coeffs)][1:]
+    t = Fraction(t0)
+    scale = 1 << (2 * PREC)
+    for _ in range(16):
+        nxt = Fraction(round((t - _horner(coeffs, t) / _horner(deriv, t)) * scale),
+                       scale)
+        if abs(nxt - t) * scale <= 1:
+            return nxt
+        t = nxt
+    raise NoRoot(f"exact Newton for t did not settle at q={float(q)}")
 
 
-def _hp_encode(poly: GenPolynomial, q, word, dps: int = _HP_DPS):
-    with mpmath.workdps(dps):
-        weights = _hp_weights(poly, q, dps)
-        lows = [mpmath.mpf(0)]
-        for w in weights[:-1]:
-            lows.append(lows[-1] + w)
-        acc = mpmath.mpf(0)
-        scale = mpmath.mpf(1)
-        for c in word:
-            acc += scale * lows[c]
-            scale *= weights[c]
-        return acc
+@lru_cache(maxsize=512)
+def fixed_coder(poly: GenPolynomial, q: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Letter weights and low sums in units of 2^-PREC.
+
+    Each weight q (t/q)^s is rounded once from the exact root; the top
+    letter takes the remainder, so the rank-1 intervals tile [0, 1] exactly.
+    """
+    q_exact = Fraction(q)
+    t = _exact_t(poly, q_exact, measure_params(poly, q).t)
+    ks = letter_table(poly).kstep
+    by_step = {s: round(q_exact ** (1 - s) * t ** s * _ONE) for s in set(ks)}
+    weights = [by_step[s] for s in ks]
+    weights[-1] = _ONE - sum(weights[:-1])
+    return tuple(weights), low_sums(weights, 0)
 
 
-def _hp_cylinder(poly: GenPolynomial, q, word, dps: int = _HP_DPS):
-    with mpmath.workdps(dps):
-        weights = _hp_weights(poly, q, dps)
-        out = mpmath.mpf(1)
-        for c in word:
-            out *= weights[c]
-        return out
+def decode(poly: GenPolynomial, q: float, x, m: int) -> tuple[int, ...]:
+    """First m letters of the coding of x (a float or a rational).
+
+    Points on an interval boundary take the right-hand letter, so a
+    stationary number decodes to its finite word padded with the lowest
+    letter; x >= 1 takes the top letter at every depth, x <= 0 the lowest.
+    """
+    weights, lows = fixed_coder(poly, q)
+    num, den = x.as_integer_ratio()
+    y = min(max((num << PREC) // den, 0), _ONE)
+    out = []
+    for _ in range(m):
+        c = bisect_right(lows, y) - 1
+        out.append(c)
+        y = ((y - lows[c]) << PREC) // weights[c]
+    return tuple(out)
+
+
+def cylinder(poly: GenPolynomial, q: float, word) -> tuple[Fraction, Fraction]:
+    """Exact left end and width of the word's interval under the decoder's weights."""
+    weights, lows = fixed_coder(poly, q)
+    weights = [Fraction(w, _ONE) for w in weights]
+    lows = [Fraction(v, _ONE) for v in lows]
+    width = math.prod((weights[c] for c in word), start=Fraction(1))
+    return encode(weights, lows, word), width

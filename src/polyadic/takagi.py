@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import mpmath
+from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DivisionByZeroJet, NoRoot
-from .measure import (_hp_cylinder, _hp_decode, _hp_encode, measure_params,
-                      solve_t)
+from .measure import (cylinder, cylinder_measure, decode, encode, low_sums,
+                      measure_params, solve_t)
 from .paths import letter_table
 from .poly import GenPolynomial
 
@@ -56,8 +56,6 @@ class Jet:
         return Jet(tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, Jet):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -170,6 +168,7 @@ def t_prime_closed_form(poly: GenPolynomial, q: float) -> float:
     return -num / den
 
 
+@lru_cache(maxsize=128)
 def _letter_jets(poly: GenPolynomial, q: float, order: int):
     """Per-letter weight jets and their low cumulative sums at q2 = q."""
     q2 = jet_var(q, order)
@@ -178,23 +177,13 @@ def _letter_jets(poly: GenPolynomial, q: float, order: int):
     bpow = [jet_const(1.0, order)]
     for _ in range(d):
         bpow.append(bpow[-1] * b2)
-    weights = [q2 * bpow[s] for s in letter_table(poly).kstep]
-    lows = [jet_const(0.0, order)]
-    for w in weights[:-1]:
-        lows.append(lows[-1] + w)
-    return weights, lows
+    weights = tuple(q2 * bpow[s] for s in letter_table(poly).kstep)
+    return weights, low_sums(weights, jet_const(0.0, order))
 
 
-def _encode_float(weights, digits) -> float:
-    lows = [0.0]
-    for w in weights[:-1]:
-        lows.append(lows[-1] + w)
-    acc = 0.0
-    scale = 1.0
-    for c in digits:
-        acc += scale * lows[c]
-        scale *= weights[c]
-    return acc
+def _check_depth(depth: int) -> None:
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
 
 
 def coding_map(poly: GenPolynomial, q1: float, q2: float, x: float,
@@ -202,11 +191,12 @@ def coding_map(poly: GenPolynomial, q1: float, q2: float, x: float,
     """Decode x to `depth` digits under q1 and re-encode them under q2.
 
     Monotone non-decreasing in x; the identity at q1 = q2 up to the
-    truncation tail.  Digits are extracted in high precision so they stay
+    truncation tail.  Digits are extracted in fixed point so they stay
     correct to the full depth.
     """
-    digits = _hp_decode(poly, q1, x, depth)
-    return _encode_float(measure_params(poly, q2).weights, digits)
+    _check_depth(depth)
+    mp2 = measure_params(poly, q2)
+    return encode(mp2.weights, mp2.lows, decode(poly, q1, x, depth))
 
 
 def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
@@ -219,15 +209,11 @@ def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
         raise ValueError("derivative order must be >= 0")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
+    _check_depth(depth)
     if k == 0:
         return float(x)
-    digits = _hp_decode(poly, q, x, depth)
     weights, lows = _letter_jets(poly, q, k)
-    acc = jet_const(0.0, k)
-    scale = jet_const(1.0, k)
-    for c in digits:
-        acc = acc + scale * lows[c]
-        scale = scale * weights[c]
+    acc = encode(weights, lows, decode(poly, q, x, depth))
     return math.factorial(k) * acc.coeffs[k]
 
 
@@ -243,22 +229,18 @@ def self_affinity_residual(poly: GenPolynomial, q1: float, q2: float, w0,
     """Defect of S(x0 + r1 x) = S(x0) + r2 S(x) at the cylinder of w0.
 
     x0 is the coding of w0 under q1, r1 and r2 its cylinder widths under the
-    two parameters.  The anchor point is formed in high precision so the
-    shifted argument decodes to w0 followed by the digits of x.
+    two parameters.  The anchor point is formed exactly so the shifted
+    argument decodes to w0 followed by the digits of x.
     """
     w0 = tuple(w0)
-    weights2 = measure_params(poly, q2).weights
-    r2 = 1.0
-    for c in w0:
-        r2 *= weights2[c]
-    with mpmath.workdps(50):
-        x0 = _hp_encode(poly, q1, w0)
-        r1 = _hp_cylinder(poly, q1, w0)
-        shifted = x0 + r1 * mpmath.mpf(x)
-        s_shift = _encode_float(weights2, _hp_decode(poly, q1, shifted, depth))
-        s_x0 = _encode_float(weights2, _hp_decode(poly, q1, x0, depth))
-        s_x = _encode_float(weights2, _hp_decode(poly, q1, x, depth))
-    return abs(s_shift - s_x0 - r2 * s_x)
+    mp2 = measure_params(poly, q2)
+    x0, r1 = cylinder(poly, q1, w0)
+
+    def recode(y) -> float:
+        return encode(mp2.weights, mp2.lows, decode(poly, q1, y, depth))
+
+    return abs(recode(x0 + r1 * Fraction(x)) - recode(x0)
+               - cylinder_measure(mp2, w0) * recode(x))
 
 
 def parabola_profile(d: int, grid: int, depth: int = 60):

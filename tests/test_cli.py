@@ -153,6 +153,17 @@ def test_takagi_subcommand(capsys):
     assert abs(float(mid[1])) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [("--grid", "0"), ("--grid", "-3"),
+                                 ("--depth", "0"), ("--depth", "-2")])
+@pytest.mark.parametrize("command", [("takagi", "--poly", "1,1", "--q", "0.5"),
+                                     ("parabola", "--d", "2")])
+def test_takagi_and_parabola_reject_bad_grid_and_depth(capsys, command, bad):
+    code, out, err = run(capsys, *command, *bad)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_g_file_poly_mismatch(tmp_path, capsys):
     poly = GenPolynomial((1, 1))
     gpath = _write_g(tmp_path, poly, CylFunction(1, {(0,): 1.0}))
