@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +44,10 @@ class CylFunction:
             if len(word) != N:
                 raise ValueError(f"key {word} does not have length {N}")
             if val:
-                self.values[word] = float(val)
+                val = float(val)
+                if not math.isfinite(val):
+                    raise ValueError(f"value at {word} is not finite: {val}")
+                self.values[word] = val
 
     def __call__(self, word) -> float:
         if len(word) < self.N:
@@ -97,20 +101,39 @@ def h_coeffs(g: CylFunction, table: DimTable) -> HCoeffs:
     out = [0.0] * (g.N * d + 1)
     for word, val in g.values.items():
         out[sum(ks[c] for c in word)] += val
+    if not all(map(math.isfinite, out)):
+        raise ValueError("a per-vertex sum of the function's values overflows float")
     return HCoeffs(g.N, tuple(out))
 
 
-def _h_fractions(h: HCoeffs) -> list[Fraction]:
-    return [Fraction(v) for v in h.values]
+def _dyadic_bits(values) -> int:
+    """Least s making every 2^s v an integer (float sums of the v stay so)."""
+    return max((v.as_integer_ratio()[1].bit_length() - 1 for v in values), default=0)
+
+
+def _scaled(v: float, s: int) -> int:
+    """The integer 2^s v."""
+    p, q = v.as_integer_ratio()
+    return p << (s + 1 - q.bit_length())
+
+
+def _to_float(num: int, den: int, what: str, n: int) -> float:
+    """num/den, correctly rounded; CapacityError past float range."""
+    try:
+        return num / den
+    except OverflowError:
+        raise CapacityError(
+            f"{what} at level {n} exceeds float range") from None
 
 
 def tower_total(h: HCoeffs, n: int, kap: int, table: DimTable) -> float:
     """F at the full tower height: sum_l h_l C(n-N, kap-l), exactly combined."""
     if n < h.N:
         raise ValueError("tower level below function rank")
-    total = sum(hl * table.dim(n - h.N, kap - l)
-                for l, hl in enumerate(_h_fractions(h)))
-    return float(total)
+    s = _dyadic_bits(h.values)
+    total = sum(_scaled(hl, s) * table.dim(n - h.N, kap - l)
+                for l, hl in enumerate(h.values))
+    return _to_float(total, 1 << s, "tower total", n)
 
 
 @lru_cache(maxsize=64)
@@ -130,7 +153,7 @@ def partial_sum_exact(g: CylFunction, word, table: DimTable) -> Fraction:
     if n < N:
         raise ValueError("word shorter than function rank")
     lt = letter_table(table.poly)
-    hfr = _h_fractions(h_coeffs(g, table))
+    hfr = [Fraction(v) for v in h_coeffs(g, table).values]
     kaps = [0]
     for c in word:
         kaps.append(kaps[-1] + lt.kstep[c])
@@ -173,41 +196,37 @@ def brute_tower_sums(g: CylFunction, n: int, kap: int, table: DimTable,
     return sums
 
 
-def _top_blocks(n: int, kap: int, m: int, table: DimTable):
-    """Enumerate valid top-m letter blocks of the tower at (n, kap).
+def _top_walk(n: int, kap: int, m: int, table: DimTable, phi=None):
+    """Valid top-m letter blocks of the tower at (n, kap), depth first in rank order.
 
-    Yields (top_word, bottom_kappa, rank_of_minimal_completion, blocks)
-    where blocks lists (bottom_length, bottom_kappa) for every letter lying
-    below the block in the order.
+    Yields (top_word, bottom_kappa, rank, block_sum): the rank of the block's
+    minimal completion and the sum of phi(level, k) over the blocks below it.
     """
     poly = table.poly
-    d = poly.degree
-    lt = letter_table(poly)
-    r = poly.alphabet_size
+    r, d = poly.alphabet_size, poly.degree
     if r ** m > _GRID_BUDGET:
         raise CapacityError(f"{r}^{m} top words exceed grid budget")
-    bot = n - m
-    for u in product(range(r), repeat=m):
-        rem = kap
-        blocks = []
-        ok = True
-        for idx in range(m - 1, -1, -1):
-            level = bot + 1 + idx
-            cstar = u[idx]
-            for c in range(cstar):
-                blocks.append((level - 1, rem - lt.kstep[c]))
-            rem -= lt.kstep[cstar]
-            if rem < 0:
-                ok = False
-                break
-        if not ok or rem > bot * d:
+    ks = letter_table(poly).kstep
+    rows = {j: table.row(j) for j in range(n - m, n)}
+    stack = [(n, kap, (), 1, 0)] if 0 <= kap <= n * d else []
+    while stack:
+        level, rem, top, L, S = stack.pop()
+        if level == n - m:
+            yield top, rem, L, S
             continue
-        rank = 1 + sum(table.dim(bl, kb) for bl, kb in blocks)
-        yield u, rem, rank, blocks
+        level -= 1
+        kids = []
+        for c in range(r):
+            k = rem - ks[c]
+            if 0 <= k <= level * d:
+                kids.append((level, k, (c,) + top, L, S))
+                L += rows[level][k]
+                S += phi(level, k) if phi else 0
+        stack.extend(reversed(kids))
 
 
 def node_grid(n: int, kap: int, m: int, table: DimTable):
-    """Minimal completions of all valid top-m blocks, sorted by rank.
+    """Minimal completions of all valid top-m blocks, in rank order.
 
     Returns (top_word, rank, representative_word) triples; the rank fractions
     rank/H approach the coding's stationary points of rank m as n grows along
@@ -215,11 +234,8 @@ def node_grid(n: int, kap: int, m: int, table: DimTable):
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    out = []
-    for u, kb, rank, _ in _top_blocks(n, kap, m, table):
-        out.append((u, rank, minimal_word(n - m, kb, table) + u))
-    out.sort(key=lambda item: item[1])
-    return out
+    return [(u, L, minimal_word(n - m, kb, table) + u)
+            for u, kb, L, _ in _top_walk(n, kap, m, table)]
 
 
 @dataclass(frozen=True)
@@ -235,34 +251,32 @@ class PolygonalCurve:
 
 
 def _grid_numerators(g: CylFunction, n: int, kap: int, m: int, table: DimTable):
-    """Exact H*F(L) - L*F(H) at every depth-m grid node.
+    """Exact integers 2^s (H*F(L) - L*F(H)), s = _dyadic_bits(g.values.values()).
 
-    Returns (H, [(L, numerator_fraction), ...]) sorted by L.  Keeping the
-    numerator exact makes 'identically zero' a decidable statement and
-    defers all rounding to the final normalization.
+    Returns (H, [(L, numerator), ...]) in rank order.  Exact numerators make
+    'identically zero' decidable and defer all rounding to the normalization.
     """
     N = g.N
     if m < 0 or n - m < N:
         raise ValueError(f"need depth m <= n - N = {n - N}")
-    d = table.poly.degree
     H = table.dim(n, kap)
     if H == 0:
         raise ValueError(f"empty tower at ({n}, {kap})")
-    hfr = _h_fractions(h_coeffs(g, table))
-    T = [table.dim(n - N, kap - l) for l in range(N * d + 1)]
-    min_prefix: dict[int, tuple[int, ...]] = {}
+    s = _dyadic_bits(g.values.values())
+    h = [(l, _scaled(v, s)) for l, v in enumerate(h_coeffs(g, table).values) if v]
+
+    @lru_cache(maxsize=None)
+    def phi(level, k):          # 2^s times the sum of g over a block
+        return sum(hl * table.dim(level - N, k - l) for l, hl in h)
+
+    FH = phi(n, kap)
+    gmin = {}
     nodes = []
-    for u, kb, L, blocks in _top_blocks(n, kap, m, table):
-        A = [0] * (N * d + 1)
-        for bl, kbot in blocks:
-            for l in range(N * d + 1):
-                A[l] += table.dim(bl - N, kbot - l)
-        if kb not in min_prefix:
-            min_prefix[kb] = minimal_word(n - m, kb, table)[:N]
-        num = sum(hl * (A[l] * H - T[l] * L) for l, hl in enumerate(hfr))
-        num += Fraction(g(min_prefix[kb])) * H
-        nodes.append((L, num))
-    nodes.sort(key=lambda item: item[0])
+    for _, kb, L, S in _top_walk(n, kap, m, table, phi):
+        if kb not in gmin:      # minimal words step by min(d, rest) from the top
+            kN = max(kb - (n - m - N) * table.poly.degree, 0)
+            gmin[kb] = _scaled(g(minimal_word(N, kN, table)), s)
+        nodes.append((L, H * (S + gmin[kb]) - L * FH))
     return H, nodes
 
 
@@ -270,22 +284,23 @@ def fluctuation_curve(g: CylFunction, n: int, kap: int, m: int,
                       table: DimTable) -> PolygonalCurve:
     """Depth-m polygonal fluctuation curve of the tower at (n, kap)."""
     H, nodes = _grid_numerators(g, n, kap, m, table)
-    if all(num == 0 for _, num in nodes):
+    peak = max(abs(num) for _, num in nodes)
+    if peak == 0:
         raise DegenerateCurve(
             f"numerator vanishes on the whole grid at ({n}, {kap}); "
             "the function acts as a constant on this tower")
-    R = max(abs(num) for _, num in nodes) / H
+    R = _to_float(peak, H << _dyadic_bits(g.values.values()), "R", n)
     xs, ys = [0.0], [0.0]
     for L, num in nodes:
         x = L / H           # exact ints: correctly rounded even past 2**53
         if x <= xs[-1]:
             continue
         xs.append(x)
-        ys.append(float(num / H / R))
+        ys.append(num / peak)
     if xs[-1] < 1.0:
         xs.append(1.0)
         ys.append(0.0)
-    return PolygonalCurve(tuple(xs), tuple(ys), float(R), n, kap, m)
+    return PolygonalCurve(tuple(xs), tuple(ys), R, n, kap, m)
 
 
 def curve_value(curve: PolygonalCurve, x: float) -> float:
@@ -295,17 +310,9 @@ def curve_value(curve: PolygonalCurve, x: float) -> float:
         return ys[0]
     if x >= xs[-1]:
         return ys[-1]
-    lo, hi = 0, len(xs) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if xs[mid] <= x:
-            lo = mid
-        else:
-            hi = mid
-    span = xs[hi] - xs[lo]
-    if span == 0.0:
-        return ys[lo]
-    w = (x - xs[lo]) / span
+    hi = bisect_right(xs, x)
+    lo = hi - 1
+    w = (x - xs[lo]) / (xs[hi] - xs[lo])
     return ys[lo] * (1.0 - w) + ys[hi] * w
 
 
@@ -410,12 +417,13 @@ def cohomology_verdict(g: CylFunction, table: DimTable, n_max: int,
     N = g.N
     if n_max < N:
         raise ValueError("n_max below function rank")
+    s = _dyadic_bits(g.values.values())
     series = []
     for n in range(N, n_max + 1):
         kap = central_vertex(table, n)
         H, nodes = _grid_numerators(g, n, kap, min(m, n - N), table)
         peak = max(abs(num) for _, num in nodes)
-        series.append((n, float(peak / H)))
+        series.append((n, _to_float(peak, H << s, "R", n)))
     values = [v for _, v in series]
     peak = max(values)
     tail = values[len(values) // 2:]

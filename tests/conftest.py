@@ -3,7 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
-from polyadic import GenPolynomial, kappa
+from polyadic import GenPolynomial, h_coeffs, kappa, letter_table, minimal_word
 
 
 def tail_less(w1, w2) -> bool:
@@ -107,3 +107,88 @@ def reference_digits(weights, x, m, min_bits=150):
         num = (y - lows[c]) << REF_BITS
         y = (2 * num + weights[c]) // (2 * weights[c])     # nearest
     return tuple(out)
+
+
+# -- reference fluctuation grid -----------------------------------------------
+#
+# The grid as first written: every one of the r^m top blocks enumerated on its
+# own, its block list rebuilt for each block, numerators combined as Fractions
+# from full-length minimal words, and the nodes sorted by rank afterwards.
+# Only the table, h_coeffs and minimal_word come from the package.  The
+# library walks the same blocks depth first with shared prefix sums and
+# integer numerators; these oracles pin it to the direct construction.
+
+
+def reference_top_blocks(n, kap, m, table):
+    """(top_word, bottom_kappa, rank, blocks) for every valid top-m block, unsorted.
+
+    blocks lists (bottom_length, bottom_kappa) for every letter lying below
+    the block in the order.
+    """
+    d = table.poly.degree
+    ks = letter_table(table.poly).kstep
+    r = table.poly.alphabet_size
+    bot = n - m
+    for u in product(range(r), repeat=m):
+        rem = kap
+        blocks = []
+        ok = True
+        for idx in range(m - 1, -1, -1):
+            level = bot + 1 + idx
+            for c in range(u[idx]):
+                blocks.append((level - 1, rem - ks[c]))
+            rem -= ks[u[idx]]
+            if rem < 0:
+                ok = False
+                break
+        if not ok or rem > bot * d:
+            continue
+        rank = 1 + sum(table.dim(bl, kb) for bl, kb in blocks)
+        yield u, rem, rank, blocks
+
+
+def reference_node_grid(n, kap, m, table):
+    """(top_word, rank, minimal completion) of every valid top-m block, by rank."""
+    out = [(u, rank, minimal_word(n - m, kb, table) + u)
+           for u, kb, rank, _ in reference_top_blocks(n, kap, m, table)]
+    return sorted(out, key=lambda item: item[1])
+
+
+def reference_grid(g, n, kap, m, table):
+    """(H, [(L, H*F(L) - L*F(H) as a Fraction), ...]) sorted by L."""
+    N = g.N
+    d = table.poly.degree
+    H = table.dim(n, kap)
+    hfr = [Fraction(v) for v in h_coeffs(g, table).values]
+    T = [table.dim(n - N, kap - l) for l in range(N * d + 1)]
+    nodes = []
+    for _, kb, L, blocks in reference_top_blocks(n, kap, m, table):
+        A = [0] * (N * d + 1)
+        for bl, kbot in blocks:
+            for l in range(N * d + 1):
+                A[l] += table.dim(bl - N, kbot - l)
+        num = sum(hl * (A[l] * H - T[l] * L) for l, hl in enumerate(hfr))
+        num += Fraction(g(minimal_word(n - m, kb, table))) * H
+        nodes.append((L, num))
+    nodes.sort(key=lambda item: item[0])
+    return H, nodes
+
+
+def reference_curve_value(xs, ys, x):
+    """Piecewise-linear value at x by a hand-written bisection."""
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    lo, hi = 0, len(xs) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if xs[mid] <= x:
+            lo = mid
+        else:
+            hi = mid
+    span = xs[hi] - xs[lo]
+    if span == 0.0:
+        return ys[lo]
+    w = (x - xs[lo]) / span
+    return ys[lo] * (1.0 - w) + ys[hi] * w

@@ -170,3 +170,28 @@ def test_g_file_poly_mismatch(tmp_path, capsys):
     code = main(["cohom", "--poly", "1,2", "--g", gpath, "--nmax", "8"])
     captured = capsys.readouterr()
     assert code == 1 and "error" in captured.err
+
+
+def test_float_range_ends_in_error_not_traceback(tmp_path, capsys):
+    gpath = _write_g(tmp_path, GenPolynomial((1, 1)), CylFunction(1, {(0,): 1.0}))
+    walk = ("--q", "0.5", "--m", "2", "--tol", "0", "--eps", "1", "--delta", "0",
+            "--align", "-1")
+    for argv in (("curve", "--poly", "1,1", "--g", gpath, "--nmax", "1600") + walk,
+                 ("cohom", "--poly", "1,1", "--g", gpath, "--nmax", "1600")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "exceeds float range" in err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_g_values_are_rejected(tmp_path, capsys, bad):
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"poly": [1, 1], "N": 1, "values": {"0": %s}}' % bad)
+    for argv in (("curve", "--poly", "1,1", "--q", "0.5", "--g", str(gpath),
+                  "--nmax", "40"),
+                 ("cohom", "--poly", "1,1", "--g", str(gpath), "--nmax", "20")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "not finite" in err

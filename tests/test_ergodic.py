@@ -282,3 +282,30 @@ def test_partial_sum_exact_is_rational():
     g = CylFunction(2, {(0, 1): 1.0, (1, 1): -3.0})
     val = partial_sum_exact(g, (0, 1, 1, 0, 1), T11)
     assert isinstance(val, Fraction)
+
+
+def test_float_range_is_a_capacity_error_at_n1600():
+    # Pascal heights and R pass float range near n = 1040 while the
+    # numerators stay exact; each float conversion names the level instead.
+    table = build_dim_table(P11, 1600)
+    with pytest.raises(CapacityError, match="level 1600"):
+        fluctuation_curve(G_FIRST0, 1600, 800, 4, table)
+    with pytest.raises(CapacityError, match="level 1600"):
+        tower_total(h_coeffs(G_FIRST0, table), 1600, 800, table)
+    with pytest.raises(CapacityError, match=r"level \d+ exceeds float range"):
+        cohomology_verdict(G_FIRST0, table, 1600, m=4)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_cyl_function_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        CylFunction(1, {(0,): bad})
+    text = json.dumps({"poly": [1, 1], "N": 1, "values": {"0": bad}})
+    with pytest.raises(ValueError, match="not finite"):
+        CylFunction.from_json(text)
+
+
+def test_h_coeffs_rejects_overflowing_vertex_sums():
+    g = CylFunction(2, {(0, 1): 1.7e308, (1, 0): 1.7e308})
+    with pytest.raises(ValueError, match="overflows float"):
+        h_coeffs(g, T11)
