@@ -20,11 +20,11 @@ from .measure import (CodingParams, MeasureParams, coding_params,
                       letter_stream, letter_weights, measure_params,
                       sample_word, solve_t, stationary_points,
                       weight_residual)
-from .ergodic import (CylFunction, HCoeffs, PolygonalCurve, brute_tower_sums,
-                      central_vertex, cohomology_verdict, curve_value,
-                      extract_limiting_curve, fluctuation_curve, h_coeffs,
-                      measure_ray, node_grid, partial_sum, partial_sum_exact,
-                      stabilizing_candidates, sup_distance, tower_total)
+from .ergodic import (CylFunction, HCoeffs, PolygonalCurve, central_vertex,
+                      cohomology_verdict, curve_value, extract_limiting_curve,
+                      fluctuation_curve, h_coeffs, measure_ray, node_grid,
+                      partial_sum_exact, stabilizing_candidates, sup_distance,
+                      tower_total)
 from .takagi import (MIRROR_SIGN, Jet, coding_map, depth_for, jet_const,
                      jet_var, parabola_profile, self_affinity_residual,
                      t_jet, t_prime_closed_form, takagi_function)

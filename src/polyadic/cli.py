@@ -18,9 +18,9 @@ from .errors import DegenerateCurve, NoConvergence, PolyadicError
 from .ergodic import (CylFunction, cohomology_verdict, extract_limiting_curve)
 from .measure import (encode_theta, letter_stream, measure_params,
                       weight_residual)
-from .paths import (PathPrefix, kappa, letter_table, predecessor, rank,
-                    successor, unrank, word_from_string, word_to_string)
-from .poly import GenPolynomial, build_dim_table
+from .paths import (PathPrefix, kappa, letter_table, rank, successor, unrank,
+                    word_from_string, word_to_string)
+from .poly import DimTable, GenPolynomial
 from .takagi import parabola_profile, takagi_function
 
 
@@ -61,8 +61,16 @@ def _load_g(path: str, poly: GenPolynomial) -> CylFunction:
     return g
 
 
-def _cmd_dims(args) -> int:
-    table = build_dim_table(args.poly, args.nmax)
+def _level(value: int, option: str) -> int:
+    if value < 0:
+        raise ValueError(f"{option} must be >= 0")
+    return value
+
+
+def _cmd_dims(args, parser) -> int:
+    # Built up front: the rows are the output, and a request past the entry
+    # budget fails before any row is built.
+    table = DimTable(args.poly, _level(args.nmax, "--nmax"))
     rows = [(n, k, str(table.dim(n, k)))
             for n in range(args.nmax + 1)
             for k in range(n * args.poly.degree + 1)]
@@ -70,7 +78,7 @@ def _cmd_dims(args) -> int:
     return 0
 
 
-def _cmd_tq(args) -> int:
+def _cmd_tq(args, parser) -> int:
     mp = measure_params(args.poly, args.q)
     lt = letter_table(args.poly)
     rows = [("q", repr(mp.q)), ("t", repr(mp.t)),
@@ -82,9 +90,7 @@ def _cmd_tq(args) -> int:
 
 
 def _cmd_rank(args, parser) -> int:
-    need = max(args.nmax, args.level or 0,
-               len(word_from_string(args.word, args.poly)) if args.word else 0)
-    table = build_dim_table(args.poly, need)
+    table = DimTable(args.poly)
     if args.word is not None:
         word = word_from_string(args.word, args.poly)
         kap = kappa(word, args.poly)
@@ -101,13 +107,12 @@ def _cmd_rank(args, parser) -> int:
     return 0
 
 
-def _cmd_succ(args) -> int:
-    table = build_dim_table(args.poly, max(args.nmax, len(args.word) + 2))
-    word = word_from_string(args.word, args.poly)
-    x = PathPrefix(word)
-    step = predecessor if args.pred else successor
+def _cmd_succ(args, parser) -> int:
+    table = DimTable(args.poly)
+    x = PathPrefix(word_from_string(args.word, args.poly))
+    direction = -1 if args.pred else 1
     for _ in range(args.steps):
-        x = step(x, table)
+        x = successor(x, table, direction)
     out = word_to_string(x.known(), args.poly)
     if args.out:
         with open(args.out, "w") as fh:
@@ -118,13 +123,14 @@ def _cmd_succ(args) -> int:
 
 
 def _cmd_orbit(args, parser) -> int:
-    table = build_dim_table(args.poly, args.horizon)
+    horizon = _level(args.horizon, "--horizon")
+    table = DimTable(args.poly)
     mp = measure_params(args.poly, args.q)
     if args.word:
         x = PathPrefix(word_from_string(args.word, args.poly),
-                       extend=letter_stream(mp, args.seed), max_level=args.horizon)
+                       extend=letter_stream(mp, args.seed), max_level=horizon)
     elif args.n:
-        x = PathPrefix((), extend=letter_stream(mp, args.seed), max_level=args.horizon)
+        x = PathPrefix((), extend=letter_stream(mp, args.seed), max_level=horizon)
         x.prefix(args.n)
     else:
         parser.error("orbit needs --word or --n")
@@ -139,14 +145,15 @@ def _cmd_orbit(args, parser) -> int:
     return 0
 
 
-def _cmd_curve(args) -> int:
-    table = build_dim_table(args.poly, args.nmax)
+def _cmd_curve(args, parser) -> int:
+    nmax = _level(args.nmax, "--nmax")
     mp = measure_params(args.poly, args.q)
     g = _load_g(args.g, args.poly)
-    x = PathPrefix((), extend=letter_stream(mp, args.seed), max_level=args.nmax)
+    x = PathPrefix((), extend=letter_stream(mp, args.seed), max_level=nmax)
     curve, diag = extract_limiting_curve(
-        g, x, table, eps=args.eps, delta=args.delta, m=args.m, tol=args.tol,
-        n_max=args.nmax, mp=None if args.align < 0 else mp, align=max(args.align, 0))
+        g, x, DimTable(args.poly), eps=args.eps, delta=args.delta, m=args.m,
+        tol=args.tol, n_max=nmax, mp=None if args.align < 0 else mp,
+        align=max(args.align, 0))
     rows = list(zip((repr(v) for v in curve.xs), (repr(v) for v in curve.ys)))
     meta = {"n": curve.n, "kappa": curve.kappa, "m": curve.depth,
             "R": _decimal_str(curve.R), "seed": args.seed, "q": args.q,
@@ -157,10 +164,10 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-def _cmd_cohom(args) -> int:
-    table = build_dim_table(args.poly, args.nmax)
+def _cmd_cohom(args, parser) -> int:
+    nmax = _level(args.nmax, "--nmax")
     g = _load_g(args.g, args.poly)
-    verdict, series = cohomology_verdict(g, table, args.nmax, args.m)
+    verdict, series = cohomology_verdict(g, DimTable(args.poly), nmax, args.m)
     rows = [(n, repr(r)) for n, r in series]
     _emit(args, ("n", "R"), rows,
           meta={"verdict": verdict, "poly": list(args.poly.coeffs),
@@ -169,7 +176,7 @@ def _cmd_cohom(args) -> int:
     return 0
 
 
-def _cmd_takagi(args) -> int:
+def _cmd_takagi(args, parser) -> int:
     if args.grid < 1:
         raise ValueError("grid must be >= 1")
     rows = []
@@ -183,7 +190,7 @@ def _cmd_takagi(args) -> int:
     return 0
 
 
-def _cmd_parabola(args) -> int:
+def _cmd_parabola(args, parser) -> int:
     rows = [(repr(x), repr(v), repr(p), repr(dev))
             for x, v, p, dev in parabola_profile(args.d, args.grid, args.depth)]
     _emit(args, ("x", "value", "parabola", "deviation"), rows,
@@ -197,47 +204,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Polynomial adic systems: tables, dynamics, measures, curves")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, poly=True, out=True):
+    def command(name, func, help, poly=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         if poly:
             p.add_argument("--poly", type=_poly_arg, required=True,
                            help="comma-separated positive coefficients, e.g. 1,1,3")
-        if out:
-            p.add_argument("--out", help="write CSV here (plus .meta.json sidecar)")
+        p.add_argument("--out", help="write CSV here (plus .meta.json sidecar)")
+        return p
 
-    p = sub.add_parser("dims", help="rows of the dimension table")
-    common(p)
+    p = command("dims", _cmd_dims, "rows of the dimension table")
     p.add_argument("--nmax", type=int, required=True)
 
-    p = sub.add_parser("tq", help="weight-equation root and letter weights")
-    common(p)
+    p = command("tq", _cmd_tq, "weight-equation root and letter weights")
     p.add_argument("--q", type=float, required=True)
 
-    p = sub.add_parser("rank", help="rank a word, or unrank an index")
-    common(p)
+    p = command("rank", _cmd_rank, "rank a word, or unrank an index")
     p.add_argument("--word")
     p.add_argument("--level", type=int)
     p.add_argument("--kappa", type=int)
     p.add_argument("--index", type=int)
-    p.add_argument("--nmax", type=int, default=64)
 
-    p = sub.add_parser("succ", help="successor (or predecessor) of a word")
-    common(p)
+    p = command("succ", _cmd_succ, "successor (or predecessor) of a word")
     p.add_argument("--word", required=True)
     p.add_argument("--steps", type=int, default=1)
     p.add_argument("--pred", action="store_true")
-    p.add_argument("--nmax", type=int, default=64)
 
-    p = sub.add_parser("orbit", help="iterate the successor, emitting coded points")
-    common(p)
+    p = command("orbit", _cmd_orbit, "iterate the successor, emitting coded points")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--word")
     p.add_argument("--n", type=int, help="sample a prefix of this length")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=1000)
+    p.add_argument("--horizon", type=int, default=1000,
+                   help="highest level a successor search may read")
 
-    p = sub.add_parser("curve", help="extract a limiting fluctuation curve")
-    common(p)
+    p = command("curve", _cmd_curve, "extract a limiting fluctuation curve")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--g", required=True, help="cylindric function JSON file")
     p.add_argument("--eps", type=float, default=0.1)
@@ -249,21 +251,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--align", type=int, default=1,
                    help="vertex-ray window; negative walks the free-vertex candidates")
 
-    p = sub.add_parser("cohom", help="normalizing-coefficient series and verdict")
-    common(p)
+    p = command("cohom", _cmd_cohom, "normalizing-coefficient series and verdict")
     p.add_argument("--g", required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--m", type=int, default=4)
 
-    p = sub.add_parser("takagi", help="derivative-family curve values on a grid")
-    common(p)
+    p = command("takagi", _cmd_takagi, "derivative-family curve values on a grid")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--depth", type=int, default=60)
 
-    p = sub.add_parser("parabola", help="large-degree profile against x(1-x)")
-    common(p, poly=False)
+    p = command("parabola", _cmd_parabola, "large-degree profile against x(1-x)",
+                poly=False)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--depth", type=int, default=60)
@@ -275,32 +275,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "dims":
-            return _cmd_dims(args)
-        if args.command == "tq":
-            return _cmd_tq(args)
-        if args.command == "rank":
-            return _cmd_rank(args, parser)
-        if args.command == "succ":
-            return _cmd_succ(args)
-        if args.command == "orbit":
-            return _cmd_orbit(args, parser)
-        if args.command == "curve":
-            return _cmd_curve(args)
-        if args.command == "cohom":
-            return _cmd_cohom(args)
-        if args.command == "takagi":
-            return _cmd_takagi(args)
-        if args.command == "parabola":
-            return _cmd_parabola(args)
-        parser.error(f"unknown command {args.command}")
+        return args.func(args, parser)
     except (NoConvergence, DegenerateCurve) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except (PolyadicError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return 0
 
 
 if __name__ == "__main__":

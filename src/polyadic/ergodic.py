@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,12 +24,11 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import CapacityError, DegenerateCurve, NoConvergence
-from .paths import (PathPrefix, kappa, letter_table, minimal_word,
-                    prefix_walk, successor, word_from_string, word_to_string)
+from .paths import (letter_table, minimal_word, prefix_walk, word_from_string,
+                    word_to_string)
 from .poly import DimTable, GenPolynomial
 
 _GRID_BUDGET = 2_000_000
-_BRUTE_CAP = 1_000_000
 
 
 class CylFunction:
@@ -43,8 +43,13 @@ class CylFunction:
             word = tuple(word)
             if len(word) != N:
                 raise ValueError(f"key {word} does not have length {N}")
+            if isinstance(val, bool) or not isinstance(val, numbers.Real):
+                raise ValueError(f"value at {word} is not a number: {val!r}")
             if val:
-                val = float(val)
+                try:
+                    val = float(val)
+                except OverflowError:
+                    val = math.inf
                 if not math.isfinite(val):
                     raise ValueError(f"value at {word} is not finite: {val}")
                 self.values[word] = val
@@ -173,29 +178,6 @@ def partial_sum_exact(g: CylFunction, word, table: DimTable) -> Fraction:
     return total + Fraction(g(word[:N]))
 
 
-def partial_sum(g: CylFunction, word, table: DimTable) -> float:
-    return float(partial_sum_exact(g, word, table))
-
-
-def brute_tower_sums(g: CylFunction, n: int, kap: int, table: DimTable,
-                     cap: int = _BRUTE_CAP) -> list[float]:
-    """All partial sums over the tower, by walking successors from the bottom."""
-    if n < g.N:
-        raise ValueError("tower level below function rank")
-    total = table.dim(n, kap)
-    if total > cap:
-        raise CapacityError(f"tower of {total} words exceeds cap {cap}")
-    sums = []
-    acc = 0.0
-    word = None
-    for _ in range(total):
-        word = (minimal_word(n, kap, table) if word is None
-                else successor(PathPrefix(word), table).known())
-        acc += g(word)
-        sums.append(acc)
-    return sums
-
-
 def _top_walk(n: int, kap: int, m: int, table: DimTable, phi=None):
     """Valid top-m letter blocks of the tower at (n, kap), depth first in rank order.
 
@@ -322,11 +304,12 @@ def sup_distance(c1: PolygonalCurve, c2: PolygonalCurve) -> float:
     return max(abs(curve_value(c1, x) - curve_value(c2, x)) for x in grid)
 
 
-def stabilizing_candidates(x, table: DimTable, eps: float, delta: float,
-                           n_max: int) -> list[int]:
-    """Levels where the prefix sits low in its tower and the vertex is central.
+def _stabilizing_levels(x, table: DimTable, eps: float, delta: float,
+                       n_max: int):
+    """Yield (n, kappa_n) at each stabilizing level of the prefix up to n_max.
 
-    The rank test rank/H < eps is decided in exact integer arithmetic; the
+    A level qualifies when the prefix sits low in its tower and its vertex is
+    central.  The rank test rank/H < eps is decided in exact integer arithmetic; the
     vertex test keeps kappa/(n d) within [delta, 1 - delta] (void for the
     degree-0 system, whose only vertex is central).
     """
@@ -337,7 +320,6 @@ def stabilizing_candidates(x, table: DimTable, eps: float, delta: float,
     d = table.poly.degree
     eps_f = Fraction(eps)
     delta_f = Fraction(delta)
-    out = []
     for n, kap, rnk in prefix_walk(x, table, n_max):
         if Fraction(rnk, table.dim(n, kap)) >= eps_f:
             continue
@@ -345,8 +327,13 @@ def stabilizing_candidates(x, table: DimTable, eps: float, delta: float,
             ratio = Fraction(kap, n * d)
             if not delta_f <= ratio <= 1 - delta_f:
                 continue
-        out.append(n)
-    return out
+        yield n, kap
+
+
+def stabilizing_candidates(x, table: DimTable, eps: float, delta: float,
+                           n_max: int) -> list[int]:
+    """Stabilizing levels of the prefix up to n_max, see _stabilizing_levels."""
+    return [n for n, _ in _stabilizing_levels(x, table, eps, delta, n_max)]
 
 
 def measure_ray(mp, n: int) -> int:
@@ -373,16 +360,11 @@ def extract_limiting_curve(g: CylFunction, x, table: DimTable, *,
     approach the limit without the square-root-scale vertex tilt that a free
     vertex carries at moderate n.
     """
-    x = x if isinstance(x, PathPrefix) else PathPrefix(tuple(x))
-    levels = [n for n in stabilizing_candidates(x, table, eps, delta, n_max)
-              if n - m >= g.N]
-    if mp is not None:
-        levels = [n for n in levels
-                  if abs(kappa(x.prefix(n), table.poly) - measure_ray(mp, n)) <= align]
     diagnostics = {"levels": [], "distances": []}
     prev = None
-    for n in levels:
-        kap = kappa(x.prefix(n), table.poly)
+    for n, kap in _stabilizing_levels(x, table, eps, delta, n_max):
+        if n - m < g.N or (mp is not None and abs(kap - measure_ray(mp, n)) > align):
+            continue
         curve = fluctuation_curve(g, n, kap, m, table)
         diagnostics["levels"].append(n)
         if prev is not None:
@@ -393,7 +375,8 @@ def extract_limiting_curve(g: CylFunction, x, table: DimTable, *,
                 return curve, diagnostics
         prev = curve
     raise NoConvergence(
-        f"no consecutive pair below tol={tol} among {len(levels)} candidate levels",
+        f"no consecutive pair below tol={tol} among "
+        f"{len(diagnostics['levels'])} candidate levels",
         distances=diagnostics["distances"])
 
 

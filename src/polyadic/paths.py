@@ -85,23 +85,11 @@ def word_from_string(text: str, poly: GenPolynomial) -> tuple[int, ...]:
 
 
 def rank(word, table: DimTable) -> int:
-    """1-based position of the word in its lexicographically ordered tower.
-
-    Counts, level by level, the words that agree above the level and carry a
-    smaller letter at it: each letter c below w_j contributes the dimension
-    of the vertex reached by the remaining j-1 free levels.
-    """
-    lt = letter_table(table.poly)
-    if len(word) > table.n_max:
-        raise ValueError("word longer than table levels")
-    r = 1
-    kap = 0
-    for j, c in enumerate(word, start=1):
-        kap += lt.kstep[c]
-        for s, cnt in enumerate(lt.below[c]):
-            if cnt:
-                r += cnt * table.dim(j - 1, kap - s)
-    return r
+    """1-based position of the word in its lexicographically ordered tower."""
+    rnk = 1
+    for _, _, rnk in prefix_walk(word, table):
+        pass
+    return rnk
 
 
 def unrank(n: int, kap: int, index: int, table: DimTable) -> tuple[int, ...]:
@@ -113,8 +101,9 @@ def unrank(n: int, kap: int, index: int, table: DimTable) -> tuple[int, ...]:
             f"index {index} outside [1, {total}] at vertex ({n}, {kap})")
     letters = [0] * n
     for level in range(n, 0, -1):
+        row = table.row(level - 1)
         for c, step in enumerate(lt.kstep):
-            block = table.dim(level - 1, kap - step)
+            block = row[kap - step] if 0 <= kap - step < len(row) else 0
             if index <= block:
                 letters[level - 1] = c
                 kap -= step
@@ -192,51 +181,57 @@ def _as_prefix(x) -> PathPrefix:
     return x if isinstance(x, PathPrefix) else PathPrefix(tuple(x))
 
 
-def successor(x, table: DimTable) -> PathPrefix:
-    """Next path in the tail-lexicographic order.
+def prefix_walk(x, table: DimTable, n_max: int | None = None):
+    """Yield (n, kappa_n, rank_n) for n = 1, 2, ... along the path prefix.
 
-    Scans upward for the first level whose prefix is not maximal in its
-    tower, then replaces exactly that head by the next-ranked word; letters
-    above the pivot are untouched.
+    The rank accumulates level by level: at level n, each letter below the
+    prefix's letter adds the words that agree above n and carry it at n,
+    i.e. the dimension of the vertex it leaves one level down.  The walk
+    stops after level n_max, or quietly where the prefix runs out of letters
+    or reaches its own horizon.
     """
     x = _as_prefix(x)
     lt = letter_table(table.poly)
     kap = 0
     rnk = 1
     n = 0
-    while True:
-        n += 1
+    while n_max is None or n < n_max:
         try:
-            c = x.letter(n)
-        except PrefixExhausted as exc:
-            raise MaximalPath(f"maximal through level {n - 1}") from exc
+            c = x.letter(n + 1)
+        except (PrefixExhausted, HorizonExhausted):
+            return
+        row = table.row(n)
+        n += 1
         kap += lt.kstep[c]
         for s, cnt in enumerate(lt.below[c]):
-            if cnt:
-                rnk += cnt * table.dim(n - 1, kap - s)
-        if rnk < table.dim(n, kap):
-            return x.with_head(unrank(n, kap, rnk + 1, table))
+            if cnt and 0 <= kap - s < len(row):
+                rnk += cnt * row[kap - s]
+        yield n, kap, rnk
+
+
+def successor(x, table: DimTable, direction: int = 1) -> PathPrefix:
+    """Next path in the tail-lexicographic order, or the previous one for -1.
+
+    Walks upward to the first level whose prefix is not extremal in its
+    tower in that direction, then replaces exactly that head by its
+    neighbour word; letters above the pivot are untouched.
+    """
+    x = _as_prefix(x)
+    n = 0
+    for n, kap, rnk in prefix_walk(x, table):
+        if 1 <= rnk + direction <= table.dim(n, kap):
+            return x.with_head(unrank(n, kap, rnk + direction, table))
+    try:
+        x.letter(n + 1)     # raises again whatever ended the walk
+    except PrefixExhausted as exc:
+        if direction > 0:
+            raise MaximalPath(f"maximal through level {n}") from exc
+        raise MinimalPath(f"minimal through level {n}") from exc
 
 
 def predecessor(x, table: DimTable) -> PathPrefix:
-    """Previous path in the tail-lexicographic order; mirror of successor."""
-    x = _as_prefix(x)
-    lt = letter_table(table.poly)
-    kap = 0
-    rnk = 1
-    n = 0
-    while True:
-        n += 1
-        try:
-            c = x.letter(n)
-        except PrefixExhausted as exc:
-            raise MinimalPath(f"minimal through level {n - 1}") from exc
-        kap += lt.kstep[c]
-        for s, cnt in enumerate(lt.below[c]):
-            if cnt:
-                rnk += cnt * table.dim(n - 1, kap - s)
-        if rnk > 1:
-            return x.with_head(unrank(n, kap, rnk - 1, table))
+    """Previous path in the tail-lexicographic order."""
+    return successor(x, table, -1)
 
 
 def iter_tower(n: int, kap: int, table: DimTable):
@@ -249,25 +244,3 @@ def iter_tower(n: int, kap: int, table: DimTable):
     for _ in range(total - 1):
         word = successor(PathPrefix(word), table).known()
         yield word
-
-
-def prefix_walk(x, table: DimTable, n_max: int):
-    """Yield (n, kappa_n, rank_n) for n = 1..n_max along the path prefix.
-
-    Stops early (without error) if the prefix runs out of letters or hits
-    its own horizon before n_max.
-    """
-    x = _as_prefix(x)
-    lt = letter_table(table.poly)
-    kap = 0
-    rnk = 1
-    for n in range(1, n_max + 1):
-        try:
-            c = x.letter(n)
-        except (PrefixExhausted, HorizonExhausted):
-            return
-        kap += lt.kstep[c]
-        for s, cnt in enumerate(lt.below[c]):
-            if cnt:
-                rnk += cnt * table.dim(n - 1, kap - s)
-        yield n, kap, rnk

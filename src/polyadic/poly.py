@@ -24,8 +24,10 @@ class GenPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(a) for a in self.coeffs)
+        coeffs = tuple(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
+        if any(isinstance(a, bool) or not isinstance(a, int) for a in coeffs):
+            raise ValueError(f"coefficients must be integers, got {coeffs!r}")
         if not coeffs:
             raise ValueError("at least one coefficient is required")
         if any(a < 1 for a in coeffs):
@@ -56,17 +58,19 @@ class GenPolynomial:
 class DimTable:
     """Dense per-level rows of exact vertex dimensions C(n, k).
 
-    Rows are append-only: :meth:`extend` adds levels, existing entries never
-    change, so concurrent readers are safe once a level is built.
+    The table grows on demand: asking :meth:`row` or :meth:`dim` for a level
+    above ``n_max`` first builds the missing levels, within ``entry_budget``.
+    Rows are append-only tuples: existing entries never change, so concurrent
+    readers are safe once a level is built.
     """
 
-    def __init__(self, poly: GenPolynomial, n_max: int,
+    def __init__(self, poly: GenPolynomial, n_max: int = 0,
                  entry_budget: int = DEFAULT_ENTRY_BUDGET):
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         self.poly = poly
         self.entry_budget = entry_budget
-        self._rows: list[list[int]] = [[1]]
+        self._rows: list[tuple[int, ...]] = [(1,)]
         self.extend(n_max)
 
     @property
@@ -89,21 +93,20 @@ class DimTable:
             for k, value in enumerate(prev):
                 for j, a in enumerate(coeffs):
                     row[k + j] += a * value
-            self._rows.append(row)
+            self._rows.append(tuple(row))
 
     def row(self, n: int) -> tuple[int, ...]:
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"level {n} outside table (n_max={self.n_max})")
-        return tuple(self._rows[n])
+        """Level n's entries C(n, 0..n*d), building the table up to n first."""
+        if n >= len(self._rows):
+            self.extend(n)
+        elif n < 0:
+            raise ValueError(f"level {n} is negative")
+        return self._rows[n]
 
     def dim(self, n: int, k: int) -> int:
         """C(n, k); zero for k outside [0, n*d]."""
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"level {n} outside table (n_max={self.n_max})")
-        row = self._rows[n]
-        if k < 0 or k >= len(row):
-            return 0
-        return row[k]
+        row = self.row(n)
+        return row[k] if 0 <= k < len(row) else 0
 
     def reflected_dim(self, n: int, k1: int) -> int:
         """Dimension indexed from the other end: C(n, n*d - k1)."""

@@ -3,7 +3,8 @@
 from fractions import Fraction
 from itertools import product
 
-from polyadic import GenPolynomial, h_coeffs, kappa, letter_table, minimal_word
+from polyadic import (CapacityError, GenPolynomial, PathPrefix, h_coeffs, kappa,
+                      letter_table, minimal_word, successor)
 
 
 def tail_less(w1, w2) -> bool:
@@ -43,6 +44,24 @@ def poly_power_row(coeffs, n):
                 nxt[i + j] += v * a
         row = nxt
     return row
+
+
+def brute_tower_sums(g, n, kap, table, cap=1_000_000):
+    """All partial sums over the tower, by walking successors from the bottom."""
+    if n < g.N:
+        raise ValueError("tower level below function rank")
+    total = table.dim(n, kap)
+    if total > cap:
+        raise CapacityError(f"tower of {total} words exceeds cap {cap}")
+    sums = []
+    acc = 0.0
+    word = None
+    for _ in range(total):
+        word = (minimal_word(n, kap, table) if word is None
+                else successor(PathPrefix(word), table).known())
+        acc += g(word)
+        sums.append(acc)
+    return sums
 
 
 # -- reference digit decoder --------------------------------------------------

@@ -14,9 +14,9 @@ from itertools import product
 
 import pytest
 
-from conftest import tower_words_sorted
+from conftest import brute_tower_sums, tower_words_sorted
 from polyadic import (CylFunction, DegenerateCurve, GenPolynomial, MIRROR_SIGN,
-                      PathPrefix, brute_tower_sums, build_dim_table,
+                      PathPrefix, build_dim_table,
                       cohomology_verdict, coding_map, cylinder_measure,
                       extract_limiting_curve, fluctuation_curve,
                       iter_tower, kappa, letter_stream, letter_table,

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from polyadic import CylFunction, GenPolynomial
+from polyadic import CylFunction, DimTable, GenPolynomial
+from polyadic import cli
 from polyadic.cli import main
 
 
@@ -195,3 +196,64 @@ def test_non_finite_g_values_are_rejected(tmp_path, capsys, bad):
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("dims", "--poly", "1,1", "--nmax", "-1"),
+    ("cohom", "--poly", "1,1", "--g", "unread.json", "--nmax", "-1"),
+    ("curve", "--poly", "1,1", "--q", "0.5", "--g", "unread.json", "--nmax", "-1"),
+    ("orbit", "--poly", "1,1", "--q", "0.5", "--n", "4", "--horizon", "-1"),
+])
+def test_negative_levels_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "must be >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["rank", "succ"])
+def test_rank_and_succ_have_no_nmax(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--poly", "1,1", "--word", "0110", "--nmax", "8"])
+    assert err.value.code == 2
+
+
+def test_orbit_table_grows_only_as_far_as_the_walk(capsys, monkeypatch):
+    tables = []
+
+    class Recorded(DimTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(self)
+
+    monkeypatch.setattr(cli, "DimTable", Recorded)
+    code, _, _ = run(capsys, "orbit", "--poly", "1,1", "--q", "0.5", "--n", "40",
+                     "--steps", "200", "--seed", "0")
+    assert code == 0
+    # 200 steps from a 40-letter prefix pivot low; --horizon (1000) sizes nothing
+    assert len(tables) == 1 and tables[0].n_max <= 40
+
+
+def test_orbit_horizon_only_bounds_the_search(capsys):
+    argv = ("orbit", "--poly", "1,1,3", "--q", "0.25", "--n", "40", "--steps", "50")
+    code, out_1000, _ = run(capsys, *argv, "--horizon", "1000")
+    assert code == 0
+    code, out_3000, err = run(capsys, *argv, "--horizon", "3000")
+    assert code == 0, err
+    assert out_3000 == out_1000
+
+
+@pytest.mark.parametrize("doc", [
+    '{"poly": [1, 1], "N": 1, "values": {"0": "1.5", "1": true}}',
+    '{"poly": [1, 1], "N": 1, "values": {"0": true}}',
+    '{"poly": [true, 2.7], "N": 1, "values": {"0": 1.0}}',
+])
+def test_g_file_values_and_coefficients_are_not_coerced(tmp_path, capsys, doc):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(doc)
+    poly = "1,2" if "2.7" in doc else "1,1"
+    code, out, err = run(capsys, "cohom", "--poly", poly, "--g", str(gpath),
+                         "--nmax", "8")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from conftest import tower_words_sorted
+from conftest import brute_tower_sums, tower_words_sorted
 from polyadic import (CapacityError, CylFunction, DegenerateCurve,
                       GenPolynomial, NoConvergence, PathPrefix, PolygonalCurve,
-                      brute_tower_sums, build_dim_table, central_vertex,
+                      build_dim_table, central_vertex,
                       cohomology_verdict, curve_value, extract_limiting_curve,
                       fluctuation_curve, h_coeffs, kappa, letter_stream,
                       letter_table, measure_params, measure_ray, node_grid,
-                      partial_sum, partial_sum_exact, rank,
+                      partial_sum_exact, rank,
                       stabilizing_candidates, stationary_points, sup_distance,
                       coding_params, tower_total, maximal_word, minimal_word,
                       iter_tower)
@@ -50,6 +50,17 @@ def test_cyl_function_json_round_trip():
         CylFunction.from_json(bad)
 
 
+@pytest.mark.parametrize("bad", ["1.5", True, False, None, [1.0]])
+def test_cyl_function_rejects_non_numbers(bad):
+    with pytest.raises(ValueError, match="not a number"):
+        CylFunction(1, {(0,): bad})
+
+
+def test_cyl_function_rejects_ints_past_float_range():
+    with pytest.raises(ValueError, match="not finite"):
+        CylFunction(1, {(0,): 10 ** 400})
+
+
 def test_h_coeffs_examples():
     h = h_coeffs(G_FIRST0, T11)
     assert h.values == (0.0, 1.0)
@@ -78,8 +89,8 @@ def test_partial_sum_extremes():
     for n, kap in ((4, 2), (6, 3)):
         wmin = minimal_word(n, kap, T11)
         wmax = maximal_word(n, kap, T11)
-        assert partial_sum(g, wmin, T11) == g(wmin)
-        assert partial_sum(g, wmax, T11) == tower_total(h_coeffs(g, T11), n, kap, T11)
+        assert float(partial_sum_exact(g, wmin, T11)) == g(wmin)
+        assert float(partial_sum_exact(g, wmax, T11)) == tower_total(h_coeffs(g, T11), n, kap, T11)
 
 
 @pytest.mark.parametrize("poly,table,g", [
@@ -93,7 +104,7 @@ def test_partial_sum_matches_brute(poly, table, g):
         for kap in range(n * poly.degree + 1):
             sums = brute_tower_sums(g, n, kap, table)
             for j, w in enumerate(iter_tower(n, kap, table), 1):
-                assert partial_sum(g, w, table) == pytest.approx(sums[j - 1], abs=1e-12)
+                assert float(partial_sum_exact(g, w, table)) == pytest.approx(sums[j - 1], abs=1e-12)
 
 
 def test_brute_tower_sums_properties():
@@ -309,3 +320,17 @@ def test_h_coeffs_rejects_overflowing_vertex_sums():
     g = CylFunction(2, {(0, 1): 1.7e308, (1, 0): 1.7e308})
     with pytest.raises(ValueError, match="overflows float"):
         h_coeffs(g, T11)
+
+
+def test_extract_limiting_curve_grows_a_small_table():
+    mp = measure_params(P11, 0.5)
+
+    def extract(table):
+        x = PathPrefix((), extend=letter_stream(mp, 2), max_level=300)
+        return extract_limiting_curve(G_FIRST0, x, table, m=6, n_max=300, mp=mp)
+
+    small = build_dim_table(P11, 10)
+    curve, diag = extract(small)
+    assert (curve, diag) == extract(build_dim_table(P11, 300))
+    # the walk stops pulling levels once it converges
+    assert small.n_max == diag["converged_at"] < 300

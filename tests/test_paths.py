@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tower_words_comparison_sorted, tower_words_sorted
-from polyadic import (GenPolynomial, HorizonExhausted, MaximalPath,
+from polyadic import (DimTable, GenPolynomial, HorizonExhausted, MaximalPath,
                       MinimalPath, PathPrefix, PrefixExhausted,
                       RankOutOfRange, build_dim_table, is_maximal, is_minimal,
                       iter_tower, kappa, co_kappa, letter_table, maximal_word,
@@ -220,3 +222,36 @@ def test_prefix_walk_matches_rank():
         assert rnk == rank(w[:n], T113)
     # stops quietly at the prefix end
     assert len(list(prefix_walk(PathPrefix(w[:3]), T113, 8))) == 3
+
+
+def test_prefix_walk_without_bound_runs_to_the_prefix_end():
+    w = (4, 0, 3, 1, 2, 2)
+    walk = list(prefix_walk(w, DimTable(P113)))
+    assert [n for n, _, _ in walk] == [1, 2, 3, 4, 5, 6]
+    assert walk[-1] == (6, kappa(w, P113), rank(w, T113))
+    assert list(prefix_walk(w, T113, 0)) == []
+
+
+_POLYS = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(
+    lambda coeffs: GenPolynomial(tuple(coeffs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly=_POLYS, data=st.data())
+def test_rank_and_neighbour_round_trips_on_drawn_words(poly, data):
+    # every table here starts unsized and grows only as far as the word reaches
+    r = poly.alphabet_size
+    w = tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=12)))
+    n, kap = len(w), kappa(w, poly)
+    table = DimTable(poly)
+    rnk = rank(w, table)
+    assert unrank(n, kap, rnk, table) == w
+    for step, back, end, edge in ((successor, predecessor, MaximalPath, table.dim(n, kap)),
+                                  (predecessor, successor, MinimalPath, 1)):
+        try:
+            moved = step(PathPrefix(w), table)
+        except end:
+            assert rnk == edge
+            continue
+        assert back(moved, table).known() == w
+    assert table.n_max <= n

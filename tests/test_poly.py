@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import poly_power_row
-from polyadic import (CapacityError, GenPolynomial, build_dim_table,
+from polyadic import (CapacityError, DimTable, GenPolynomial, build_dim_table,
                       is_unimodal, max_adjacent_ratio, ratio_constant,
                       unimodal_start)
 
@@ -18,6 +18,12 @@ def test_parse_and_validation():
         GenPolynomial(())
     with pytest.raises(ValueError):
         GenPolynomial.parse("1,x")
+
+
+@pytest.mark.parametrize("coeffs", [(True, 2), (1, 2.7), (1.0, 1), ("1", 2), (1, None)])
+def test_coefficients_must_be_ints(coeffs):
+    with pytest.raises(ValueError):
+        GenPolynomial(coeffs)
 
 
 def test_pascal_row():
@@ -53,10 +59,13 @@ def test_out_of_range_is_zero_and_level_errors():
     table = build_dim_table(GenPolynomial((1, 2)), 5)
     assert table.dim(3, -1) == 0
     assert table.dim(3, 4) == 0
+    # a level above n_max grows the table
+    assert table.dim(6, 0) == 1 and table.n_max == 6
+    assert list(table.row(7)) == poly_power_row((1, 2), 7) and table.n_max == 7
     with pytest.raises(ValueError):
-        table.dim(6, 0)
+        table.dim(-1, 0)
     with pytest.raises(ValueError):
-        table.row(6)
+        table.row(-1)
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1), (3,), (1, 1, 3), (2, 1, 1, 2)])
@@ -110,6 +119,30 @@ def test_capacity_budget():
     table = build_dim_table(GenPolynomial((1, 1)), 3, entry_budget=50)
     with pytest.raises(CapacityError):
         table.extend(100)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1, 1, 3), (2, 3, 1)])
+def test_grown_table_equals_eager_table(coeffs):
+    poly = GenPolynomial(coeffs)
+    eager = build_dim_table(poly, 40)
+    grown = DimTable(poly)
+    assert grown.n_max == 0
+    assert grown.dim(25, 3) == eager.dim(25, 3) and grown.n_max == 25
+    for n in range(41):
+        for k in range(-1, n * poly.degree + 2):
+            assert grown.dim(n, k) == eager.dim(n, k)
+        assert grown.row(n) == eager.row(n)
+    assert grown.n_max == 40
+
+
+def test_growth_on_demand_keeps_the_budget():
+    table = DimTable(GenPolynomial((1, 1)), entry_budget=50)
+    assert table.dim(8, 4) == 70        # levels 0..8 hold 45 entries
+    with pytest.raises(CapacityError):
+        table.dim(9, 0)                 # 55 entries
+    with pytest.raises(CapacityError):
+        table.row(100)
+    assert table.n_max == 8
 
 
 def test_is_unimodal():
