@@ -9,17 +9,15 @@ functions describing their limits.
 from .errors import (CapacityError, DegenerateCurve, DivisionByZeroJet,
                      HorizonExhausted, MaximalPath, MinimalPath, NoConvergence,
                      NoRoot, PolyadicError, PrefixExhausted, RankOutOfRange)
-from .poly import (DimTable, GenPolynomial, build_dim_table, is_unimodal,
-                   max_adjacent_ratio, ratio_constant, unimodal_start)
+from .poly import (DimTable, GenPolynomial, is_unimodal, max_adjacent_ratio,
+                   ratio_constant, unimodal_start)
 from .paths import (LetterTable, PathPrefix, co_kappa, is_maximal, is_minimal,
                     iter_tower, kappa, letter_table, maximal_word,
                     minimal_word, predecessor, prefix_walk, rank, successor,
                     unrank, word_from_string, word_to_string)
-from .measure import (CodingParams, MeasureParams, coding_params,
-                      cylinder_measure, decode_digits, encode_theta,
-                      letter_stream, letter_weights, measure_params,
-                      sample_word, solve_t, stationary_points,
-                      weight_residual)
+from .measure import (MeasureParams, cylinder_measure, decode_digits,
+                      encode_theta, letter_stream, measure_params, sample_word,
+                      solve_t, stationary_points, weight_residual)
 from .ergodic import (CylFunction, HCoeffs, PolygonalCurve, central_vertex,
                       cohomology_verdict, curve_value, extract_limiting_curve,
                       fluctuation_curve, h_coeffs, measure_ray, node_grid,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import io
 import json
 import sys
@@ -22,11 +21,6 @@ from .paths import (PathPrefix, kappa, letter_table, rank, successor, unrank,
                     word_from_string, word_to_string)
 from .poly import DimTable, GenPolynomial
 from .takagi import parabola_profile, takagi_function
-
-
-def _decimal_str(x: float) -> str:
-    """Plain decimal rendering, no exponent, for very large reals."""
-    return format(decimal.Decimal(repr(x)), "f")
 
 
 def _poly_arg(text: str) -> GenPolynomial:
@@ -156,7 +150,7 @@ def _cmd_curve(args, parser) -> int:
         align=max(args.align, 0))
     rows = list(zip((repr(v) for v in curve.xs), (repr(v) for v in curve.ys)))
     meta = {"n": curve.n, "kappa": curve.kappa, "m": curve.depth,
-            "R": _decimal_str(curve.R), "seed": args.seed, "q": args.q,
+            "R": repr(curve.R), "seed": args.seed, "q": args.q,
             "poly": list(args.poly.coeffs), "levels": diag["levels"],
             "distances": diag["distances"],
             "converged_at": diag.get("converged_at")}

@@ -77,12 +77,16 @@ class CylFunction:
     def from_json(cls, text: str, poly: GenPolynomial | None = None):
         """Read {"poly": [...], "N": int, "values": {"word": value}}."""
         doc = json.loads(text)
+        if not (isinstance(doc, dict) and isinstance(doc.get("poly"), list)
+                and type(doc.get("N")) is int and isinstance(doc.get("values"), dict)):
+            raise ValueError('a g file is an object with a "poly" list, '
+                             'an integer "N" and a "values" object')
         file_poly = GenPolynomial(tuple(doc["poly"]))
         if poly is not None and file_poly != poly:
             raise ValueError(f"file polynomial {file_poly} does not match {poly}")
         values = {word_from_string(key, file_poly): val
-                  for key, val in doc.get("values", {}).items()}
-        g = cls(int(doc["N"]), values)
+                  for key, val in doc["values"].items()}
+        g = cls(doc["N"], values)
         g.validate_for(file_poly)
         return file_poly, g
 
@@ -94,30 +98,28 @@ class CylFunction:
 
 @dataclass(frozen=True)
 class HCoeffs:
-    """Per-vertex sums h_l of a rank-N function over words ending at (N, l)."""
+    """Exact per-vertex sums h_l of a rank-N function over words ending at (N, l)."""
 
     N: int
-    values: tuple[float, ...]
+    values: tuple[Fraction, ...]
 
 
 def h_coeffs(g: CylFunction, table: DimTable) -> HCoeffs:
     d = table.poly.degree
     ks = letter_table(table.poly).kstep
-    out = [0.0] * (g.N * d + 1)
+    out = [Fraction(0)] * (g.N * d + 1)
     for word, val in g.values.items():
-        out[sum(ks[c] for c in word)] += val
-    if not all(map(math.isfinite, out)):
-        raise ValueError("a per-vertex sum of the function's values overflows float")
+        out[sum(ks[c] for c in word)] += Fraction(val)
     return HCoeffs(g.N, tuple(out))
 
 
 def _dyadic_bits(values) -> int:
-    """Least s making every 2^s v an integer (float sums of the v stay so)."""
+    """Least s making every 2^s v an integer (exact sums of the v stay so)."""
     return max((v.as_integer_ratio()[1].bit_length() - 1 for v in values), default=0)
 
 
-def _scaled(v: float, s: int) -> int:
-    """The integer 2^s v."""
+def _scaled(v, s: int) -> int:
+    """The integer 2^s v, for a float or a dyadic ``Fraction`` v."""
     p, q = v.as_integer_ratio()
     return p << (s + 1 - q.bit_length())
 
@@ -135,10 +137,8 @@ def tower_total(h: HCoeffs, n: int, kap: int, table: DimTable) -> float:
     """F at the full tower height: sum_l h_l C(n-N, kap-l), exactly combined."""
     if n < h.N:
         raise ValueError("tower level below function rank")
-    s = _dyadic_bits(h.values)
-    total = sum(_scaled(hl, s) * table.dim(n - h.N, kap - l)
-                for l, hl in enumerate(h.values))
-    return _to_float(total, 1 << s, "tower total", n)
+    total = sum(hl * table.dim(n - h.N, kap - l) for l, hl in enumerate(h.values))
+    return _to_float(total.numerator, total.denominator, "tower total", n)
 
 
 @lru_cache(maxsize=64)
@@ -158,7 +158,7 @@ def partial_sum_exact(g: CylFunction, word, table: DimTable) -> Fraction:
     if n < N:
         raise ValueError("word shorter than function rank")
     lt = letter_table(table.poly)
-    hfr = [Fraction(v) for v in h_coeffs(g, table).values]
+    hfr = h_coeffs(g, table).values
     kaps = [0]
     for c in word:
         kaps.append(kaps[-1] + lt.kstep[c])

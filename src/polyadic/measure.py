@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .errors import CapacityError, NoRoot
 from .paths import letter_table
@@ -40,11 +40,14 @@ _ONE = 1 << PREC
 
 
 def _weight_poly_coeffs(poly: GenPolynomial, q):
-    """Coefficients of t -> sum_j a_j q^(d-j) t^j - q^(d-1)."""
+    """Coefficients of t -> sum_j a_j q^(d-j) t^j - q^(d-1), and of its t-derivative.
+
+    q may be a float, a ``Fraction`` or a jet; the coefficients live in its ring.
+    """
     d = poly.degree
     coeffs = [a * q ** (d - j) for j, a in enumerate(poly.coeffs)]
     coeffs[0] -= q ** (d - 1)
-    return coeffs
+    return coeffs, [j * c for j, c in enumerate(coeffs)][1:]
 
 
 def _horner(coeffs, t):
@@ -68,8 +71,7 @@ def solve_t(poly: GenPolynomial, q: float, tol: float = 1e-14) -> float:
         return q
     if not 0.0 < q < 1.0 / a0:
         raise NoRoot(f"q={q} outside (0, 1/{a0})")
-    coeffs = _weight_poly_coeffs(poly, q)
-    deriv = [j * c for j, c in enumerate(coeffs)][1:]
+    coeffs, deriv = _weight_poly_coeffs(poly, q)
     lo, hi = 0.0, 1.0
     flo = _horner(coeffs, lo)
     if flo >= 0.0 or _horner(coeffs, hi) <= 0.0:
@@ -101,7 +103,7 @@ def weight_residual(poly: GenPolynomial, q: float, t: float) -> float:
     """Defining-equation residual at (q, t)."""
     if poly.degree == 0:
         return poly.coeffs[0] - 1.0 / q
-    return _horner(_weight_poly_coeffs(poly, q), t)
+    return _horner(_weight_poly_coeffs(poly, q)[0], t)
 
 
 @dataclass(frozen=True)
@@ -127,10 +129,6 @@ def measure_params(poly: GenPolynomial, q: float) -> MeasureParams:
     return MeasureParams(poly, q, t, weights, low_sums(weights, 0.0))
 
 
-def letter_weights(mp: MeasureParams) -> tuple[float, ...]:
-    return mp.weights
-
-
 def cylinder_measure(mp: MeasureParams, word) -> float:
     """Product of letter weights: q^n (t/q)^kappa, a function of (n, kappa)."""
     out = 1.0
@@ -141,58 +139,22 @@ def cylinder_measure(mp: MeasureParams, word) -> float:
 
 def sample_word(mp: MeasureParams, n: int, seed: int) -> tuple[int, ...]:
     """n i.i.d. letters drawn from the weight vector, reproducible by seed."""
-    rng = random.Random(seed)
-    cums = _cumulative(mp.weights)
-    return tuple(bisect_right(cums, rng.random(), 0, len(mp.weights) - 1)
-                 for _ in range(n))
+    return tuple(islice(letter_stream(mp, seed), n))
 
 
 def letter_stream(mp: MeasureParams, seed: int):
     """Endless i.i.d. letter iterator; feeds PathPrefix extension."""
     rng = random.Random(seed)
-    cums = _cumulative(mp.weights)
-    top = len(mp.weights) - 1
     while True:
-        yield bisect_right(cums, rng.random(), 0, top)
+        yield bisect_right(mp.lows, rng.random()) - 1
 
 
-def _cumulative(weights) -> list[float]:
-    cums = []
-    acc = 0.0
-    for w in weights:
-        acc += w
-        cums.append(acc)
-    cums[-1] = 1.0
-    return cums
-
-
-@dataclass(frozen=True)
-class CodingParams:
-    """Measure parameters plus a decoding depth cap."""
-
-    mp: MeasureParams
-    max_depth: int = 60
-
-    def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-
-
-def coding_params(poly: GenPolynomial, q: float, max_depth: int = 60) -> CodingParams:
-    return CodingParams(measure_params(poly, q), max_depth)
-
-
-def _mp_of(params) -> MeasureParams:
-    return params.mp if isinstance(params, CodingParams) else params
-
-
-def encode_theta(params, word) -> float:
+def encode_theta(mp: MeasureParams, word) -> float:
     """Left endpoint in [0, 1] of the word's nested coding interval."""
-    mp = _mp_of(params)
     return encode(mp.weights, mp.lows, word)
 
 
-def decode_digits(cp: CodingParams, x: float, m: int | None = None) -> tuple[int, ...]:
+def decode_digits(mp: MeasureParams, x: float, m: int) -> tuple[int, ...]:
     """First m letters of the coding of x; half-open intervals, 1 maps high.
 
     Points on an interval boundary take the right-hand letter, so a
@@ -201,12 +163,11 @@ def decode_digits(cp: CodingParams, x: float, m: int | None = None) -> tuple[int
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
-    return decode(cp.mp.poly, cp.mp.q, x, cp.max_depth if m is None else m)
+    return decode(mp.poly, mp.q, x, m)
 
 
-def stationary_points(cp: CodingParams, m: int) -> list[float]:
+def stationary_points(mp: MeasureParams, m: int) -> list[float]:
     """Sorted left endpoints of all coding intervals of rank m."""
-    mp = cp.mp
     r = len(mp.weights)
     if r ** m > _STATIONARY_BUDGET:
         raise CapacityError(f"{r}^{m} stationary points exceed budget")
@@ -251,8 +212,7 @@ def _exact_t(poly: GenPolynomial, q: Fraction, t0: float) -> Fraction:
     """
     if poly.degree == 0:
         return q
-    coeffs = _weight_poly_coeffs(poly, q)
-    deriv = [j * c for j, c in enumerate(coeffs)][1:]
+    coeffs, deriv = _weight_poly_coeffs(poly, q)
     t = Fraction(t0)
     scale = 1 << (2 * PREC)
     for _ in range(16):

@@ -113,12 +113,6 @@ class DimTable:
         return self.dim(n, n * self.poly.degree - k1)
 
 
-def build_dim_table(poly: GenPolynomial, n_max: int,
-                    entry_budget: int = DEFAULT_ENTRY_BUDGET) -> DimTable:
-    """Populate the dimension table for levels 0..n_max."""
-    return DimTable(poly, n_max, entry_budget)
-
-
 def is_unimodal(row) -> bool:
     """True if the sequence rises (weakly) to a peak and then falls (weakly)."""
     i = 0
@@ -133,10 +127,10 @@ def unimodal_start(table: DimTable, limit: int = 64):
     """Smallest n1 <= limit with rows n1..n_max all unimodal, or None."""
     last_bad = -1
     for n in range(min(limit, table.n_max) + 1):
-        if not is_unimodal(table._rows[n]):
+        if not is_unimodal(table.row(n)):
             last_bad = n
     for n in range(limit + 1, table.n_max + 1):
-        if not is_unimodal(table._rows[n]):
+        if not is_unimodal(table.row(n)):
             return None
     return last_bad + 1 if last_bad + 1 <= limit else None
 
@@ -161,5 +155,5 @@ def ratio_constant(table: DimTable, n1: int, fit_up_to: int) -> Fraction:
         raise ValueError("need 1 <= n1 <= fit_up_to <= n_max")
     best = Fraction(0)
     for n in range(n1, fit_up_to + 1):
-        best = max(best, max_adjacent_ratio(table._rows[n]) / n)
+        best = max(best, max_adjacent_ratio(table.row(n)) / n)
     return best

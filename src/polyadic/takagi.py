@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DivisionByZeroJet, NoRoot
-from .measure import (cylinder, cylinder_measure, decode, encode, low_sums,
-                      measure_params, solve_t)
+from .measure import (_horner, _weight_poly_coeffs, cylinder, cylinder_measure,
+                      decode, encode, low_sums, measure_params, solve_t)
 from .paths import letter_table
 from .poly import GenPolynomial
 
@@ -117,24 +117,6 @@ def jet_var(value: float, order: int) -> Jet:
     return Jet((float(value), 1.0) + (0.0,) * (order - 1))
 
 
-def _weight_equation(poly: GenPolynomial, q2: Jet, t: Jet):
-    """Phi(q2, t) = sum_j a_j t^j q2^(d-j) - q2^(d-1) and d(Phi)/dt."""
-    d = poly.degree
-    qpow = [jet_const(1.0, q2.order)]
-    for _ in range(d):
-        qpow.append(qpow[-1] * q2)
-    tpow = [jet_const(1.0, q2.order)]
-    for _ in range(d):
-        tpow.append(tpow[-1] * t)
-    phi = -qpow[d - 1]
-    dphi = jet_const(0.0, q2.order)
-    for j, a in enumerate(poly.coeffs):
-        phi = phi + (a * tpow[j]) * qpow[d - j]
-        if j >= 1:
-            dphi = dphi + (j * a * tpow[j - 1]) * qpow[d - j]
-    return phi, dphi
-
-
 def t_jet(poly: GenPolynomial, q: float, order: int) -> Jet:
     """Taylor expansion of q2 -> t(q2) at q2 = q, by Newton in jet arithmetic."""
     if poly.degree == 0:
@@ -142,11 +124,10 @@ def t_jet(poly: GenPolynomial, q: float, order: int) -> Jet:
     t0 = solve_t(poly, q)
     if order == 0:
         return Jet((t0,))
-    q2 = jet_var(q, order)
+    coeffs, deriv = _weight_poly_coeffs(poly, jet_var(q, order))
     t = jet_const(t0, order)
     for _ in range(2 * order + 4):
-        phi, dphi = _weight_equation(poly, q2, t)
-        step = phi * dphi.reciprocal()
+        step = _horner(coeffs, t) * _horner(deriv, t).reciprocal()
         t = t - step
         if max(abs(c) for c in step.coeffs) <= 1e-15 * max(
                 1.0, max(abs(c) for c in t.coeffs)):

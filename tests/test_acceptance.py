@@ -15,8 +15,8 @@ from itertools import product
 import pytest
 
 from conftest import brute_tower_sums, tower_words_sorted
-from polyadic import (CylFunction, DegenerateCurve, GenPolynomial, MIRROR_SIGN,
-                      PathPrefix, build_dim_table,
+from polyadic import (CylFunction, DegenerateCurve, DimTable, GenPolynomial,
+                      MIRROR_SIGN, PathPrefix,
                       cohomology_verdict, coding_map, cylinder_measure,
                       extract_limiting_curve, fluctuation_curve,
                       iter_tower, kappa, letter_stream, letter_table,
@@ -40,7 +40,7 @@ def test_a1_rank_unrank_successor_exact():
     total = 0
     for coeffs in ((1, 1), (2, 1), (1, 1, 3)):
         poly = GenPolynomial(coeffs)
-        table = build_dim_table(poly, 8)
+        table = DimTable(poly, 8)
         for n in range(1, 8):
             for kap in range(n * poly.degree + 1):
                 words = tower_words_sorted(poly, n, kap)
@@ -71,7 +71,7 @@ def _pascal_swapped_map(digits):
 
 
 def test_a2_pascal_closed_form_oracle():
-    table = build_dim_table(GenPolynomial((1, 1)), 32)
+    table = DimTable(GenPolynomial((1, 1)), 32)
     rng = random.Random(12345)
     checked = 0
     for _ in range(10_000):
@@ -94,7 +94,7 @@ def test_a3_convolution_and_weighted_identity():
     polys = [GenPolynomial(c) for c in
              ((1, 1), (2, 1), (1, 2), (1, 1, 3), (2, 1, 1), (1, 1, 1),
               (3, 2), (1, 3, 1, 2))]
-    tables = {p: build_dim_table(p, 60) for p in polys}
+    tables = {p: DimTable(p, 60) for p in polys}
     for _ in range(200):
         poly = rng.choice(polys)
         table = tables[poly]
@@ -194,7 +194,7 @@ def test_a6_takagi_values():
 
 
 def _curve_protocol(poly, q, g, seed=CURVE_SEED, n_max=300):
-    table = build_dim_table(poly, n_max)
+    table = DimTable(poly, n_max)
     mp = measure_params(poly, q)
     x = PathPrefix((), extend=letter_stream(mp, seed), max_level=n_max)
     curve, diag = extract_limiting_curve(g, x, table, eps=0.1, delta=0.1, m=6,
@@ -233,7 +233,7 @@ def test_a8_polynomial_limiting_curve():
 
 def test_a9_cohomology_dichotomy():
     p3 = GenPolynomial((3,))
-    t3 = build_dim_table(p3, 14)
+    t3 = DimTable(p3, 14)
     rng = random.Random(7)
     for _ in range(5):
         g = CylFunction(2, {(a, b): rng.randint(-3, 3) * 0.5
@@ -241,7 +241,7 @@ def test_a9_cohomology_dichotomy():
         verdict, _ = cohomology_verdict(g, t3, 12, m=3)
         assert verdict == "BOUNDED"
     p11 = GenPolynomial((1, 1))
-    t11 = build_dim_table(p11, 44)
+    t11 = DimTable(p11, 44)
     g7 = CylFunction(1, {(0,): 1.0})
     verdict, series = cohomology_verdict(g7, t11, 40, m=4)
     assert verdict == "UNBOUNDED"
@@ -329,7 +329,7 @@ def _interp_deviation(g, table, n_hi):
 
 
 def test_a12_node_vs_exact_stabilization():
-    table = build_dim_table(GenPolynomial((1, 1)), 14)
+    table = DimTable(GenPolynomial((1, 1)), 14)
     tests = [CylFunction(1, {(0,): 1.0}),
              CylFunction(2, {(0, 0): 1.0, (1, 1): -1.0}),
              CylFunction(2, {(0, 1): 2.0, (1, 0): 1.0, (0, 0): -1.0})]
@@ -353,7 +353,7 @@ def test_a13_flattening_diagnostic():
         poly = GenPolynomial(coeffs)
         d = poly.degree
         nbar = 60
-        table = build_dim_table(poly, nbar)
+        table = DimTable(poly, nbar)
         kbar = round(nbar * d / 2)
         for _ in range(10):
             alpha = [rng.uniform(-1, 1) for _ in range(d + 1)]

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from polyadic import CylFunction, DimTable, GenPolynomial
+from polyadic import (CylFunction, DimTable, GenPolynomial, PathPrefix,
+                      extract_limiting_curve, letter_stream, measure_params)
 from polyadic import cli
 from polyadic.cli import main
 
@@ -102,6 +103,11 @@ def test_curve_writes_files_and_is_deterministic(tmp_path, capsys):
     assert meta["converged_at"] == meta["n"]
     assert meta["m"] == 6
     assert isinstance(meta["R"], str)
+    mp = measure_params(poly, 0.5)
+    x = PathPrefix((), extend=letter_stream(mp, 2), max_level=300)
+    curve, _ = extract_limiting_curve(CylFunction(1, {(0,): 1.0}), x, DimTable(poly),
+                                      m=6, n_max=300, mp=mp)
+    assert meta["R"] == repr(curve.R) and float(meta["R"]) == curve.R
     body = out1.read_text().splitlines()
     assert body[0] == "x,y"
     assert float(body[1].split(",")[0]) == 0.0
@@ -257,3 +263,20 @@ def test_g_file_values_and_coefficients_are_not_coerced(tmp_path, capsys, doc):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("doc", [
+    '{"poly": [1, 1], "N": 1.9, "values": {"0": 1.0}}',
+    '{"poly": [1, 1], "N": true, "values": {"0": 1.0}}',
+    '{"poly": [1, 1], "values": {"0": 1.0}}',
+    '[{"poly": [1, 1], "N": 1, "values": {"0": 1.0}}]',
+    '{"poly": [1, 1], "N": 1, "values": [1, 2]}',
+])
+def test_g_file_shape_is_checked(tmp_path, capsys, doc):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(doc)
+    code, out, err = run(capsys, "cohom", "--poly", "1,1", "--g", str(gpath),
+                         "--nmax", "6")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and '"N"' in err

@@ -1,26 +1,29 @@
 import json
 import random
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from conftest import brute_tower_sums, tower_words_sorted
-from polyadic import (CapacityError, CylFunction, DegenerateCurve,
+from polyadic import (CapacityError, CylFunction, DegenerateCurve, DimTable,
                       GenPolynomial, NoConvergence, PathPrefix, PolygonalCurve,
-                      build_dim_table, central_vertex,
+                      central_vertex,
                       cohomology_verdict, curve_value, extract_limiting_curve,
                       fluctuation_curve, h_coeffs, kappa, letter_stream,
                       letter_table, measure_params, measure_ray, node_grid,
                       partial_sum_exact, rank,
                       stabilizing_candidates, stationary_points, sup_distance,
-                      coding_params, tower_total, maximal_word, minimal_word,
+                      tower_total, maximal_word, minimal_word,
                       iter_tower)
+from polyadic.ergodic import _grid_numerators
 
 P11 = GenPolynomial((1, 1))
 P111 = GenPolynomial((1, 1, 1))
 P113 = GenPolynomial((1, 1, 3))
-T11 = build_dim_table(P11, 300)
-T111 = build_dim_table(P111, 30)
-T113 = build_dim_table(P113, 8)
+T11 = DimTable(P11, 300)
+T111 = DimTable(P111, 30)
+T113 = DimTable(P113, 8)
 
 G_FIRST0 = CylFunction(1, {(0,): 1.0})
 
@@ -129,8 +132,7 @@ def test_node_grid_examples():
 
 
 def test_node_grid_converges_to_stationary_points():
-    cp = coding_params(P11, 0.5)
-    pts = stationary_points(cp, 3)
+    pts = stationary_points(measure_params(P11, 0.5), 3)
     n, kap = 200, 100
     H = T11.dim(n, kap)
     for _, L, _ in node_grid(n, kap, 3, T11):
@@ -199,7 +201,7 @@ def test_stabilizing_candidates_basics():
     # minimal-direction path of a system with two top-step letters: the rank
     # fraction decays geometrically, so every deep level qualifies
     poly = GenPolynomial((1, 2))
-    table = build_dim_table(poly, 24)
+    table = DimTable(poly, 24)
     x = PathPrefix((0,) * 24)
     cands = stabilizing_candidates(x, table, 0.1, 0.0, 24)
     assert set(cands) == set(range(4, 25))
@@ -226,7 +228,7 @@ def test_stabilizing_candidates_delta_band():
 
 def test_stabilizing_recurrence_for_random_paths():
     mp = measure_params(P11, 0.4)
-    table = build_dim_table(P11, 400)
+    table = DimTable(P11, 400)
     hits = 0
     for seed in range(100):
         x = PathPrefix((), extend=letter_stream(mp, seed), max_level=400)
@@ -271,7 +273,7 @@ def test_central_vertex_and_measure_ray():
 def test_cohomology_verdicts():
     # one vertex per level: every cylindric function averages out
     p3 = GenPolynomial((3,))
-    t3 = build_dim_table(p3, 14)
+    t3 = DimTable(p3, 14)
     rng = random.Random(7)
     for _ in range(3):
         g = CylFunction(2, {(a, b): rng.randint(-3, 3) * 0.5
@@ -298,7 +300,7 @@ def test_partial_sum_exact_is_rational():
 def test_float_range_is_a_capacity_error_at_n1600():
     # Pascal heights and R pass float range near n = 1040 while the
     # numerators stay exact; each float conversion names the level instead.
-    table = build_dim_table(P11, 1600)
+    table = DimTable(P11, 1600)
     with pytest.raises(CapacityError, match="level 1600"):
         fluctuation_curve(G_FIRST0, 1600, 800, 4, table)
     with pytest.raises(CapacityError, match="level 1600"):
@@ -316,10 +318,33 @@ def test_cyl_function_rejects_non_finite_values(bad):
         CylFunction.from_json(text)
 
 
-def test_h_coeffs_rejects_overflowing_vertex_sums():
+def test_vertex_sums_past_float_range_end_in_capacity_errors():
+    # h_l is an exact sum, so two values near the float maximum add up;
+    # only the float conversions that need the sum can fail, naming the level
     g = CylFunction(2, {(0, 1): 1.7e308, (1, 0): 1.7e308})
-    with pytest.raises(ValueError, match="overflows float"):
-        h_coeffs(g, T11)
+    assert h_coeffs(g, T11).values == (0, 2 * Fraction(1.7e308), 0)
+    assert fluctuation_curve(g, 6, 3, 2, T11).R == 1.7e308
+    with pytest.raises(CapacityError, match="tower total at level 6 exceeds float range"):
+        tower_total(h_coeffs(g, T11), 6, 3, T11)
+    with pytest.raises(CapacityError, match="R at level 5 exceeds float range"):
+        cohomology_verdict(g, T11, 8)
+
+
+def test_vertex_sums_keep_values_past_53_bits():
+    # 2^60 + 1 is not a float: the grid numerators and partial sums are
+    # exact only if h_l is summed exactly
+    g = CylFunction(2, {(0, 1): 2.0 ** 60, (1, 0): 1.0})
+    n, kap = 6, 3
+    words = tower_words_sorted(P11, n, kap)
+    F = list(accumulate((Fraction(g(w)) for w in words), initial=Fraction(0)))
+    H = len(words)
+    assert h_coeffs(g, T11).values == (0, 2 ** 60 + 1, 0)
+    grid_H, nodes = _grid_numerators(g, n, kap, 2, T11)
+    assert grid_H == H and len(nodes) == 4
+    for L, num in nodes:
+        assert num == H * F[L] - L * F[H]
+    for L, w in enumerate(words, 1):
+        assert partial_sum_exact(g, w, T11) == F[L]
 
 
 def test_extract_limiting_curve_grows_a_small_table():
@@ -329,8 +354,8 @@ def test_extract_limiting_curve_grows_a_small_table():
         x = PathPrefix((), extend=letter_stream(mp, 2), max_level=300)
         return extract_limiting_curve(G_FIRST0, x, table, m=6, n_max=300, mp=mp)
 
-    small = build_dim_table(P11, 10)
+    small = DimTable(P11, 10)
     curve, diag = extract(small)
-    assert (curve, diag) == extract(build_dim_table(P11, 300))
+    assert (curve, diag) == extract(DimTable(P11, 300))
     # the walk stops pulling levels once it converges
     assert small.n_max == diag["converged_at"] < 300

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (reference_curve_value, reference_grid,
                       reference_node_grid)
-from polyadic import (CylFunction, DegenerateCurve, GenPolynomial,
-                      PathPrefix, PolygonalCurve, build_dim_table,
+from polyadic import (CylFunction, DegenerateCurve, DimTable, GenPolynomial,
+                      PathPrefix, PolygonalCurve,
                       cohomology_verdict, curve_value, extract_limiting_curve,
                       fluctuation_curve, kappa, letter_stream, letter_table,
                       measure_params, node_grid)
@@ -52,7 +52,7 @@ def assert_curve_matches(g, n, kap, m, table):
 def _protocol_levels(coeffs, q, g, m=6, n_max=300, seed=2):
     """Levels (and vertices) the A7/A8 extraction visits on its sampled path."""
     poly = GenPolynomial(coeffs)
-    table = build_dim_table(poly, n_max)
+    table = DimTable(poly, n_max)
     mp = measure_params(poly, q)
     x = PathPrefix((), extend=letter_stream(mp, seed), max_level=n_max)
     _, diag = extract_limiting_curve(g, x, table, eps=0.1, delta=0.1, m=m,
@@ -84,7 +84,7 @@ def test_a8_tower_grids_match_reference():
     CylFunction(2, {(0, 1): 2.0, (1, 0): 1.0, (0, 0): -1.0}),
 ])
 def test_a12_towers_full_depth(g):
-    table = build_dim_table(GenPolynomial((1, 1)), 14)
+    table = DimTable(GenPolynomial((1, 1)), 14)
     for n in range(g.N + 1, 13):
         for kap in range(n + 1):
             assert node_grid(n, kap, n - g.N, table) == \
@@ -98,7 +98,7 @@ POOL = [(1, 1), (2, 1), (1, 2), (1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 1, 3)]
 @pytest.mark.parametrize("coeffs", POOL)
 def test_node_grid_matches_reference(coeffs):
     poly = GenPolynomial(coeffs)
-    table = build_dim_table(poly, 7)
+    table = DimTable(poly, 7)
     r, d = poly.alphabet_size, poly.degree
     for n in range(8):
         for m in range(n + 1):
@@ -127,13 +127,13 @@ def test_grid_matches_reference_on_drawn_functions(coeffs, data):
     words = [tuple(w) for w in data.draw(st.lists(
         st.lists(st.integers(0, r - 1), min_size=N, max_size=N), max_size=6))]
     g = CylFunction(N, {w: data.draw(_DYADIC) for w in words})
-    table = build_dim_table(poly, n)
+    table = DimTable(poly, n)
     assert_curve_matches(g, n, kap, m, table)
 
 
 def test_cohomology_series_is_the_exact_ratio_rounded_once():
     poly = GenPolynomial((1, 1))
-    table = build_dim_table(poly, 40)
+    table = DimTable(poly, 40)
     g = CylFunction(2, {(0, 1): 0.375, (1, 1): -1.5, (0, 0): 2.0 ** -40})
     _, series = cohomology_verdict(g, table, 40, m=4)
     for n, R in series:
@@ -163,6 +163,6 @@ def test_curve_value_matches_reference_bisection():
         for x in points:
             assert curve_value(curve, x) == reference_curve_value(curve.xs, curve.ys, x)
     c = fluctuation_curve(CylFunction(1, {(0,): 1.0}), 40, 20, 5,
-                          build_dim_table(GenPolynomial((1, 1)), 40))
+                          DimTable(GenPolynomial((1, 1)), 40))
     for x in c.xs + tuple(i / 97 for i in range(98)):
         assert curve_value(c, x) == reference_curve_value(c.xs, c.ys, x)

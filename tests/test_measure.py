@@ -1,16 +1,16 @@
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, islice, product
 
 import pytest
 
-from polyadic import (CapacityError, GenPolynomial, NoRoot, build_dim_table,
-                      coding_params, cylinder_measure, decode_digits,
-                      encode_theta, kappa, letter_stream, letter_table,
-                      letter_weights, measure_params, sample_word, solve_t,
-                      stationary_points, weight_residual)
+from polyadic import (CapacityError, DimTable, GenPolynomial, NoRoot,
+                      cylinder_measure, decode_digits, encode_theta, kappa,
+                      letter_stream, letter_table, measure_params, sample_word,
+                      solve_t, stationary_points, weight_residual)
 
 P11 = GenPolynomial((1, 1))
 P111 = GenPolynomial((1, 1, 1))
@@ -59,7 +59,7 @@ def test_letter_weights_examples():
     # letter 0 steps by one and carries t; the two step-0 letters carry q
     assert mp.weights == pytest.approx((mp.t, 0.2, 0.2))
     assert mp.t == pytest.approx(1 - 2 * 0.2, rel=1e-14)
-    assert sum(letter_weights(mp)) == pytest.approx(1.0, abs=1e-14)
+    assert sum(mp.weights) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_weights_constant_on_groups():
@@ -110,7 +110,7 @@ def test_cylinder_centrality_exhaustive():
 def test_tower_interval_identity_exact_rational():
     # degree 1 keeps t rational: sum over the tower = dim * q^n (t/q)^kappa
     poly = GenPolynomial((2, 3))
-    table = build_dim_table(poly, 6)
+    table = DimTable(poly, 6)
     q = Fraction(1, 5)
     t = (1 - 2 * q) / 3
     ks = letter_table(poly).kstep
@@ -143,65 +143,87 @@ def test_letter_stream_matches_sample():
     assert tuple(next(stream) for _ in range(40)) == sample_word(mp, 40, 3)
 
 
+def test_sampled_letters_are_pinned():
+    # recorded with the running-sum sampler: a seed must keep its letters
+    assert sample_word(measure_params(P113, 0.15), 40, 3) == (
+        1, 2, 1, 2, 2, 0, 0, 3, 1, 1, 4, 2, 3, 2, 2, 0, 2, 4, 2, 3,
+        3, 0, 3, 2, 1, 0, 4, 2, 3, 4, 3, 4, 1, 3, 1, 4, 4, 0, 0, 0)
+    stream = letter_stream(measure_params(GenPolynomial((1, 1, 2)), 0.25), 2)
+    assert tuple(islice(stream, 60)) == (
+        3, 3, 0, 0, 3, 2, 2, 1, 2, 2, 2, 0, 1, 1, 2, 3, 3, 2, 1, 1,
+        0, 0, 1, 1, 1, 3, 2, 2, 0, 0, 1, 0, 2, 3, 2, 0, 3, 3, 2, 3,
+        3, 3, 1, 3, 3, 0, 3, 2, 1, 2, 1, 3, 2, 3, 1, 3, 3, 1, 2, 3)
+
+
+@pytest.mark.parametrize("coeffs,q", [((1, 1), 0.3), ((2, 1), 0.2), ((3,), 1 / 3),
+                                      ((1, 1, 3), 0.11), ((1, 2, 1, 1), 0.3)])
+def test_letter_stream_matches_cumulative_draws(coeffs, q):
+    # the same uniforms drawn against the running sums w_0, w_0 + w_1, ...,
+    # the last forced to 1
+    mp = measure_params(GenPolynomial(coeffs), q)
+    cums = list(accumulate(mp.weights))
+    cums[-1] = 1.0
+    rng = random.Random(17)
+    expected = [bisect_right(cums, rng.random(), 0, len(cums) - 1)
+                for _ in range(5000)]
+    assert list(islice(letter_stream(mp, 17), 5000)) == expected
+
+
 def test_encode_theta_label_order():
-    cp = coding_params(P11, 0.5)
-    assert encode_theta(cp, (1, 0, 1)) == 0.625
-    cp3 = coding_params(P11, 0.3)
-    assert encode_theta(cp3, (1,)) == pytest.approx(0.7, rel=1e-14)
-    cpu = coding_params(P111, 1 / 3)
-    assert encode_theta(cpu, (2,)) == pytest.approx(2 / 3, abs=1e-13)
-    assert encode_theta(cpu, ()) == 0.0
+    mp = measure_params(P11, 0.5)
+    assert encode_theta(mp, (1, 0, 1)) == 0.625
+    mp3 = measure_params(P11, 0.3)
+    assert encode_theta(mp3, (1,)) == pytest.approx(0.7, rel=1e-14)
+    mpu = measure_params(P111, 1 / 3)
+    assert encode_theta(mpu, (2,)) == pytest.approx(2 / 3, abs=1e-13)
+    assert encode_theta(mpu, ()) == 0.0
 
 
 def test_theta_at_uniform_q_is_positional():
-    cp = coding_params(P113, 1 / 5)
+    mp = measure_params(P113, 1 / 5)
     rng = random.Random(9)
     for _ in range(1000):
         w = tuple(rng.randrange(5) for _ in range(30))
         ref = sum(c / 5 ** (i + 1) for i, c in enumerate(w))
-        assert abs(encode_theta(cp, w) - ref) <= 1e-12
+        assert abs(encode_theta(mp, w) - ref) <= 1e-12
 
 
 def test_decode_digits():
-    cp = coding_params(P11, 0.5)
-    assert decode_digits(cp, 0.625, 3) == (1, 0, 1)
+    mp = measure_params(P11, 0.5)
+    assert decode_digits(mp, 0.625, 3) == (1, 0, 1)
     # stationary points continue with the lowest letter
-    assert decode_digits(cp, 0.625, 6) == (1, 0, 1, 0, 0, 0)
+    assert decode_digits(mp, 0.625, 6) == (1, 0, 1, 0, 0, 0)
     # x = 1 takes the top letter at every depth
-    assert decode_digits(cp, 1.0, 4) == (1, 1, 1, 1)
+    assert decode_digits(mp, 1.0, 4) == (1, 1, 1, 1)
     with pytest.raises(ValueError):
-        decode_digits(cp, 1.5, 3)
+        decode_digits(mp, 1.5, 3)
 
 
 def test_decode_encode_round_trip_bound():
-    cp = coding_params(P113, 0.11)
-    p_max = max(cp.mp.weights)
+    mp = measure_params(P113, 0.11)
+    p_max = max(mp.weights)
     bound = p_max ** 40 / (1 - p_max) + 5e-13   # tail bound plus float slop
     rng = random.Random(12)
     for _ in range(300):
         x = rng.random()
-        back = encode_theta(cp, decode_digits(cp, x, 40))
+        back = encode_theta(mp, decode_digits(mp, x, 40))
         assert back <= x + 1e-12
         assert abs(back - x) <= bound
 
 
 def test_stationary_points():
-    cp = coding_params(P11, 0.3)
-    assert stationary_points(cp, 1) == pytest.approx([0.0, 0.7])
-    cpu = coding_params(P111, 1 / 3)
-    assert stationary_points(cpu, 1) == pytest.approx([0.0, 1 / 3, 2 / 3])
+    mp = measure_params(P11, 0.3)
+    assert stationary_points(mp, 1) == pytest.approx([0.0, 0.7])
+    mpu = measure_params(P111, 1 / 3)
+    assert stationary_points(mpu, 1) == pytest.approx([0.0, 1 / 3, 2 / 3])
     # consecutive gaps are the cylinder measures of the rank-m words in order
-    cp2 = coding_params(P113, 0.14)
-    pts = stationary_points(cp2, 2)
+    mp2 = measure_params(P113, 0.14)
+    pts = stationary_points(mp2, 2)
     words = sorted(product(range(5), repeat=2),
-                   key=lambda w: encode_theta(cp2, w))
+                   key=lambda w: encode_theta(mp2, w))
     gaps = [b - a for a, b in zip(pts, pts[1:])] + [1.0 - pts[-1]]
     for w, gap in zip(words, gaps):
-        assert gap == pytest.approx(cylinder_measure(cp2.mp, w), abs=1e-12)
+        assert gap == pytest.approx(cylinder_measure(mp2, w), abs=1e-12)
     with pytest.raises(CapacityError):
-        stationary_points(cp2, 12)
+        stationary_points(mp2, 12)
 
-
-def test_coding_params_validation():
-    with pytest.raises(ValueError):
-        coding_params(P11, 0.5, max_depth=0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import tower_words_comparison_sorted, tower_words_sorted
 from polyadic import (DimTable, GenPolynomial, HorizonExhausted, MaximalPath,
                       MinimalPath, PathPrefix, PrefixExhausted,
-                      RankOutOfRange, build_dim_table, is_maximal, is_minimal,
+                      RankOutOfRange, is_maximal, is_minimal,
                       iter_tower, kappa, co_kappa, letter_table, maximal_word,
                       minimal_word, predecessor, prefix_walk, rank, successor,
                       unrank, word_from_string, word_to_string)
@@ -15,9 +15,9 @@ from polyadic import (DimTable, GenPolynomial, HorizonExhausted, MaximalPath,
 P11 = GenPolynomial((1, 1))
 P113 = GenPolynomial((1, 1, 3))
 P21 = GenPolynomial((2, 1))
-T11 = build_dim_table(P11, 40)
-T113 = build_dim_table(P113, 10)
-T21 = build_dim_table(P21, 10)
+T11 = DimTable(P11, 40)
+T113 = DimTable(P113, 10)
+T21 = DimTable(P21, 10)
 
 
 def test_letter_table_groups():
@@ -192,7 +192,7 @@ def test_pascal_closed_form_is_predecessor():
 
 def test_odometer_rank_is_positional_value():
     poly = GenPolynomial((3,))
-    table = build_dim_table(poly, 8)
+    table = DimTable(poly, 8)
     rng = random.Random(1)
     for _ in range(50):
         w = tuple(rng.randrange(3) for _ in range(6))

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from conftest import poly_power_row
-from polyadic import (CapacityError, DimTable, GenPolynomial, build_dim_table,
-                      is_unimodal, max_adjacent_ratio, ratio_constant,
-                      unimodal_start)
+from polyadic import (CapacityError, DimTable, GenPolynomial, is_unimodal,
+                      max_adjacent_ratio, ratio_constant, unimodal_start)
 
 
 def test_parse_and_validation():
@@ -27,36 +26,36 @@ def test_coefficients_must_be_ints(coeffs):
 
 
 def test_pascal_row():
-    table = build_dim_table(GenPolynomial((1, 1)), 4)
+    table = DimTable(GenPolynomial((1, 1)), 4)
     assert table.row(4) == (1, 4, 6, 4, 1)
 
 
 def test_known_entries():
-    t113 = build_dim_table(GenPolynomial((1, 1, 3)), 3)
+    t113 = DimTable(GenPolynomial((1, 1, 3)), 3)
     assert t113.dim(2, 2) == 7
     assert t113.dim(2, 4) == 9
     assert t113.dim(3, 0) == 1
-    assert build_dim_table(GenPolynomial((1, 1)), 4).dim(4, 2) == 6
-    assert build_dim_table(GenPolynomial((2, 1)), 2).dim(2, 0) == 4
+    assert DimTable(GenPolynomial((1, 1)), 4).dim(4, 2) == 6
+    assert DimTable(GenPolynomial((2, 1)), 2).dim(2, 0) == 4
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1, 1, 3), (2, 3, 1)])
 def test_rows_match_convolution_oracle(coeffs):
-    table = build_dim_table(GenPolynomial(coeffs), 7)
+    table = DimTable(GenPolynomial(coeffs), 7)
     for n in range(8):
         assert list(table.row(n)) == poly_power_row(coeffs, n)
 
 
 def test_reflected_dim():
-    t113 = build_dim_table(GenPolynomial((1, 1, 3)), 2)
+    t113 = DimTable(GenPolynomial((1, 1, 3)), 2)
     assert t113.reflected_dim(2, 0) == t113.dim(2, 4) == 9
     assert t113.reflected_dim(0, 0) == 1
-    t11 = build_dim_table(GenPolynomial((1, 1)), 4)
+    t11 = DimTable(GenPolynomial((1, 1)), 4)
     assert t11.reflected_dim(4, 1) == t11.dim(4, 3) == 4
 
 
 def test_out_of_range_is_zero_and_level_errors():
-    table = build_dim_table(GenPolynomial((1, 2)), 5)
+    table = DimTable(GenPolynomial((1, 2)), 5)
     assert table.dim(3, -1) == 0
     assert table.dim(3, 4) == 0
     # a level above n_max grows the table
@@ -71,7 +70,7 @@ def test_out_of_range_is_zero_and_level_errors():
 @pytest.mark.parametrize("coeffs", [(1, 1), (3,), (1, 1, 3), (2, 1, 1, 2)])
 def test_recursion_and_row_sums(coeffs):
     poly = GenPolynomial(coeffs)
-    table = build_dim_table(poly, 12)
+    table = DimTable(poly, 12)
     r = poly.alphabet_size
     for n in range(1, 13):
         assert sum(table.row(n)) == r ** n
@@ -82,7 +81,7 @@ def test_recursion_and_row_sums(coeffs):
 
 def test_vandermonde_exhaustive_small():
     poly = GenPolynomial((1, 1, 3))
-    table = build_dim_table(poly, 10)
+    table = DimTable(poly, 10)
     for n in range(11):
         for N in range(n + 1):
             for k in range(n * poly.degree + 1):
@@ -93,7 +92,7 @@ def test_vandermonde_exhaustive_small():
 
 def test_weighted_identity_integer_cleared():
     poly = GenPolynomial((2, 1, 3))
-    table = build_dim_table(poly, 20)
+    table = DimTable(poly, 20)
     for n in range(1, 21):
         for k in range(n * poly.degree + 1):
             lhs = n * sum(a * i * table.dim(n - 1, k - i)
@@ -106,7 +105,7 @@ def test_weighted_identity_integer_cleared():
 
 
 def test_extend_is_append_only():
-    table = build_dim_table(GenPolynomial((1, 2)), 3)
+    table = DimTable(GenPolynomial((1, 2)), 3)
     row3 = table.row(3)
     table.extend(8)
     assert table.row(3) == row3
@@ -115,8 +114,8 @@ def test_extend_is_append_only():
 
 def test_capacity_budget():
     with pytest.raises(CapacityError):
-        build_dim_table(GenPolynomial((1, 1)), 100, entry_budget=50)
-    table = build_dim_table(GenPolynomial((1, 1)), 3, entry_budget=50)
+        DimTable(GenPolynomial((1, 1)), 100, entry_budget=50)
+    table = DimTable(GenPolynomial((1, 1)), 3, entry_budget=50)
     with pytest.raises(CapacityError):
         table.extend(100)
 
@@ -124,7 +123,7 @@ def test_capacity_budget():
 @pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1, 1, 3), (2, 3, 1)])
 def test_grown_table_equals_eager_table(coeffs):
     poly = GenPolynomial(coeffs)
-    eager = build_dim_table(poly, 40)
+    eager = DimTable(poly, 40)
     grown = DimTable(poly)
     assert grown.n_max == 0
     assert grown.dim(25, 3) == eager.dim(25, 3) and grown.n_max == 25
@@ -156,7 +155,7 @@ def test_is_unimodal():
 def test_unimodality_sets_in_and_ratio_bound(coeffs):
     # rows become and stay unimodal early; the adjacent-ratio constant fitted
     # on a low window keeps bounding every higher level
-    table = build_dim_table(GenPolynomial(coeffs), 80)
+    table = DimTable(GenPolynomial(coeffs), 80)
     n1 = unimodal_start(table, 64)
     assert n1 is not None and n1 <= 64
     for n in range(max(n1, 1), 81):
@@ -167,7 +166,7 @@ def test_unimodality_sets_in_and_ratio_bound(coeffs):
 
 
 def test_ratio_constant_argument_checks():
-    table = build_dim_table(GenPolynomial((1, 1)), 10)
+    table = DimTable(GenPolynomial((1, 1)), 10)
     with pytest.raises(ValueError):
         ratio_constant(table, 0, 5)
     with pytest.raises(ValueError):
@@ -179,5 +178,5 @@ def test_random_row_sums_against_oracle():
     for _ in range(10):
         coeffs = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
         n = rng.randint(1, 9)
-        table = build_dim_table(GenPolynomial(coeffs), n)
+        table = DimTable(GenPolynomial(coeffs), n)
         assert list(table.row(n)) == poly_power_row(coeffs, n)
