@@ -17,8 +17,8 @@ from .errors import DegenerateCurve, NoConvergence, PolyadicError
 from .ergodic import (CylFunction, cohomology_verdict, extract_limiting_curve)
 from .measure import (encode_theta, letter_stream, measure_params,
                       weight_residual)
-from .paths import (PathPrefix, kappa, letter_table, rank, successor, unrank,
-                    word_from_string, word_to_string)
+from .paths import (PathPrefix, kappa, letter_table, path_column, rank,
+                    successor, unrank, word_from_string, word_to_string)
 from .poly import DimTable, GenPolynomial
 from .takagi import parabola_profile, takagi_function
 
@@ -84,16 +84,17 @@ def _cmd_tq(args, parser) -> int:
 
 
 def _cmd_rank(args, parser) -> int:
-    table = DimTable(args.poly)
     if args.word is not None:
         word = word_from_string(args.word, args.poly)
         kap = kappa(word, args.poly)
+        column = path_column(word, args.poly)
         _emit(args, ("word", "n", "kappa", "rank", "dim"),
               [(word_to_string(word, args.poly), len(word), kap,
-                str(rank(word, table)), str(table.dim(len(word), kap)))])
+                str(rank(word, column)), str(column.dim(len(word), kap)))])
         return 0
     if args.level is None or args.kappa is None or args.index is None:
         parser.error("rank needs --word, or --level/--kappa/--index")
+    table = DimTable(args.poly)
     word = unrank(args.level, args.kappa, args.index, table)
     _emit(args, ("word", "n", "kappa", "rank", "dim"),
           [(word_to_string(word, args.poly), args.level, args.kappa,
@@ -105,7 +106,7 @@ def _cmd_succ(args, parser) -> int:
     table = DimTable(args.poly)
     x = PathPrefix(word_from_string(args.word, args.poly))
     direction = -1 if args.pred else 1
-    for _ in range(args.steps):
+    for _ in range(_level(args.steps, "--steps")):
         x = successor(x, table, direction)
     out = word_to_string(x.known(), args.poly)
     if args.out:
@@ -118,6 +119,7 @@ def _cmd_succ(args, parser) -> int:
 
 def _cmd_orbit(args, parser) -> int:
     horizon = _level(args.horizon, "--horizon")
+    steps = _level(args.steps, "--steps")
     table = DimTable(args.poly)
     mp = measure_params(args.poly, args.q)
     if args.word:
@@ -129,10 +131,10 @@ def _cmd_orbit(args, parser) -> int:
     else:
         parser.error("orbit needs --word or --n")
     rows = []
-    for step in range(args.steps + 1):
+    for step in range(steps + 1):
         rows.append((step, repr(encode_theta(mp, x.known())),
                      word_to_string(x.known(), args.poly)))
-        if step < args.steps:
+        if step < steps:
             x = successor(x, table)
     _emit(args, ("step", "theta", "word"), rows,
           meta={"poly": list(args.poly.coeffs), "q": args.q, "seed": args.seed})
@@ -141,11 +143,12 @@ def _cmd_orbit(args, parser) -> int:
 
 def _cmd_curve(args, parser) -> int:
     nmax = _level(args.nmax, "--nmax")
+    m = _level(args.m, "--m")
     mp = measure_params(args.poly, args.q)
     g = _load_g(args.g, args.poly)
     x = PathPrefix((), extend=letter_stream(mp, args.seed), max_level=nmax)
     curve, diag = extract_limiting_curve(
-        g, x, DimTable(args.poly), eps=args.eps, delta=args.delta, m=args.m,
+        g, x, DimTable(args.poly), eps=args.eps, delta=args.delta, m=m,
         tol=args.tol, n_max=nmax, mp=None if args.align < 0 else mp,
         align=max(args.align, 0))
     rows = list(zip((repr(v) for v in curve.xs), (repr(v) for v in curve.ys)))
@@ -160,8 +163,9 @@ def _cmd_curve(args, parser) -> int:
 
 def _cmd_cohom(args, parser) -> int:
     nmax = _level(args.nmax, "--nmax")
+    m = _level(args.m, "--m")
     g = _load_g(args.g, args.poly)
-    verdict, series = cohomology_verdict(g, DimTable(args.poly), nmax, args.m)
+    verdict, series = cohomology_verdict(g, DimTable(args.poly), nmax, m)
     rows = [(n, repr(r)) for n, r in series]
     _emit(args, ("n", "R"), rows,
           meta={"verdict": verdict, "poly": list(args.poly.coeffs),

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import sub
 
 from .errors import CapacityError, DegenerateCurve, NoConvergence
-from .paths import (letter_table, minimal_word, prefix_walk, word_from_string,
-                    word_to_string)
-from .poly import DimTable, GenPolynomial
+from .paths import (letter_table, minimal_word, path_column, prefix_walk,
+                    word_from_string, word_to_string)
+from .poly import DimTable, GenPolynomial, PathColumn
 
 _GRID_BUDGET = 2_000_000
 
@@ -84,8 +85,13 @@ class CylFunction:
         file_poly = GenPolynomial(tuple(doc["poly"]))
         if poly is not None and file_poly != poly:
             raise ValueError(f"file polynomial {file_poly} does not match {poly}")
-        values = {word_from_string(key, file_poly): val
-                  for key, val in doc["values"].items()}
+        values, keys = {}, {}
+        for key, val in doc["values"].items():
+            word = word_from_string(key, file_poly)
+            if word in keys:
+                raise ValueError(f"keys {keys[word]!r} and {key!r} name the same word")
+            keys[word] = key
+            values[word] = val
         g = cls(doc["N"], values)
         g.validate_for(file_poly)
         return file_poly, g
@@ -178,7 +184,7 @@ def partial_sum_exact(g: CylFunction, word, table: DimTable) -> Fraction:
     return total + Fraction(g(word[:N]))
 
 
-def _top_walk(n: int, kap: int, m: int, table: DimTable, phi=None):
+def _top_walk(n: int, kap: int, m: int, table: DimTable | PathColumn, phi=None):
     """Valid top-m letter blocks of the tower at (n, kap), depth first in rank order.
 
     Yields (top_word, bottom_kappa, rank, block_sum): the rank of the block's
@@ -232,7 +238,8 @@ class PolygonalCurve:
     depth: int
 
 
-def _grid_numerators(g: CylFunction, n: int, kap: int, m: int, table: DimTable):
+def _grid_numerators(g: CylFunction, n: int, kap: int, m: int,
+                     table: DimTable | PathColumn):
     """Exact integers 2^s (H*F(L) - L*F(H)), s = _dyadic_bits(g.values.values()).
 
     Returns (H, [(L, numerator), ...]) in rank order.  Exact numerators make
@@ -263,7 +270,7 @@ def _grid_numerators(g: CylFunction, n: int, kap: int, m: int, table: DimTable):
 
 
 def fluctuation_curve(g: CylFunction, n: int, kap: int, m: int,
-                      table: DimTable) -> PolygonalCurve:
+                      table: DimTable | PathColumn) -> PolygonalCurve:
     """Depth-m polygonal fluctuation curve of the tower at (n, kap)."""
     H, nodes = _grid_numerators(g, n, kap, m, table)
     peak = max(abs(num) for _, num in nodes)
@@ -298,14 +305,34 @@ def curve_value(curve: PolygonalCurve, x: float) -> float:
     return ys[lo] * (1.0 - w) + ys[hi] * w
 
 
+def _values_on(curve: PolygonalCurve, grid) -> list[float]:
+    """curve_value at every point of an ascending grid, by one merge pass."""
+    xs, ys = curve.xs, curve.ys
+    first, last = xs[0], xs[-1]
+    out = []
+    hi = 1
+    for x in grid:
+        if x <= first:
+            out.append(ys[0])
+        elif x >= last:
+            out.append(ys[-1])
+        else:
+            while xs[hi] <= x:      # hi = bisect_right(xs, x), as in curve_value
+                hi += 1
+            lo = hi - 1
+            w = (x - xs[lo]) / (xs[hi] - xs[lo])
+            out.append(ys[lo] * (1.0 - w) + ys[hi] * w)
+    return out
+
+
 def sup_distance(c1: PolygonalCurve, c2: PolygonalCurve) -> float:
     """Sup-metric distance of two polygonal curves on the union of nodes."""
     grid = sorted(set(c1.xs) | set(c2.xs))
-    return max(abs(curve_value(c1, x) - curve_value(c2, x)) for x in grid)
+    return max(map(abs, map(sub, _values_on(c1, grid), _values_on(c2, grid))))
 
 
-def _stabilizing_levels(x, table: DimTable, eps: float, delta: float,
-                       n_max: int):
+def _stabilizing_levels(x, table: DimTable | PathColumn, eps: float,
+                        delta: float, n_max: int):
     """Yield (n, kappa_n) at each stabilizing level of the prefix up to n_max.
 
     A level qualifies when the prefix sits low in its tower and its vertex is
@@ -351,7 +378,9 @@ def extract_limiting_curve(g: CylFunction, x, table: DimTable, *,
 
     Returns (curve, diagnostics); diagnostics carries the candidate levels
     and the sup-distance series whether or not it converged.  Failure to
-    drop below tol raises NoConvergence with the same series attached.
+    drop below tol raises NoConvergence with the same series attached.  The
+    walk reads a PathColumn along x, so ``table`` only supplies the
+    polynomial and never grows.
 
     When the sampling measure ``mp`` is given, the walk keeps only the
     candidate levels whose vertex revisits the measure's typical ray (within
@@ -362,10 +391,12 @@ def extract_limiting_curve(g: CylFunction, x, table: DimTable, *,
     """
     diagnostics = {"levels": [], "distances": []}
     prev = None
-    for n, kap in _stabilizing_levels(x, table, eps, delta, n_max):
+    # A curve at level n reads levels n-m-N..n within (m+N)*d of the path.
+    column = path_column(x, table.poly, m + g.N)
+    for n, kap in _stabilizing_levels(x, column, eps, delta, n_max):
         if n - m < g.N or (mp is not None and abs(kap - measure_ray(mp, n)) > align):
             continue
-        curve = fluctuation_curve(g, n, kap, m, table)
+        curve = fluctuation_curve(g, n, kap, m, column)
         diagnostics["levels"].append(n)
         if prev is not None:
             dist = sup_distance(prev, curve)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
 from .errors import (HorizonExhausted, MaximalPath, MinimalPath,
                      PrefixExhausted, RankOutOfRange)
-from .poly import DimTable, GenPolynomial
+from .poly import DimTable, GenPolynomial, PathColumn
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,21 @@ def word_from_string(text: str, poly: GenPolynomial) -> tuple[int, ...]:
     return word
 
 
-def rank(word, table: DimTable) -> int:
-    """1-based position of the word in its lexicographically ordered tower."""
+def path_column(x, poly: GenPolynomial, depth: int = 0) -> PathColumn:
+    """Exact dimensions near the vertices of the path x, see PathColumn."""
+    x = _as_prefix(x)
+    ks = letter_table(poly).kstep
+    return PathColumn(poly, (ks[x.letter(n)] for n in count(1)), depth)
+
+
+def rank(word, table: DimTable | PathColumn) -> int:
+    """1-based position of the word in its lexicographically ordered tower.
+
+    The walk reads only near the word's vertices, so a DimTable passed here
+    gives just the polynomial: the word's own column replaces it.
+    """
+    if isinstance(table, DimTable):
+        table = path_column(word, table.poly)
     rnk = 1
     for _, _, rnk in prefix_walk(word, table):
         pass
@@ -112,8 +126,23 @@ def unrank(n: int, kap: int, index: int, table: DimTable) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def minimal_word(n: int, kap: int, table: DimTable) -> tuple[int, ...]:
-    return unrank(n, kap, 1, table)
+def minimal_word(n: int, kap: int,
+                 table: DimTable | PathColumn) -> tuple[int, ...]:
+    """Rank-1 word at (n, kap); only ``table.poly`` is read.
+
+    From the top down each letter steps min(d, rest), the largest step that
+    leaves a nonempty tower below, and takes the lowest label of that step.
+    """
+    d = table.poly.degree
+    if n < 0:
+        raise ValueError(f"level {n} is negative")
+    if not 0 <= kap <= n * d:
+        raise RankOutOfRange(f"index 1 outside [1, 0] at vertex ({n}, {kap})")
+    first = letter_table(table.poly).kstep.index
+    full, rest = divmod(kap, d) if d else (0, 0)
+    if full == n:
+        return (first(d),) * n
+    return (first(0),) * (n - full - 1) + (first(rest),) + (first(d),) * full
 
 
 def maximal_word(n: int, kap: int, table: DimTable) -> tuple[int, ...]:
@@ -181,7 +210,7 @@ def _as_prefix(x) -> PathPrefix:
     return x if isinstance(x, PathPrefix) else PathPrefix(tuple(x))
 
 
-def prefix_walk(x, table: DimTable, n_max: int | None = None):
+def prefix_walk(x, table: DimTable | PathColumn, n_max: int | None = None):
     """Yield (n, kappa_n, rank_n) for n = 1, 2, ... along the path prefix.
 
     The rank accumulates level by level: at level n, each letter below the
@@ -192,6 +221,7 @@ def prefix_walk(x, table: DimTable, n_max: int | None = None):
     """
     x = _as_prefix(x)
     lt = letter_table(table.poly)
+    d = table.poly.degree
     kap = 0
     rnk = 1
     n = 0
@@ -201,10 +231,11 @@ def prefix_walk(x, table: DimTable, n_max: int | None = None):
         except (PrefixExhausted, HorizonExhausted):
             return
         row = table.row(n)
+        top = n * d
         n += 1
         kap += lt.kstep[c]
         for s, cnt in enumerate(lt.below[c]):
-            if cnt and 0 <= kap - s < len(row):
+            if cnt and 0 <= kap - s <= top:
                 rnk += cnt * row[kap - s]
         yield n, kap, rnk
 

@@ -4,7 +4,9 @@ The coefficient table holds ``C(n, k)``, the coefficient of ``x^k`` in
 ``p(x)^n``, for a polynomial ``p`` with positive integer coefficients.  Entry
 ``(n, k)`` counts the paths from the root to vertex ``(n, k)`` of the graded
 graph generated by ``p``, so everything downstream (ranking, measures, curve
-extraction) leans on these integers being exact.
+extraction) leans on these integers being exact.  ``DimTable`` holds dense
+rows; ``PathColumn`` holds only the entries near one path's vertices, which
+is all that ranking and curve extraction along that path read.
 """
 
 from __future__ import annotations
@@ -111,6 +113,81 @@ class DimTable:
     def reflected_dim(self, n: int, k1: int) -> int:
         """Dimension indexed from the other end: C(n, n*d - k1)."""
         return self.dim(n, n * self.poly.degree - k1)
+
+
+class PathColumn:
+    """Exact C(n, k) near one path's vertices: a read-only stand-in for DimTable.
+
+    ``steps`` yields the vertex step of the path's letters 1, 2, ...; level n
+    is built the first time ``row`` or ``dim`` asks for it and pulls the n-th
+    step.  ``row(n)[k]`` and ``dim(n, k)`` hold for |k - kappa_n| <= (depth+1)*d,
+    kappa_n being the path's vertex at level n, on the last depth + 1 levels
+    built; ``dim`` is zero for k outside [0, n*d] as in DimTable, and every
+    other read raises KeyError.  A walk that reads only near the path thus
+    costs O(depth d^2) big-integer products per level instead of O(n d^2).
+    """
+
+    def __init__(self, poly: GenPolynomial, steps, depth: int = 0):
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        self.poly = poly
+        self._steps = iter(steps)
+        self._reach = (depth + 1) * poly.degree
+        self._keep = depth + 1
+        self._rows: dict[int, dict[int, int]] = {0: {0: 1}}
+        self._n = 0
+        self._kap = 0
+
+    def row(self, n: int) -> dict[int, int]:
+        """Level n's window {k: C(n, k)}, building the column up to n first."""
+        while self._n < n:
+            self._grow()
+        return self._rows[n]
+
+    def dim(self, n: int, k: int) -> int:
+        """C(n, k); zero for k outside [0, n*d]."""
+        row = self.row(n)
+        return row[k] if 0 <= k <= n * self.poly.degree else 0
+
+    def _grow(self) -> None:
+        """Build level n = newest + 1 from level n - 1.
+
+        Convolution, C(n, k) = sum_j a_j C(n-1, k-j), gives the entries whose
+        C(n-1, k-j) level n-1's window holds; the window's new ends come from
+        the recurrence p y' = n p' y gives for the coefficients of y = p^n,
+            a_0 k C(n, k) = sum_{j=1..d} a_j ((n+1) j - k) C(n, k-j),
+        run forwards at the right end and solved for its j = d term at the
+        left end.  Both divisions are exact.
+        """
+        a, d = self.poly.coeffs, self.poly.degree
+        n = self._n + 1
+        top = (n - 1) * d           # last nonzero index of level n - 1
+        prev_lo = max(self._kap - self._reach, 0)
+        prev = list(self._rows[n - 1].values())     # in k order from prev_lo
+        prev_hi = prev_lo + len(prev) - 1
+        if prev_lo == 0:            # zeros of level n - 1 below 0 ...
+            prev_lo, prev = -d, [0] * d + prev
+        if prev_hi == top:          # ... and above top are known too
+            prev_hi, prev = top + d, prev + [0] * d
+        self._kap += next(self._steps)
+        lo, hi = max(self._kap - self._reach, 0), min(self._kap + self._reach, n * d)
+        start, stop = max(lo, prev_lo + d), min(hi, prev_hi)
+        i0, i1 = start - prev_lo, stop - prev_lo + 1
+        vals = [a[0] * v for v in prev[i0:i1]]
+        for j in range(1, d + 1):
+            vals = [u + a[j] * v for u, v in zip(vals, prev[i0 - j:i1 - j])]
+        for k in range(stop + 1, hi + 1):
+            vals.append(sum(a[j] * ((n + 1) * j - k) * vals[k - j - start]
+                            for j in range(1, min(k, d) + 1)) // (a[0] * k))
+        for k in range(start - 1 + d, lo - 1 + d, -1):
+            # vals[0] is C(n, start); solve for C(n, k - d) and put it first
+            num = a[0] * k * vals[k - start] - sum(
+                a[j] * ((n + 1) * j - k) * vals[k - j - start] for j in range(1, d))
+            vals.insert(0, num // (a[d] * ((n + 1) * d - k)))
+            start -= 1
+        self._rows[n] = dict(zip(range(lo, hi + 1), vals))
+        self._rows.pop(n - self._keep, None)
+        self._n = n
 
 
 def is_unimodal(row) -> bool:

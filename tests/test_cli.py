@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -280,3 +281,40 @@ def test_g_file_shape_is_checked(tmp_path, capsys, doc):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and '"N"' in err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("orbit", "--poly", "1,1", "--q", "0.5", "--n", "4", "--steps", "-3"), "--steps"),
+    (("succ", "--poly", "1,1", "--word", "0110", "--steps", "-2"), "--steps"),
+    (("succ", "--poly", "1,1", "--word", "0110", "--steps", "-1", "--pred"), "--steps"),
+    (("cohom", "--poly", "1,1", "--g", "unread.json", "--nmax", "8", "--m", "-2"), "--m"),
+    (("curve", "--poly", "1,1", "--q", "0.5", "--g", "unread.json", "--m", "-1"), "--m"),
+])
+def test_negative_counts_are_rejected(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {option} must be >= 0\n"
+
+
+def test_g_file_keys_naming_one_word_are_rejected(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"poly": [1, 1], "N": 2, "values": {"01": 1.0, "0,1": -5.0}}')
+    code, out, err = run(capsys, "cohom", "--poly", "1,1", "--g", str(gpath),
+                         "--nmax", "6")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "'01'" in err and "'0,1'" in err
+
+
+def test_rank_word_past_the_dense_table_budget(capsys):
+    word = "01" * 1500
+    code, out, err = run(capsys, "rank", "--poly", "1,1", "--word", word)
+    assert code == 0, err
+    rows = out.splitlines()
+    assert rows[0] == "word,n,kappa,rank,dim"
+    _, n, kap, rnk, dim = rows[1].split(",")
+    assert (n, kap, dim) == ("3000", "1500", str(math.comb(3000, 1500)))
+    # each 1 at level j adds the words carrying 0 there: C(j - 1, kappa_{j-1} - 1)
+    assert int(rnk) == 1 + sum(math.comb(j - 1, j // 2 - 1)
+                               for j in range(2, 3001, 2))

@@ -20,6 +20,7 @@ from polyadic.ergodic import _grid_numerators
 
 P11 = GenPolynomial((1, 1))
 P111 = GenPolynomial((1, 1, 1))
+P112 = GenPolynomial((1, 1, 2))
 P113 = GenPolynomial((1, 1, 3))
 T11 = DimTable(P11, 300)
 T111 = DimTable(P111, 30)
@@ -347,15 +348,31 @@ def test_vertex_sums_keep_values_past_53_bits():
         assert partial_sum_exact(g, w, T11) == F[L]
 
 
-def test_extract_limiting_curve_grows_a_small_table():
+def test_extract_limiting_curve_reads_no_dense_row():
     mp = measure_params(P11, 0.5)
 
     def extract(table):
         x = PathPrefix((), extend=letter_stream(mp, 2), max_level=300)
-        return extract_limiting_curve(G_FIRST0, x, table, m=6, n_max=300, mp=mp)
+        return x, extract_limiting_curve(G_FIRST0, x, table, m=6, n_max=300, mp=mp)
 
     small = DimTable(P11, 10)
-    curve, diag = extract(small)
-    assert (curve, diag) == extract(DimTable(P11, 300))
-    # the walk stops pulling levels once it converges
-    assert small.n_max == diag["converged_at"] < 300
+    x, (curve, diag) = extract(small)
+    assert (curve, diag) == extract(DimTable(P11, 300))[1]
+    # the walk stops pulling path letters once it converges
+    assert len(x) == diag["converged_at"] < 300
+    # and reads a column along the path, never the table's dense rows
+    assert small.n_max == 10
+
+
+def test_extract_limiting_curve_past_the_table_budget():
+    mp = measure_params(P112, 0.25)
+    g = CylFunction(1, {(2,): -1.0, (3,): -2.0})
+
+    def extract(table):
+        x = PathPrefix((), extend=letter_stream(mp, 2), max_level=300)
+        return extract_limiting_curve(g, x, table, m=6, n_max=300, mp=mp)
+
+    tiny = DimTable(P112, 1, entry_budget=10)
+    with pytest.raises(CapacityError):
+        tiny.row(300)
+    assert extract(tiny) == extract(DimTable(P112, 300))

@@ -13,7 +13,7 @@ from polyadic import (CylFunction, DegenerateCurve, DimTable, GenPolynomial,
                       PathPrefix, PolygonalCurve,
                       cohomology_verdict, curve_value, extract_limiting_curve,
                       fluctuation_curve, kappa, letter_stream, letter_table,
-                      measure_params, node_grid)
+                      measure_params, node_grid, sup_distance)
 from polyadic.ergodic import _dyadic_bits, _grid_numerators
 
 
@@ -166,3 +166,19 @@ def test_curve_value_matches_reference_bisection():
                           DimTable(GenPolynomial((1, 1)), 40))
     for x in c.xs + tuple(i / 97 for i in range(98)):
         assert curve_value(c, x) == reference_curve_value(c.xs, c.ys, x)
+
+
+def test_sup_distance_matches_reference_on_the_union_grid():
+    rng = random.Random(6)
+    curves = list(_random_curves(rng, 120))
+    # curves on a sub-interval take the merge through both outer branches
+    curves += [PolygonalCurve(tuple(0.2 + 0.6 * x for x in c.xs), c.ys, 1.0, 0, 0, 0)
+               for c in curves[:40]]
+    table = DimTable(GenPolynomial((1, 1, 2)), 90)
+    g = CylFunction(1, {(2,): -1.0, (3,): -2.0})
+    curves += [fluctuation_curve(g, n, n, 5, table) for n in (60, 61, 90)]
+    for a, b in zip(curves, curves[1:]):
+        grid = sorted(set(a.xs) | set(b.xs))
+        assert sup_distance(a, b) == max(
+            abs(reference_curve_value(a.xs, a.ys, x) - reference_curve_value(b.xs, b.ys, x))
+            for x in grid)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tower_words_comparison_sorted, tower_words_sorted
-from polyadic import (DimTable, GenPolynomial, HorizonExhausted, MaximalPath,
+from polyadic import (CapacityError, DimTable, GenPolynomial, HorizonExhausted, MaximalPath,
                       MinimalPath, PathPrefix, PrefixExhausted,
                       RankOutOfRange, is_maximal, is_minimal,
                       iter_tower, kappa, co_kappa, letter_table, maximal_word,
@@ -67,6 +68,40 @@ def test_unrank_known_values():
         unrank(4, 2, 7, T11)
     with pytest.raises(RankOutOfRange):
         unrank(4, 2, 0, T11)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1, 1, 3), (2, 3, 1), (3,),
+                                    (1, 2, 1, 1)])
+def test_minimal_word_is_unrank_one(coeffs):
+    poly = GenPolynomial(coeffs)
+    table = DimTable(poly, 7)
+    for n in range(8):
+        for kap in range(-1, n * poly.degree + 2):
+            if 0 <= kap <= n * poly.degree:
+                assert minimal_word(n, kap, table) == unrank(n, kap, 1, table)
+            else:
+                with pytest.raises(RankOutOfRange):
+                    minimal_word(n, kap, table)
+
+
+def test_rank_and_successor_past_the_dense_table_budget():
+    rng = random.Random(30)
+    w = tuple(rng.randrange(2) for _ in range(3000))
+    with pytest.raises(CapacityError):
+        DimTable(P11).row(3000)
+    # Pascal oracle: a 1 at level j passes over the words carrying the 0
+    # (step 1) there, C(j - 1, kappa_{j-1} - 1) of them
+    expect, kap = 1, 0
+    for j, c in enumerate(w, 1):
+        if c == 1 and kap >= 1:
+            expect += math.comb(j - 1, kap - 1)
+        kap += 1 - c
+    table = DimTable(P11)
+    assert rank(w, table) == expect
+    s = successor(PathPrefix(w), table).known()
+    assert rank(s, table) == expect + 1
+    # the successor's dense rows reach only its pivot
+    assert table.n_max < 100
 
 
 @pytest.mark.parametrize("poly,table", [(P11, T11), (P21, T21), (P113, T113)])

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import poly_power_row
 from polyadic import (CapacityError, DimTable, GenPolynomial, is_unimodal,
                       max_adjacent_ratio, ratio_constant, unimodal_start)
+from polyadic.poly import PathColumn
 
 
 def test_parse_and_validation():
@@ -180,3 +183,42 @@ def test_random_row_sums_against_oracle():
         n = rng.randint(1, 9)
         table = DimTable(GenPolynomial(coeffs), n)
         assert list(table.row(n)) == poly_power_row(coeffs, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       depth=st.integers(0, 3), data=st.data())
+def test_path_column_windows_equal_the_dense_table(coeffs, depth, data):
+    poly = GenPolynomial(tuple(coeffs))
+    d = poly.degree
+    # A balanced run puts the vertex clear of both row ends; the step 0 then
+    # widens the next window to the left, the step d to the right.
+    steps = [d, 0] * (2 * depth + 3) + [0, d] + data.draw(
+        st.lists(st.integers(0, d), max_size=30))
+    column = PathColumn(poly, steps, depth)
+    table = DimTable(poly, len(steps))
+    reach = (depth + 1) * d
+    kap = 0
+    for n, step in enumerate(steps, 1):
+        kap += step
+        lo, hi = max(kap - reach, 0), min(kap + reach, n * d)
+        row = column.row(n)
+        assert sorted(row) == list(range(lo, hi + 1))
+        for k in range(-1, n * d + 2):
+            if lo <= k <= hi or not 0 <= k <= n * d:
+                assert column.dim(n, k) == table.dim(n, k)
+            else:
+                with pytest.raises(KeyError):
+                    column.dim(n, k)
+        # the last depth + 1 levels stay readable, older ones are gone
+        for back in range(1, depth + 1):
+            if n - back >= 0:
+                assert column.row(n - back)
+        if n - depth - 1 >= 0:
+            with pytest.raises(KeyError):
+                column.row(n - depth - 1)
+
+
+def test_path_column_rejects_negative_depth():
+    with pytest.raises(ValueError):
+        PathColumn(GenPolynomial((1, 1)), [], -1)
