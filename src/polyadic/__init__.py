@@ -11,18 +11,16 @@ from .errors import (CapacityError, DegenerateCurve, DivisionByZeroJet,
                      NoRoot, PolyadicError, PrefixExhausted, RankOutOfRange)
 from .poly import (DimTable, GenPolynomial, is_unimodal, max_adjacent_ratio,
                    ratio_constant, unimodal_start)
-from .paths import (LetterTable, PathPrefix, co_kappa, is_maximal, is_minimal,
-                    iter_tower, kappa, letter_table, maximal_word,
-                    minimal_word, predecessor, prefix_walk, rank, successor,
-                    unrank, word_from_string, word_to_string)
+from .paths import (LetterTable, PathPrefix, iter_tower, kappa, letter_table,
+                    maximal_word, minimal_word, predecessor, prefix_walk, rank,
+                    successor, unrank, word_from_string, word_to_string)
 from .measure import (MeasureParams, cylinder_measure, decode_digits,
                       encode_theta, letter_stream, measure_params, sample_word,
                       solve_t, stationary_points, weight_residual)
 from .ergodic import (CylFunction, HCoeffs, PolygonalCurve, central_vertex,
                       cohomology_verdict, curve_value, extract_limiting_curve,
                       fluctuation_curve, h_coeffs, measure_ray, node_grid,
-                      partial_sum_exact, stabilizing_candidates, sup_distance,
-                      tower_total)
+                      partial_sum_exact, sup_distance, tower_total)
 from .takagi import (MIRROR_SIGN, Jet, coding_map, depth_for, jet_const,
                      jet_var, parabola_profile, self_affinity_residual,
                      t_jet, t_prime_closed_form, takagi_function)

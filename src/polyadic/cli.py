@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from contextlib import nullcontext
 
 from .errors import DegenerateCurve, NoConvergence, PolyadicError
 from .ergodic import (CylFunction, cohomology_verdict, extract_limiting_curve)
@@ -31,22 +31,19 @@ def _poly_arg(text: str) -> GenPolynomial:
 
 
 def _emit(args, header, rows, meta=None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = buf.getvalue()
+    """Write CSV rows to --out or stdout as they come; ``rows`` may be lazy."""
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    if meta is None:
+        return
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        if meta is not None:
-            with open(args.out + ".meta.json", "w") as fh:
-                json.dump(meta, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+        with open(args.out + ".meta.json", "w") as fh:
+            json.dump(meta, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
-        if meta is not None:
-            sys.stderr.write(json.dumps(meta, sort_keys=True) + "\n")
+        sys.stderr.write(json.dumps(meta, sort_keys=True) + "\n")
 
 
 def _load_g(path: str, poly: GenPolynomial) -> CylFunction:
@@ -65,9 +62,8 @@ def _cmd_dims(args, parser) -> int:
     # Built up front: the rows are the output, and a request past the entry
     # budget fails before any row is built.
     table = DimTable(args.poly, _level(args.nmax, "--nmax"))
-    rows = [(n, k, str(table.dim(n, k)))
-            for n in range(args.nmax + 1)
-            for k in range(n * args.poly.degree + 1)]
+    rows = ((n, k, dim) for n in range(args.nmax + 1)
+            for k, dim in enumerate(table.row(n)))
     _emit(args, ("n", "k", "dim"), rows)
     return 0
 
@@ -103,11 +99,10 @@ def _cmd_rank(args, parser) -> int:
 
 
 def _cmd_succ(args, parser) -> int:
-    table = DimTable(args.poly)
     x = PathPrefix(word_from_string(args.word, args.poly))
     direction = -1 if args.pred else 1
     for _ in range(_level(args.steps, "--steps")):
-        x = successor(x, table, direction)
+        x = successor(x, args.poly, direction)
     out = word_to_string(x.known(), args.poly)
     if args.out:
         with open(args.out, "w") as fh:
@@ -120,14 +115,13 @@ def _cmd_succ(args, parser) -> int:
 def _cmd_orbit(args, parser) -> int:
     horizon = _level(args.horizon, "--horizon")
     steps = _level(args.steps, "--steps")
-    table = DimTable(args.poly)
     mp = measure_params(args.poly, args.q)
     if args.word:
         x = PathPrefix(word_from_string(args.word, args.poly),
                        extend=letter_stream(mp, args.seed), max_level=horizon)
     elif args.n:
         x = PathPrefix((), extend=letter_stream(mp, args.seed), max_level=horizon)
-        x.prefix(args.n)
+        x.prefix(_level(args.n, "--n"))
     else:
         parser.error("orbit needs --word or --n")
     rows = []
@@ -135,7 +129,7 @@ def _cmd_orbit(args, parser) -> int:
         rows.append((step, repr(encode_theta(mp, x.known())),
                      word_to_string(x.known(), args.poly)))
         if step < steps:
-            x = successor(x, table)
+            x = successor(x, args.poly)
     _emit(args, ("step", "theta", "word"), rows,
           meta={"poly": list(args.poly.coeffs), "q": args.q, "seed": args.seed})
     return 0

@@ -222,7 +222,7 @@ def node_grid(n: int, kap: int, m: int, table: DimTable):
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    return [(u, L, minimal_word(n - m, kb, table) + u)
+    return [(u, L, minimal_word(n - m, kb, table.poly) + u)
             for u, kb, L, _ in _top_walk(n, kap, m, table)]
 
 
@@ -264,7 +264,7 @@ def _grid_numerators(g: CylFunction, n: int, kap: int, m: int,
     for _, kb, L, S in _top_walk(n, kap, m, table, phi):
         if kb not in gmin:      # minimal words step by min(d, rest) from the top
             kN = max(kb - (n - m - N) * table.poly.degree, 0)
-            gmin[kb] = _scaled(g(minimal_word(N, kN, table)), s)
+            gmin[kb] = _scaled(g(minimal_word(N, kN, table.poly)), s)
         nodes.append((L, H * (S + gmin[kb]) - L * FH))
     return H, nodes
 
@@ -355,12 +355,6 @@ def _stabilizing_levels(x, table: DimTable | PathColumn, eps: float,
             if not delta_f <= ratio <= 1 - delta_f:
                 continue
         yield n, kap
-
-
-def stabilizing_candidates(x, table: DimTable, eps: float, delta: float,
-                           n_max: int) -> list[int]:
-    """Stabilizing levels of the prefix up to n_max, see _stabilizing_levels."""
-    return [n for n, _ in _stabilizing_levels(x, table, eps, delta, n_max)]
 
 
 def measure_ray(mp, n: int) -> int:

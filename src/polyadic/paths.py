@@ -57,11 +57,6 @@ def kappa(word, poly: GenPolynomial) -> int:
     return sum(ks[c] for c in word)
 
 
-def co_kappa(word, poly: GenPolynomial) -> int:
-    """Co-index len(word)*d - kappa(word)."""
-    return len(word) * poly.degree - kappa(word, poly)
-
-
 def word_to_string(word, poly: GenPolynomial) -> str:
     """Digit string for r <= 10, comma-separated labels otherwise."""
     if poly.alphabet_size <= 10:
@@ -126,35 +121,41 @@ def unrank(n: int, kap: int, index: int, table: DimTable) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def minimal_word(n: int, kap: int,
-                 table: DimTable | PathColumn) -> tuple[int, ...]:
-    """Rank-1 word at (n, kap); only ``table.poly`` is read.
+def _extreme_word(n: int, kap: int, poly: GenPolynomial,
+                  direction: int) -> tuple[int, ...]:
+    """First (direction 1) or last (direction -1) word of the tower at (n, kap).
 
-    From the top down each letter steps min(d, rest), the largest step that
-    leaves a nonempty tower below, and takes the lowest label of that step.
+    From the top down each letter of the first word steps min(d, rest), the
+    largest step that leaves a nonempty tower below, and takes the lowest
+    label of that step; each letter of the last word steps
+    max(0, rest - (level-1)*d), the smallest such step, and takes the highest
+    label.  Either way the steps are d..d, one remainder, 0..0.
     """
-    d = table.poly.degree
+    d = poly.degree
     if n < 0:
         raise ValueError(f"level {n} is negative")
     if not 0 <= kap <= n * d:
-        raise RankOutOfRange(f"index 1 outside [1, 0] at vertex ({n}, {kap})")
-    first = letter_table(table.poly).kstep.index
+        raise RankOutOfRange(f"empty tower at vertex ({n}, {kap})")
+    first = letter_table(poly).kstep.index
+
+    def label(step):            # lowest or highest label of that step
+        return first(step) + (0 if direction > 0 else poly.coeffs[step] - 1)
+
     full, rest = divmod(kap, d) if d else (0, 0)
-    if full == n:
-        return (first(d),) * n
-    return (first(0),) * (n - full - 1) + (first(rest),) + (first(d),) * full
+    high = (label(d),) * full
+    mid = (label(rest),) if full < n else ()
+    zero = (label(0),) * (n - full - 1)
+    return zero + mid + high if direction > 0 else high + mid + zero
 
 
-def maximal_word(n: int, kap: int, table: DimTable) -> tuple[int, ...]:
-    return unrank(n, kap, table.dim(n, kap), table)
+def minimal_word(n: int, kap: int, poly: GenPolynomial) -> tuple[int, ...]:
+    """Rank-1 word at (n, kap)."""
+    return _extreme_word(n, kap, poly, 1)
 
 
-def is_minimal(word, table: DimTable) -> bool:
-    return rank(word, table) == 1
-
-
-def is_maximal(word, table: DimTable) -> bool:
-    return rank(word, table) == table.dim(len(word), kappa(word, table.poly))
+def maximal_word(n: int, kap: int, poly: GenPolynomial) -> tuple[int, ...]:
+    """Last word at (n, kap), of rank C(n, kap)."""
+    return _extreme_word(n, kap, poly, -1)
 
 
 class PathPrefix:
@@ -240,38 +241,51 @@ def prefix_walk(x, table: DimTable | PathColumn, n_max: int | None = None):
         yield n, kap, rnk
 
 
-def successor(x, table: DimTable, direction: int = 1) -> PathPrefix:
+def successor(x, poly: GenPolynomial, direction: int = 1) -> PathPrefix:
     """Next path in the tail-lexicographic order, or the previous one for -1.
 
-    Walks upward to the first level whose prefix is not extremal in its
-    tower in that direction, then replaces exactly that head by its
-    neighbour word; letters above the pivot are untouched.
+    Walks up the letters to the first level n where a label b past the
+    prefix's letter, in that direction, leaves a nonempty tower below
+    (0 <= kappa_n - step(b) <= (n-1)*d); every head below is then extremal
+    in its tower.  The new head is the first word (the last, for -1) of the
+    tower below followed by b; letters above the pivot are untouched.
     """
+    if direction not in (1, -1):
+        raise ValueError(f"direction must be 1 or -1, got {direction!r}")
     x = _as_prefix(x)
+    ks = letter_table(poly).kstep
+    d = poly.degree
+    kap = 0
     n = 0
-    for n, kap, rnk in prefix_walk(x, table):
-        if 1 <= rnk + direction <= table.dim(n, kap):
-            return x.with_head(unrank(n, kap, rnk + direction, table))
-    try:
-        x.letter(n + 1)     # raises again whatever ended the walk
-    except PrefixExhausted as exc:
-        if direction > 0:
-            raise MaximalPath(f"maximal through level {n}") from exc
-        raise MinimalPath(f"minimal through level {n}") from exc
+    while True:
+        try:
+            c = x.letter(n + 1)
+        except PrefixExhausted as exc:
+            if direction > 0:
+                raise MaximalPath(f"maximal through level {n}") from exc
+            raise MinimalPath(f"minimal through level {n}") from exc
+        kap += ks[c]
+        for b in range(c + 1, len(ks)) if direction > 0 else range(c - 1, -1, -1):
+            if 0 <= kap - ks[b] <= n * d:
+                head = _extreme_word(n, kap - ks[b], poly, direction)
+                return x.with_head(head + (b,))
+        n += 1
 
 
-def predecessor(x, table: DimTable) -> PathPrefix:
+def predecessor(x, poly: GenPolynomial) -> PathPrefix:
     """Previous path in the tail-lexicographic order."""
-    return successor(x, table, -1)
+    return successor(x, poly, -1)
 
 
-def iter_tower(n: int, kap: int, table: DimTable):
+def iter_tower(n: int, kap: int, poly: GenPolynomial):
     """Yield the words of the tower at vertex (n, kap) in rank order."""
-    total = table.dim(n, kap)
-    if total == 0:
+    try:
+        word = minimal_word(n, kap, poly)
+    except RankOutOfRange:      # empty tower
         return
-    word = minimal_word(n, kap, table)
-    yield word
-    for _ in range(total - 1):
-        word = successor(PathPrefix(word), table).known()
+    while True:
         yield word
+        try:
+            word = successor(PathPrefix(word), poly).known()
+        except MaximalPath:
+            return

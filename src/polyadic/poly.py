@@ -110,10 +110,6 @@ class DimTable:
         row = self.row(n)
         return row[k] if 0 <= k < len(row) else 0
 
-    def reflected_dim(self, n: int, k1: int) -> int:
-        """Dimension indexed from the other end: C(n, n*d - k1)."""
-        return self.dim(n, n * self.poly.degree - k1)
-
 
 class PathColumn:
     """Exact C(n, k) near one path's vertices: a read-only stand-in for DimTable.

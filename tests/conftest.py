@@ -57,8 +57,8 @@ def brute_tower_sums(g, n, kap, table, cap=1_000_000):
     acc = 0.0
     word = None
     for _ in range(total):
-        word = (minimal_word(n, kap, table) if word is None
-                else successor(PathPrefix(word), table).known())
+        word = (minimal_word(n, kap, table.poly) if word is None
+                else successor(PathPrefix(word), table.poly).known())
         acc += g(word)
         sums.append(acc)
     return sums
@@ -168,7 +168,7 @@ def reference_top_blocks(n, kap, m, table):
 
 def reference_node_grid(n, kap, m, table):
     """(top_word, rank, minimal completion) of every valid top-m block, by rank."""
-    out = [(u, rank, minimal_word(n - m, kb, table) + u)
+    out = [(u, rank, minimal_word(n - m, kb, table.poly) + u)
            for u, kb, rank, _ in reference_top_blocks(n, kap, m, table)]
     return sorted(out, key=lambda item: item[1])
 
@@ -187,7 +187,7 @@ def reference_grid(g, n, kap, m, table):
             for l in range(N * d + 1):
                 A[l] += table.dim(bl - N, kbot - l)
         num = sum(hl * (A[l] * H - T[l] * L) for l, hl in enumerate(hfr))
-        num += Fraction(g(minimal_word(n - m, kb, table))) * H
+        num += Fraction(g(minimal_word(n - m, kb, table.poly))) * H
         nodes.append((L, num))
     nodes.sort(key=lambda item: item[0])
     return H, nodes

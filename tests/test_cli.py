@@ -237,8 +237,11 @@ def test_orbit_table_grows_only_as_far_as_the_walk(capsys, monkeypatch):
     code, _, _ = run(capsys, "orbit", "--poly", "1,1", "--q", "0.5", "--n", "40",
                      "--steps", "200", "--seed", "0")
     assert code == 0
-    # 200 steps from a 40-letter prefix pivot low; --horizon (1000) sizes nothing
-    assert len(tables) == 1 and tables[0].n_max <= 40
+    code, _, _ = run(capsys, "succ", "--poly", "1,1,3", "--word", "0123401234",
+                     "--steps", "500")
+    assert code == 0
+    # neighbours follow letter rules: neither command reads a dense table
+    assert tables == []
 
 
 def test_orbit_horizon_only_bounds_the_search(capsys):
@@ -289,6 +292,7 @@ def test_g_file_shape_is_checked(tmp_path, capsys, doc):
     (("succ", "--poly", "1,1", "--word", "0110", "--steps", "-1", "--pred"), "--steps"),
     (("cohom", "--poly", "1,1", "--g", "unread.json", "--nmax", "8", "--m", "-2"), "--m"),
     (("curve", "--poly", "1,1", "--q", "0.5", "--g", "unread.json", "--m", "-1"), "--m"),
+    (("orbit", "--poly", "1,1", "--q", "0.5", "--n", "-5", "--steps", "2"), "--n"),
 ])
 def test_negative_counts_are_rejected(capsys, argv, option):
     code, out, err = run(capsys, *argv)

@@ -13,10 +13,10 @@ from polyadic import (CapacityError, CylFunction, DegenerateCurve, DimTable,
                       fluctuation_curve, h_coeffs, kappa, letter_stream,
                       letter_table, measure_params, measure_ray, node_grid,
                       partial_sum_exact, rank,
-                      stabilizing_candidates, stationary_points, sup_distance,
+                      stationary_points, sup_distance,
                       tower_total, maximal_word, minimal_word,
                       iter_tower)
-from polyadic.ergodic import _grid_numerators
+from polyadic.ergodic import _grid_numerators, _stabilizing_levels
 
 P11 = GenPolynomial((1, 1))
 P111 = GenPolynomial((1, 1, 1))
@@ -91,8 +91,8 @@ def test_tower_total_examples():
 def test_partial_sum_extremes():
     g = CylFunction(2, {(0, 1): 2.0, (1, 0): -1.0})
     for n, kap in ((4, 2), (6, 3)):
-        wmin = minimal_word(n, kap, T11)
-        wmax = maximal_word(n, kap, T11)
+        wmin = minimal_word(n, kap, P11)
+        wmax = maximal_word(n, kap, P11)
         assert float(partial_sum_exact(g, wmin, T11)) == g(wmin)
         assert float(partial_sum_exact(g, wmax, T11)) == tower_total(h_coeffs(g, T11), n, kap, T11)
 
@@ -107,7 +107,7 @@ def test_partial_sum_matches_brute(poly, table, g):
     for n in range(g.N, 6):
         for kap in range(n * poly.degree + 1):
             sums = brute_tower_sums(g, n, kap, table)
-            for j, w in enumerate(iter_tower(n, kap, table), 1):
+            for j, w in enumerate(iter_tower(n, kap, poly), 1):
                 assert float(partial_sum_exact(g, w, table)) == pytest.approx(sums[j - 1], abs=1e-12)
 
 
@@ -123,7 +123,7 @@ def test_brute_tower_sums_properties():
 def test_node_grid_examples():
     nodes = node_grid(6, 3, 0, T11)
     assert len(nodes) == 1 and nodes[0][1] == 1
-    assert nodes[0][2] == minimal_word(6, 3, T11)
+    assert nodes[0][2] == minimal_word(6, 3, P11)
     nodes = node_grid(4, 2, 4, T11)
     assert [L for _, L, _ in nodes] == [1, 2, 3, 4, 5, 6]
     assert [w for _, _, w in nodes] == tower_words_sorted(P11, 4, 2)
@@ -204,26 +204,27 @@ def test_stabilizing_candidates_basics():
     poly = GenPolynomial((1, 2))
     table = DimTable(poly, 24)
     x = PathPrefix((0,) * 24)
-    cands = stabilizing_candidates(x, table, 0.1, 0.0, 24)
+    cands = [n for n, _ in _stabilizing_levels(x, table, 0.1, 0.0, 24)]
     assert set(cands) == set(range(4, 25))
     # eps = 1, delta = 0 accepts every level the prefix is not maximal at
     mp = measure_params(P11, 0.5)
     y = PathPrefix((), extend=letter_stream(mp, 1), max_level=40)
-    cands = stabilizing_candidates(y, table=T11, eps=1.0, delta=0.0, n_max=40)
+    cands = [n for n, _ in _stabilizing_levels(y, table=T11, eps=1.0, delta=0.0,
+                                                n_max=40)]
     expected = [n for n, kap, rnk in
                 [(n, kappa(y.prefix(n), P11), rank(y.prefix(n), T11))
                  for n in range(1, 41)]
                 if rnk < T11.dim(n, kap)]
     assert cands == expected
     with pytest.raises(ValueError):
-        stabilizing_candidates(y, T11, 0.0, 0.0, 10)
+        [n for n, _ in _stabilizing_levels(y, T11, 0.0, 0.0, 10)]
     with pytest.raises(ValueError):
-        stabilizing_candidates(y, T11, 0.5, 0.3, 10)
+        [n for n, _ in _stabilizing_levels(y, T11, 0.5, 0.3, 10)]
 
 
 def test_stabilizing_candidates_delta_band():
     x = PathPrefix((0,) * 20)         # kappa = n at every level: ratio 1
-    cands = stabilizing_candidates(x, T11, 1.0, 0.1, 20)
+    cands = [n for n, _ in _stabilizing_levels(x, T11, 1.0, 0.1, 20)]
     assert cands == []
 
 
@@ -233,7 +234,7 @@ def test_stabilizing_recurrence_for_random_paths():
     hits = 0
     for seed in range(100):
         x = PathPrefix((), extend=letter_stream(mp, seed), max_level=400)
-        if stabilizing_candidates(x, table, 0.1, 0.0, 400):
+        if [n for n, _ in _stabilizing_levels(x, table, 0.1, 0.0, 400)]:
             hits += 1
     assert hits >= 95
 

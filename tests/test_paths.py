@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import tower_words_comparison_sorted, tower_words_sorted
 from polyadic import (CapacityError, DimTable, GenPolynomial, HorizonExhausted, MaximalPath,
                       MinimalPath, PathPrefix, PrefixExhausted,
-                      RankOutOfRange, is_maximal, is_minimal,
-                      iter_tower, kappa, co_kappa, letter_table, maximal_word,
+                      RankOutOfRange,
+                      iter_tower, kappa, letter_table, maximal_word,
                       minimal_word, predecessor, prefix_walk, rank, successor,
                       unrank, word_from_string, word_to_string)
 
@@ -40,9 +41,10 @@ def test_letter_table_groups():
 
 def test_kappa_and_co_kappa():
     assert kappa((0, 1, 1, 0), P11) == 2
-    assert co_kappa((0, 1, 1, 0), P11) == 2
+    # the co-index len(w)*d - kappa(w) counts from the other end
+    assert 4 * P11.degree - kappa((0, 1, 1, 0), P11) == 2
     assert kappa((4, 3, 0), P113) == 3
-    assert co_kappa((4, 3, 0), P113) == 3
+    assert 3 * P113.degree - kappa((4, 3, 0), P113) == 3
 
 
 def test_rank_known_values():
@@ -63,7 +65,7 @@ def test_minimal_vertex_words_have_rank_one():
 def test_unrank_known_values():
     assert unrank(4, 2, 4, T11) == (1, 0, 0, 1)
     assert unrank(3, 1, 3, T11) == (0, 1, 1)
-    assert unrank(5, 2, 1, T11) == minimal_word(5, 2, T11)
+    assert unrank(5, 2, 1, T11) == minimal_word(5, 2, P11)
     with pytest.raises(RankOutOfRange):
         unrank(4, 2, 7, T11)
     with pytest.raises(RankOutOfRange):
@@ -78,10 +80,36 @@ def test_minimal_word_is_unrank_one(coeffs):
     for n in range(8):
         for kap in range(-1, n * poly.degree + 2):
             if 0 <= kap <= n * poly.degree:
-                assert minimal_word(n, kap, table) == unrank(n, kap, 1, table)
+                assert minimal_word(n, kap, poly) == unrank(n, kap, 1, table)
+                assert maximal_word(n, kap, poly) == unrank(
+                    n, kap, table.dim(n, kap), table)
             else:
                 with pytest.raises(RankOutOfRange):
-                    minimal_word(n, kap, table)
+                    minimal_word(n, kap, poly)
+                with pytest.raises(RankOutOfRange):
+                    maximal_word(n, kap, poly)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1, 1, 3), (2, 3, 1), (3,),
+                                    (1, 2, 1, 1)])
+def test_neighbours_are_unrank_plus_minus_one(coeffs):
+    poly = GenPolynomial(coeffs)
+    table = DimTable(poly, 6)
+    for n in range(7):
+        for w in product(range(poly.alphabet_size), repeat=n):
+            walk = [(0, 0, 1)] + list(prefix_walk(w, table))
+            _, kap, rnk = walk[-1]
+            for step, end, edge, shift in ((successor, MaximalPath, table.dim, 1),
+                                           (predecessor, MinimalPath, lambda j, k: 1, -1)):
+                if rnk == edge(n, kap):
+                    with pytest.raises(end):
+                        step(PathPrefix(w), poly)
+                    continue
+                moved = step(PathPrefix(w), poly).known()
+                assert moved == unrank(n, kap, rnk + shift, table)
+                # letters above the lowest head not at its tower's edge stay
+                pivot = next(j for j, k, r in walk if r != edge(j, k))
+                assert moved[pivot:] == w[pivot:]
 
 
 def test_rank_and_successor_past_the_dense_table_budget():
@@ -98,10 +126,10 @@ def test_rank_and_successor_past_the_dense_table_budget():
         kap += 1 - c
     table = DimTable(P11)
     assert rank(w, table) == expect
-    s = successor(PathPrefix(w), table).known()
+    s = successor(PathPrefix(w), P11).known()
     assert rank(s, table) == expect + 1
-    # the successor's dense rows reach only its pivot
-    assert table.n_max < 100
+    # rank reads the word's column and the successor reads no table at all
+    assert table.n_max == 0
 
 
 @pytest.mark.parametrize("poly,table", [(P11, T11), (P21, T21), (P113, T113)])
@@ -116,16 +144,16 @@ def test_order_convention_against_comparison_sort(poly, table):
 
 
 def test_successor_example_and_coherence():
-    s = successor((0, 1, 1, 0, 0, 0), T11)
+    s = successor((0, 1, 1, 0, 0, 0), P11)
     assert s.known() == (1, 0, 0, 1, 0, 0)
     rng = random.Random(5)
     for _ in range(100):
         n = rng.randint(2, 12)
         w = tuple(rng.randint(0, 1) for _ in range(n))
         try:
-            nxt = successor(PathPrefix(w), T11).known()
+            nxt = successor(PathPrefix(w), P11).known()
         except MaximalPath:
-            assert is_maximal(w, T11)
+            assert rank(w, T11) == T11.dim(n, kappa(w, P11))
             continue
         # pivot level: first index where they differ counted from the top
         pivot = max(i for i in range(n) if nxt[i] != w[i]) + 1
@@ -135,28 +163,31 @@ def test_successor_example_and_coherence():
 
 
 def test_predecessor_inverse():
-    assert predecessor((1, 0, 0, 1, 0), T11).known() == (0, 1, 1, 0, 0)
+    assert predecessor((1, 0, 0, 1, 0), P11).known() == (0, 1, 1, 0, 0)
     rng = random.Random(6)
-    for poly, table in ((P11, T11), (P113, T113)):
+    for poly in (P11, P113):
         r = poly.alphabet_size
         for _ in range(60):
             w = tuple(rng.randrange(r) for _ in range(10))
             try:
-                s = successor(PathPrefix(w), table).known()
+                s = successor(PathPrefix(w), poly).known()
             except MaximalPath:
                 continue
-            assert predecessor(PathPrefix(s), table).known() == w
+            assert predecessor(PathPrefix(s), poly).known() == w
 
 
 def test_extremal_paths_raise():
     # minimal-at-every-level prefix has no predecessor
     with pytest.raises(MinimalPath):
-        predecessor(PathPrefix(minimal_word(5, 2, T11)), T11)
+        predecessor(PathPrefix(minimal_word(5, 2, P11)), P11)
     with pytest.raises(MaximalPath):
-        successor(PathPrefix(maximal_word(5, 2, T11)), T11)
+        successor(PathPrefix(maximal_word(5, 2, P11)), P11)
     # a configured horizon turns the search into HorizonExhausted instead
     with pytest.raises(HorizonExhausted):
-        successor(PathPrefix(maximal_word(5, 2, T11), max_level=5), T11)
+        successor(PathPrefix(maximal_word(5, 2, P11), max_level=5), P11)
+    # a step is one place up or down the order, nothing else
+    with pytest.raises(ValueError):
+        successor((0, 1), P11, 0)
 
 
 def test_prefix_extension_policies():
@@ -178,20 +209,21 @@ def test_with_head_hands_over_stream():
 
 
 def test_is_minimal_maximal():
-    assert is_minimal((1, 1, 0, 0), T11)
-    assert is_minimal((), T11) and is_maximal((), T11)
+    # minimal words have rank 1, maximal ones rank C(n, kappa)
+    assert rank((1, 1, 0, 0), T11) == 1
+    assert rank((), T11) == 1 == T11.dim(0, 0)
     # greedy maximal words take the largest letters at the top
     for n in range(1, 7):
         for kap in range(n + 1):
-            words = list(iter_tower(n, kap, T11))
-            assert is_minimal(words[0], T11)
-            assert is_maximal(words[-1], T11)
-    assert is_maximal((0, 0, 0, 0), T11)
+            words = list(iter_tower(n, kap, P11))
+            assert rank(words[0], T11) == 1
+            assert rank(words[-1], T11) == T11.dim(n, kap)
+    assert rank((0, 0, 0, 0), T11) == T11.dim(4, kappa((0, 0, 0, 0), P11))
 
 
 def test_successor_orbit_enumerates_tower():
     for n, kap in ((5, 2), (6, 3)):
-        words = list(iter_tower(n, kap, T11))
+        words = list(iter_tower(n, kap, P11))
         assert len(words) == T11.dim(n, kap)
         assert words == tower_words_sorted(P11, n, kap)
 
@@ -220,7 +252,7 @@ def test_pascal_closed_form_is_predecessor():
         if out is None:
             continue
         cand = tuple(1 - c for c in out)
-        assert successor(PathPrefix(cand), T11).known() == x
+        assert successor(PathPrefix(cand), P11).known() == x
         checked += 1
     assert checked > 450
 
@@ -284,9 +316,9 @@ def test_rank_and_neighbour_round_trips_on_drawn_words(poly, data):
     for step, back, end, edge in ((successor, predecessor, MaximalPath, table.dim(n, kap)),
                                   (predecessor, successor, MinimalPath, 1)):
         try:
-            moved = step(PathPrefix(w), table)
+            moved = step(PathPrefix(w), poly)
         except end:
             assert rnk == edge
             continue
-        assert back(moved, table).known() == w
+        assert back(moved, poly).known() == w
     assert table.n_max <= n

@@ -51,10 +51,12 @@ def test_rows_match_convolution_oracle(coeffs):
 
 def test_reflected_dim():
     t113 = DimTable(GenPolynomial((1, 1, 3)), 2)
-    assert t113.reflected_dim(2, 0) == t113.dim(2, 4) == 9
-    assert t113.reflected_dim(0, 0) == 1
+    # indexed from the other end: C(n, n*d - k1)
+    d = t113.poly.degree
+    assert t113.dim(2, 2 * d - 0) == t113.dim(2, 4) == 9
+    assert t113.dim(0, 0 * d - 0) == 1
     t11 = DimTable(GenPolynomial((1, 1)), 4)
-    assert t11.reflected_dim(4, 1) == t11.dim(4, 3) == 4
+    assert t11.dim(4, 4 * t11.poly.degree - 1) == t11.dim(4, 3) == 4
 
 
 def test_out_of_range_is_zero_and_level_errors():
