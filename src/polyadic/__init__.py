@@ -9,8 +9,7 @@ functions describing their limits.
 from .errors import (CapacityError, DegenerateCurve, DivisionByZeroJet,
                      HorizonExhausted, MaximalPath, MinimalPath, NoConvergence,
                      NoRoot, PolyadicError, PrefixExhausted, RankOutOfRange)
-from .poly import (DimTable, GenPolynomial, is_unimodal, max_adjacent_ratio,
-                   ratio_constant, unimodal_start)
+from .poly import DimTable, GenPolynomial
 from .paths import (LetterTable, PathPrefix, iter_tower, kappa, letter_table,
                     maximal_word, minimal_word, predecessor, prefix_walk, rank,
                     successor, unrank, word_from_string, word_to_string)
@@ -20,10 +19,10 @@ from .measure import (MeasureParams, cylinder_measure, decode_digits,
 from .ergodic import (CylFunction, HCoeffs, PolygonalCurve, central_vertex,
                       cohomology_verdict, curve_value, extract_limiting_curve,
                       fluctuation_curve, h_coeffs, measure_ray, node_grid,
-                      partial_sum_exact, sup_distance, tower_total)
-from .takagi import (MIRROR_SIGN, Jet, coding_map, depth_for, jet_const,
-                     jet_var, parabola_profile, self_affinity_residual,
-                     t_jet, t_prime_closed_form, takagi_function)
+                      sup_distance, tower_total)
+from .takagi import (MIRROR_SIGN, Jet, coding_map, jet_const, jet_var,
+                     parabola_profile, self_affinity_residual, t_jet,
+                     takagi_function)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

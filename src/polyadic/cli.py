@@ -17,7 +17,7 @@ from .errors import DegenerateCurve, NoConvergence, PolyadicError
 from .ergodic import (CylFunction, cohomology_verdict, extract_limiting_curve)
 from .measure import (encode_theta, letter_stream, measure_params,
                       weight_residual)
-from .paths import (PathPrefix, kappa, letter_table, path_column, rank,
+from .paths import (PathPrefix, letter_table, path_column, prefix_walk,
                     successor, unrank, word_from_string, word_to_string)
 from .poly import DimTable, GenPolynomial
 from .takagi import parabola_profile, takagi_function
@@ -82,11 +82,13 @@ def _cmd_tq(args, parser) -> int:
 def _cmd_rank(args, parser) -> int:
     if args.word is not None:
         word = word_from_string(args.word, args.poly)
-        kap = kappa(word, args.poly)
         column = path_column(word, args.poly)
+        n, kap, rnk = 0, 0, 1               # the empty word
+        for n, kap, rnk in prefix_walk(word, column):
+            pass
         _emit(args, ("word", "n", "kappa", "rank", "dim"),
-              [(word_to_string(word, args.poly), len(word), kap,
-                str(rank(word, column)), str(column.dim(len(word), kap)))])
+              [(word_to_string(word, args.poly), n, kap, str(rnk),
+                str(column.dim(n, kap)))])
         return 0
     if args.level is None or args.kappa is None or args.index is None:
         parser.error("rank needs --word, or --level/--kappa/--index")
@@ -142,7 +144,7 @@ def _cmd_curve(args, parser) -> int:
     g = _load_g(args.g, args.poly)
     x = PathPrefix((), extend=letter_stream(mp, args.seed), max_level=nmax)
     curve, diag = extract_limiting_curve(
-        g, x, DimTable(args.poly), eps=args.eps, delta=args.delta, m=m,
+        g, x, args.poly, eps=args.eps, delta=args.delta, m=m,
         tol=args.tol, n_max=nmax, mp=None if args.align < 0 else mp,
         align=max(args.align, 0))
     rows = list(zip((repr(v) for v in curve.xs), (repr(v) for v in curve.ys)))
@@ -265,8 +267,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # Exact integers are printed in full: lift the interpreter's cap on
+    # int <-> str digits (Python >= 3.10.7) for the length of the command.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)
         return args.func(args, parser)
     except (NoConvergence, DegenerateCurve) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -274,6 +281,9 @@ def main(argv=None) -> int:
     except (PolyadicError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

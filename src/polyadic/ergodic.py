@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -110,10 +109,9 @@ class HCoeffs:
     values: tuple[Fraction, ...]
 
 
-def h_coeffs(g: CylFunction, table: DimTable) -> HCoeffs:
-    d = table.poly.degree
-    ks = letter_table(table.poly).kstep
-    out = [Fraction(0)] * (g.N * d + 1)
+def h_coeffs(g: CylFunction, poly: GenPolynomial) -> HCoeffs:
+    ks = letter_table(poly).kstep
+    out = [Fraction(0)] * (g.N * poly.degree + 1)
     for word, val in g.values.items():
         out[sum(ks[c] for c in word)] += Fraction(val)
     return HCoeffs(g.N, tuple(out))
@@ -145,43 +143,6 @@ def tower_total(h: HCoeffs, n: int, kap: int, table: DimTable) -> float:
         raise ValueError("tower level below function rank")
     total = sum(hl * table.dim(n - h.N, kap - l) for l, hl in enumerate(h.values))
     return _to_float(total.numerator, total.denominator, "tower total", n)
-
-
-@lru_cache(maxsize=64)
-def _words_at(poly: GenPolynomial, length: int):
-    """All words of a short length, bucketed by vertex index."""
-    ks = letter_table(poly).kstep
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for w in product(range(poly.alphabet_size), repeat=length):
-        buckets.setdefault(sum(ks[c] for c in w), []).append(w)
-    return buckets
-
-
-def partial_sum_exact(g: CylFunction, word, table: DimTable) -> Fraction:
-    """Sum of g over the tower's words up to and including the given word."""
-    n = len(word)
-    N = g.N
-    if n < N:
-        raise ValueError("word shorter than function rank")
-    lt = letter_table(table.poly)
-    hfr = h_coeffs(g, table).values
-    kaps = [0]
-    for c in word:
-        kaps.append(kaps[-1] + lt.kstep[c])
-    total = Fraction(0)
-    for j in range(1, n + 1):
-        for c in range(word[j - 1]):
-            kbot = kaps[j] - lt.kstep[c]
-            if kbot < 0 or kbot > (j - 1) * table.poly.degree:
-                continue
-            if j - 1 >= N:
-                total += sum(hl * table.dim(j - 1 - N, kbot - l)
-                             for l, hl in enumerate(hfr))
-            else:
-                tail = (c,) + tuple(word[j:N])
-                for v in _words_at(table.poly, j - 1).get(kbot, ()):
-                    total += Fraction(g(v + tail))
-    return total + Fraction(g(word[:N]))
 
 
 def _top_walk(n: int, kap: int, m: int, table: DimTable | PathColumn, phi=None):
@@ -252,7 +213,7 @@ def _grid_numerators(g: CylFunction, n: int, kap: int, m: int,
     if H == 0:
         raise ValueError(f"empty tower at ({n}, {kap})")
     s = _dyadic_bits(g.values.values())
-    h = [(l, _scaled(v, s)) for l, v in enumerate(h_coeffs(g, table).values) if v]
+    h = [(l, _scaled(v, s)) for l, v in enumerate(h_coeffs(g, table.poly).values) if v]
 
     @lru_cache(maxsize=None)
     def phi(level, k):          # 2^s times the sum of g over a block
@@ -294,19 +255,11 @@ def fluctuation_curve(g: CylFunction, n: int, kap: int, m: int,
 
 def curve_value(curve: PolygonalCurve, x: float) -> float:
     """Piecewise-linear value of the curve at x in [0, 1]."""
-    xs, ys = curve.xs, curve.ys
-    if x <= xs[0]:
-        return ys[0]
-    if x >= xs[-1]:
-        return ys[-1]
-    hi = bisect_right(xs, x)
-    lo = hi - 1
-    w = (x - xs[lo]) / (xs[hi] - xs[lo])
-    return ys[lo] * (1.0 - w) + ys[hi] * w
+    return _values_on(curve, (x,))[0]
 
 
 def _values_on(curve: PolygonalCurve, grid) -> list[float]:
-    """curve_value at every point of an ascending grid, by one merge pass."""
+    """Piecewise-linear values on an ascending grid, by one merge pass."""
     xs, ys = curve.xs, curve.ys
     first, last = xs[0], xs[-1]
     out = []
@@ -317,7 +270,7 @@ def _values_on(curve: PolygonalCurve, grid) -> list[float]:
         elif x >= last:
             out.append(ys[-1])
         else:
-            while xs[hi] <= x:      # hi = bisect_right(xs, x), as in curve_value
+            while xs[hi] <= x:      # hi = bisect_right(xs, x)
                 hi += 1
             lo = hi - 1
             w = (x - xs[lo]) / (xs[hi] - xs[lo])
@@ -364,7 +317,7 @@ def measure_ray(mp, n: int) -> int:
     return math.floor(n * mean + 0.5)
 
 
-def extract_limiting_curve(g: CylFunction, x, table: DimTable, *,
+def extract_limiting_curve(g: CylFunction, x, poly: GenPolynomial, *,
                            eps: float = 0.1, delta: float = 0.1, m: int = 6,
                            tol: float = 0.05, n_max: int = 300,
                            mp=None, align: int = 1):
@@ -373,8 +326,7 @@ def extract_limiting_curve(g: CylFunction, x, table: DimTable, *,
     Returns (curve, diagnostics); diagnostics carries the candidate levels
     and the sup-distance series whether or not it converged.  Failure to
     drop below tol raises NoConvergence with the same series attached.  The
-    walk reads a PathColumn along x, so ``table`` only supplies the
-    polynomial and never grows.
+    walk reads exact dimensions from a PathColumn along x.
 
     When the sampling measure ``mp`` is given, the walk keeps only the
     candidate levels whose vertex revisits the measure's typical ray (within
@@ -386,7 +338,7 @@ def extract_limiting_curve(g: CylFunction, x, table: DimTable, *,
     diagnostics = {"levels": [], "distances": []}
     prev = None
     # A curve at level n reads levels n-m-N..n within (m+N)*d of the path.
-    column = path_column(x, table.poly, m + g.N)
+    column = path_column(x, poly, m + g.N)
     for n, kap in _stabilizing_levels(x, column, eps, delta, n_max):
         if n - m < g.N or (mp is not None and abs(kap - measure_ray(mp, n)) > align):
             continue

@@ -29,6 +29,7 @@ from .paths import letter_table
 from .poly import GenPolynomial
 
 _STATIONARY_BUDGET = 2_000_000
+_ROOT_TOL = 1e-14               # largest weight-equation residual solve_t accepts
 
 # Fractional bits of the fixed-point coder (50 decimal digits are 166 bits).
 # After k letters the decoder's remainder is off by about 2^-PREC over the
@@ -57,7 +58,7 @@ def _horner(coeffs, t):
     return acc
 
 
-def solve_t(poly: GenPolynomial, q: float, tol: float = 1e-14) -> float:
+def solve_t(poly: GenPolynomial, q: float) -> float:
     """Root t in (0, 1) of the weight equation; bisection then Newton polish.
 
     The degenerate degree-0 case has no free parameter: the equation forces
@@ -94,8 +95,8 @@ def solve_t(poly: GenPolynomial, q: float, tol: float = 1e-14) -> float:
         if nxt == t:
             break
         t = nxt
-    if abs(_horner(coeffs, t)) > tol:
-        raise NoRoot(f"Newton polish left residual above {tol} for q={q}")
+    if abs(_horner(coeffs, t)) > _ROOT_TOL:
+        raise NoRoot(f"Newton polish left residual above {_ROOT_TOL} for q={q}")
     return t
 
 

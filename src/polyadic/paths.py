@@ -25,9 +25,6 @@ class LetterTable:
 
     poly: GenPolynomial
     kstep: tuple[int, ...]       # vertex-index increment of each letter
-    k1step: tuple[int, ...]      # d - kstep
-    group_index: tuple[int, ...]  # 0 for the first (largest-step) letter group
-    offset: tuple[int, ...]      # position within the letter's group
     # number of letters with label < c stepping by s, for each letter c
     below: tuple[tuple[int, ...], ...]
 
@@ -36,19 +33,13 @@ class LetterTable:
 def letter_table(poly: GenPolynomial) -> LetterTable:
     """Label groups in decreasing step order: sizes (a_d, ..., a_0)."""
     d = poly.degree
-    kstep, group_index, offset = [], [], []
-    for g, step in enumerate(range(d, -1, -1)):
-        for i in range(poly.coeffs[step]):
-            kstep.append(step)
-            group_index.append(g)
-            offset.append(i)
+    kstep = tuple(s for s in range(d, -1, -1) for _ in range(poly.coeffs[s]))
     below = []
     counts = [0] * (d + 1)
-    for c in range(poly.alphabet_size):
+    for s in kstep:
         below.append(tuple(counts))
-        counts[kstep[c]] += 1
-    return LetterTable(poly, tuple(kstep), tuple(d - s for s in kstep),
-                       tuple(group_index), tuple(offset), tuple(below))
+        counts[s] += 1
+    return LetterTable(poly, kstep, tuple(below))
 
 
 def kappa(word, poly: GenPolynomial) -> int:
@@ -87,16 +78,13 @@ def path_column(x, poly: GenPolynomial, depth: int = 0) -> PathColumn:
     return PathColumn(poly, (ks[x.letter(n)] for n in count(1)), depth)
 
 
-def rank(word, table: DimTable | PathColumn) -> int:
+def rank(word, poly: GenPolynomial) -> int:
     """1-based position of the word in its lexicographically ordered tower.
 
-    The walk reads only near the word's vertices, so a DimTable passed here
-    gives just the polynomial: the word's own column replaces it.
+    The walk reads only near the word's vertices, along its own column.
     """
-    if isinstance(table, DimTable):
-        table = path_column(word, table.poly)
     rnk = 1
-    for _, _, rnk in prefix_walk(word, table):
+    for _, _, rnk in prefix_walk(word, path_column(word, poly)):
         pass
     return rnk
 

@@ -12,7 +12,6 @@ is all that ranking and curve extraction along that path read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapacityError
 
@@ -184,49 +183,3 @@ class PathColumn:
         self._rows[n] = dict(zip(range(lo, hi + 1), vals))
         self._rows.pop(n - self._keep, None)
         self._n = n
-
-
-def is_unimodal(row) -> bool:
-    """True if the sequence rises (weakly) to a peak and then falls (weakly)."""
-    i = 0
-    while i + 1 < len(row) and row[i] <= row[i + 1]:
-        i += 1
-    while i + 1 < len(row) and row[i] >= row[i + 1]:
-        i += 1
-    return i == len(row) - 1
-
-
-def unimodal_start(table: DimTable, limit: int = 64):
-    """Smallest n1 <= limit with rows n1..n_max all unimodal, or None."""
-    last_bad = -1
-    for n in range(min(limit, table.n_max) + 1):
-        if not is_unimodal(table.row(n)):
-            last_bad = n
-    for n in range(limit + 1, table.n_max + 1):
-        if not is_unimodal(table.row(n)):
-            return None
-    return last_bad + 1 if last_bad + 1 <= limit else None
-
-
-def max_adjacent_ratio(row) -> Fraction:
-    """Largest ratio between neighbouring entries of a positive row, both ways."""
-    best = Fraction(0)
-    for a, b in zip(row, row[1:]):
-        if a == 0 or b == 0:
-            raise ValueError("row has zero entries")
-        best = max(best, Fraction(b, a), Fraction(a, b))
-    return best
-
-
-def ratio_constant(table: DimTable, n1: int, fit_up_to: int) -> Fraction:
-    """Fit C1 with max_adjacent_ratio(row n) <= C1*n on levels n1..fit_up_to.
-
-    The constant is meant to be fitted once on a low window and then asserted
-    on every higher level of the table.
-    """
-    if not 1 <= n1 <= fit_up_to <= table.n_max:
-        raise ValueError("need 1 <= n1 <= fit_up_to <= n_max")
-    best = Fraction(0)
-    for n in range(n1, fit_up_to + 1):
-        best = max(best, max_adjacent_ratio(table.row(n)) / n)
-    return best

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DivisionByZeroJet, NoRoot
+from .errors import CapacityError, DivisionByZeroJet, NoRoot
 from .measure import (_horner, _weight_poly_coeffs, cylinder, cylinder_measure,
                       decode, encode, low_sums, measure_params, solve_t)
 from .paths import letter_table
@@ -135,20 +135,6 @@ def t_jet(poly: GenPolynomial, q: float, order: int) -> Jet:
     return t
 
 
-def t_prime_closed_form(poly: GenPolynomial, q: float) -> float:
-    """First derivative of t(q) from the implicit function theorem."""
-    d = poly.degree
-    if d == 0:
-        raise NoRoot("degree-0 system has no free parameter")
-    t = solve_t(poly, q)
-    num = sum(a * (d - j) * q ** (d - j - 1) * t ** j
-              for j, a in enumerate(poly.coeffs) if j < d)
-    num -= (d - 1) * q ** (d - 2) if d >= 2 else 0.0
-    den = sum(a * j * q ** (d - j) * t ** (j - 1)
-              for j, a in enumerate(poly.coeffs) if j >= 1)
-    return -num / den
-
-
 @lru_cache(maxsize=128)
 def _letter_jets(poly: GenPolynomial, q: float, order: int):
     """Per-letter weight jets and their low cumulative sums at q2 = q."""
@@ -195,14 +181,12 @@ def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
         return float(x)
     weights, lows = _letter_jets(poly, q, k)
     acc = encode(weights, lows, decode(poly, q, x, depth))
-    return math.factorial(k) * acc.coeffs[k]
-
-
-def depth_for(poly: GenPolynomial, q: float, tol: float) -> int:
-    """Digit depth making the truncated tail smaller than tol."""
-    p_max = max(measure_params(poly, q).weights)
-    needed = math.ceil(math.log(tol) / (0.99 * math.log(p_max)))
-    return max(needed, 1)
+    try:        # k! c_k formed exactly and rounded once: k! leaves float range at 171
+        num, den = acc.coeffs[k].as_integer_ratio()
+        return math.factorial(k) * num / den
+    except (OverflowError, ValueError):
+        raise CapacityError(f"derivative of order {k} at x={x} is not a finite "
+                            f"float: {k}! * {acc.coeffs[k]!r}") from None
 
 
 def self_affinity_residual(poly: GenPolynomial, q1: float, q2: float, w0,
@@ -218,7 +202,7 @@ def self_affinity_residual(poly: GenPolynomial, q1: float, q2: float, w0,
     x0, r1 = cylinder(poly, q1, w0)
 
     def recode(y) -> float:
-        return encode(mp2.weights, mp2.lows, decode(poly, q1, y, depth))
+        return coding_map(poly, q1, q2, y, depth)
 
     return abs(recode(x0 + r1 * Fraction(x)) - recode(x0)
                - cylinder_measure(mp2, w0) * recode(x))

@@ -3,8 +3,25 @@
 from fractions import Fraction
 from itertools import product
 
-from polyadic import (CapacityError, GenPolynomial, PathPrefix, h_coeffs, kappa,
-                      letter_table, minimal_word, successor)
+import pytest
+
+from polyadic import (CapacityError, DimTable, GenPolynomial, NoRoot, PathPrefix,
+                      h_coeffs, kappa, letter_table, minimal_word, solve_t,
+                      successor)
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """Every DimTable constructed while the test runs, in order."""
+    tables = []
+    init = DimTable.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(self)
+
+    monkeypatch.setattr(DimTable, "__init__", recorded)
+    return tables
 
 
 def tail_less(w1, w2) -> bool:
@@ -62,6 +79,20 @@ def brute_tower_sums(g, n, kap, table, cap=1_000_000):
         acc += g(word)
         sums.append(acc)
     return sums
+
+
+def t_prime_closed_form(poly: GenPolynomial, q: float) -> float:
+    """First derivative of t(q) from the implicit function theorem."""
+    d = poly.degree
+    if d == 0:
+        raise NoRoot("degree-0 system has no free parameter")
+    t = solve_t(poly, q)
+    num = sum(a * (d - j) * q ** (d - j - 1) * t ** j
+              for j, a in enumerate(poly.coeffs) if j < d)
+    num -= (d - 1) * q ** (d - 2) if d >= 2 else 0.0
+    den = sum(a * j * q ** (d - j) * t ** (j - 1)
+              for j, a in enumerate(poly.coeffs) if j >= 1)
+    return -num / den
 
 
 # -- reference digit decoder --------------------------------------------------
@@ -178,7 +209,7 @@ def reference_grid(g, n, kap, m, table):
     N = g.N
     d = table.poly.degree
     H = table.dim(n, kap)
-    hfr = [Fraction(v) for v in h_coeffs(g, table).values]
+    hfr = [Fraction(v) for v in h_coeffs(g, table.poly).values]
     T = [table.dim(n - N, kap - l) for l in range(N * d + 1)]
     nodes = []
     for _, kb, L, blocks in reference_top_blocks(n, kap, m, table):

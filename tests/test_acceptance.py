@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from conftest import brute_tower_sums, tower_words_sorted
+from conftest import brute_tower_sums, t_prime_closed_form, tower_words_sorted
 from polyadic import (CylFunction, DegenerateCurve, DimTable, GenPolynomial,
                       MIRROR_SIGN, PathPrefix,
                       cohomology_verdict, coding_map, cylinder_measure,
@@ -22,8 +22,7 @@ from polyadic import (CylFunction, DegenerateCurve, DimTable, GenPolynomial,
                       iter_tower, kappa, letter_stream, letter_table,
                       measure_params, node_grid, parabola_profile, rank,
                       self_affinity_residual, solve_t, successor, t_jet,
-                      t_prime_closed_form, takagi_function,
-                      unrank, weight_residual)
+                      takagi_function, unrank, weight_residual)
 from polyadic.ergodic import _grid_numerators
 
 CURVE_SEED = 2
@@ -46,7 +45,7 @@ def test_a1_rank_unrank_successor_exact():
                 words = tower_words_sorted(poly, n, kap)
                 assert len(words) == table.dim(n, kap)
                 for j, w in enumerate(words, 1):
-                    assert rank(w, table) == j
+                    assert rank(w, poly) == j
                     assert unrank(n, kap, j, table) == w
                 assert list(iter_tower(n, kap, poly)) == words
                 total += len(words)
@@ -194,10 +193,9 @@ def test_a6_takagi_values():
 
 
 def _curve_protocol(poly, q, g, seed=CURVE_SEED, n_max=300):
-    table = DimTable(poly, n_max)
     mp = measure_params(poly, q)
     x = PathPrefix((), extend=letter_stream(mp, seed), max_level=n_max)
-    curve, diag = extract_limiting_curve(g, x, table, eps=0.1, delta=0.1, m=6,
+    curve, diag = extract_limiting_curve(g, x, poly, eps=0.1, delta=0.1, m=6,
                                          tol=0.05, n_max=n_max, mp=mp)
     reference = [takagi_function(poly, q, 1, xx) for xx in curve.xs]
     scale = max(abs(v) for v in reference)
@@ -219,8 +217,8 @@ def test_a7_pascal_limiting_curve():
 
 def test_a8_polynomial_limiting_curve():
     poly = GenPolynomial((1, 1, 1))
-    k1 = letter_table(poly).k1step
-    g = CylFunction(1, {(c,): -float(k1[c]) for c in range(3)})
+    ks = letter_table(poly).kstep
+    g = CylFunction(1, {(c,): -float(poly.degree - ks[c]) for c in range(3)})
     curve, diag, dist = _curve_protocol(poly, 0.25, g)
     assert diag["converged_at"] <= 300
     assert diag["distances"][-1] < 0.05

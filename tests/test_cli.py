@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import poly_power_row
 from polyadic import (CylFunction, DimTable, GenPolynomial, PathPrefix,
                       extract_limiting_curve, letter_stream, measure_params)
 from polyadic import cli
@@ -106,7 +112,7 @@ def test_curve_writes_files_and_is_deterministic(tmp_path, capsys):
     assert isinstance(meta["R"], str)
     mp = measure_params(poly, 0.5)
     x = PathPrefix((), extend=letter_stream(mp, 2), max_level=300)
-    curve, _ = extract_limiting_curve(CylFunction(1, {(0,): 1.0}), x, DimTable(poly),
+    curve, _ = extract_limiting_curve(CylFunction(1, {(0,): 1.0}), x, poly,
                                       m=6, n_max=300, mp=mp)
     assert meta["R"] == repr(curve.R) and float(meta["R"]) == curve.R
     body = out1.read_text().splitlines()
@@ -322,3 +328,106 @@ def test_rank_word_past_the_dense_table_budget(capsys):
     # each 1 at level j adds the words carrying 0 there: C(j - 1, kappa_{j-1} - 1)
     assert int(rnk) == 1 + sum(math.comb(j - 1, j // 2 - 1)
                                for j in range(2, 3001, 2))
+
+
+def test_dims_prints_integers_past_the_digit_limit(capsys):
+    # C(44, 0) = (10^100)^44 has 4401 digits, past Python's default of 4300
+    coeffs = (10 ** 100, 1)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "dims", "--poly", "1" + "0" * 100 + ",1",
+                         "--nmax", "44")
+    assert code == 0, err
+    # the command restores the interpreter's limit
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    last = [line.split(",")[2] for line in out.splitlines() if line.startswith("44,")]
+    assert len(last[0]) == 4401
+    if limit is not None:           # parse with the limit lifted, then restore it
+        sys.set_int_max_str_digits(0)
+    try:
+        assert [int(v) for v in last] == poly_power_row(coeffs, 44)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_takagi_past_171_factorial(capsys):
+    code, out, err = run(capsys, "takagi", "--poly", "1,1", "--q", "0.5",
+                         "--k", "171", "--grid", "4", "--depth", "5")
+    assert code == 0, err
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["0.0"] * 5
+    code, out, err = run(capsys, "takagi", "--poly", "1,1,2", "--q", "0.25",
+                         "--k", "171", "--grid", "4", "--depth", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "order 171" in err
+
+
+# -- exit codes for drawn command lines ----------------------------------------
+#
+# A small grammar over every command.  Each option is drawn on its own, so a
+# required one (upper case below) is now and then missing: a usage error, 2.
+# Values come from small ranges with negatives; polynomials, q, the float
+# knobs and the g files take values inside and outside their domains.
+
+_INT = st.integers(-3, 12).map(str)
+_SMALL = st.integers(-2, 4).map(str)
+_POLY = st.sampled_from(["1,1", "1,1", "1,1,2", "3", "2,1", "1,0", "x"])
+_Q = st.sampled_from(["0.5", "0.25", "0.3", "0", "1", "1.5", "-0.2", "nan"])
+_FLOAT = st.sampled_from(["0.1", "0.05", "0", "0.3", "1.5", "-1", "nan"])
+_WORD = st.text("012349,", max_size=6)
+_G = st.sampled_from(["g11.json", "g11.json", "gconst.json", "g3.json", "missing.json"])
+_GRAMMAR = {
+    "dims": {"POLY": _POLY, "NMAX": _INT},
+    "tq": {"POLY": _POLY, "Q": _Q},
+    "rank": {"POLY": _POLY, "word": _WORD, "level": _INT, "kappa": _INT,
+             "index": _INT},
+    "succ": {"POLY": _POLY, "WORD": _WORD, "steps": _INT, "pred": None},
+    "orbit": {"POLY": _POLY, "Q": _Q, "steps": _INT, "word": _WORD, "n": _INT,
+              "seed": _INT, "horizon": _INT},
+    "curve": {"POLY": _POLY, "Q": _Q, "G": _G, "eps": _FLOAT, "delta": _FLOAT,
+              "m": _SMALL, "tol": _FLOAT, "seed": _INT, "align": _SMALL,
+              "nmax": st.sampled_from(["-1", "0", "12", "40", "300"])},
+    "cohom": {"POLY": _POLY, "G": _G, "NMAX": _INT, "m": _SMALL},
+    "takagi": {"POLY": _POLY, "Q": _Q, "grid": _SMALL,
+               "k": st.one_of(st.integers(-2, 4), st.sampled_from([23, 171, 200])).map(str),
+               "depth": st.integers(-2, 8).map(str)},
+    "parabola": {"D": _INT, "grid": _SMALL, "depth": _SMALL},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [command]
+    options = {**_GRAMMAR[command], "out": st.sampled_from(["out.csv", "no/dir/out.csv"])}
+    for name, values in options.items():
+        if draw(st.integers(0, 9)) < (9 if name.isupper() else 4):
+            option = "--" + name.lower()
+            argv += [option] if values is None else [option, draw(values)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli")
+    (path / "g11.json").write_text('{"poly": [1, 1], "N": 1, "values": {"0": 1.0}}')
+    (path / "g3.json").write_text('{"poly": [3], "N": 2, "values": {"01": 1.0, "12": -0.5}}')
+    (path / "gconst.json").write_text('{"poly": [1, 1], "N": 1, "values": {"0": 2.0, "1": 2.0}}')
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@example(["takagi", "--poly", "1,1", "--q", "0.5", "--k", "171", "--grid", "1",
+          "--depth", "5"])
+@example(["takagi", "--poly", "1,1,2", "--q", "0.25", "--k", "171", "--grid", "1",
+          "--depth", "5"])
+@given(argv=_argv())
+def test_drawn_command_lines_end_in_a_documented_exit_code(cli_files, argv):
+    argv = [str(cli_files / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3)

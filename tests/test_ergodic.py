@@ -1,19 +1,20 @@
 import json
+import math
 import random
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, product
 
 import pytest
 
-from conftest import brute_tower_sums, tower_words_sorted
+from conftest import brute_tower_sums, poly_power_row, tower_words_sorted
 from polyadic import (CapacityError, CylFunction, DegenerateCurve, DimTable,
                       GenPolynomial, NoConvergence, PathPrefix, PolygonalCurve,
                       central_vertex,
                       cohomology_verdict, curve_value, extract_limiting_curve,
                       fluctuation_curve, h_coeffs, kappa, letter_stream,
                       letter_table, measure_params, measure_ray, node_grid,
-                      partial_sum_exact, rank,
-                      stationary_points, sup_distance,
+                      rank, stationary_points, sup_distance,
                       tower_total, maximal_word, minimal_word,
                       iter_tower)
 from polyadic.ergodic import _grid_numerators, _stabilizing_levels
@@ -23,10 +24,65 @@ P111 = GenPolynomial((1, 1, 1))
 P112 = GenPolynomial((1, 1, 2))
 P113 = GenPolynomial((1, 1, 3))
 T11 = DimTable(P11, 300)
-T111 = DimTable(P111, 30)
 T113 = DimTable(P113, 8)
 
 G_FIRST0 = CylFunction(1, {(0,): 1.0})
+
+
+# -- partial-sum oracle -------------------------------------------------------
+#
+# A second, block-by-block accumulation of the partial sums: the words below
+# a word in its tower split, for each level j and each letter c below the
+# word's letter there, into the block of words that agree above j and carry
+# c at j.  Deep blocks are summed through the vertex sums h_l and the
+# convolution rows of conftest; shallow ones are enumerated.
+
+
+@lru_cache(maxsize=None)
+def _words_at(poly: GenPolynomial, length: int):
+    """All words of a short length, bucketed by vertex index."""
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for w in product(range(poly.alphabet_size), repeat=length):
+        buckets.setdefault(kappa(w, poly), []).append(w)
+    return buckets
+
+
+@lru_cache(maxsize=None)
+def _row(coeffs, n):
+    return tuple(poly_power_row(coeffs, n))
+
+
+def _dim(poly, n, k):
+    row = _row(poly.coeffs, n)
+    return row[k] if 0 <= k < len(row) else 0
+
+
+def partial_sum_exact(g: CylFunction, word, poly: GenPolynomial) -> Fraction:
+    """Sum of g over the tower's words up to and including the given word."""
+    n = len(word)
+    N = g.N
+    if n < N:
+        raise ValueError("word shorter than function rank")
+    ks = letter_table(poly).kstep
+    hfr = [sum((Fraction(g(w)) for w in _words_at(poly, N).get(l, ())), Fraction(0))
+           for l in range(N * poly.degree + 1)]
+    kaps = [0]
+    for c in word:
+        kaps.append(kaps[-1] + ks[c])
+    total = Fraction(0)
+    for j in range(1, n + 1):
+        for c in range(word[j - 1]):
+            kbot = kaps[j] - ks[c]
+            if kbot < 0 or kbot > (j - 1) * poly.degree:
+                continue
+            if j - 1 >= N:
+                total += sum(hl * _dim(poly, j - 1 - N, kbot - l)
+                             for l, hl in enumerate(hfr))
+            else:
+                tail = (c,) + tuple(word[j:N])
+                for v in _words_at(poly, j - 1).get(kbot, ()):
+                    total += Fraction(g(v + tail))
+    return total + Fraction(g(word[:N]))
 
 
 def test_cyl_function_basics():
@@ -66,22 +122,22 @@ def test_cyl_function_rejects_ints_past_float_range():
 
 
 def test_h_coeffs_examples():
-    h = h_coeffs(G_FIRST0, T11)
+    h = h_coeffs(G_FIRST0, P11)
     assert h.values == (0.0, 1.0)
     const = CylFunction.from_table(P113, 1, lambda w: 2.5)
-    h = h_coeffs(const, T113)
+    h = h_coeffs(const, P113)
     assert h.values == tuple(2.5 * T113.dim(1, l) for l in range(3))
-    k1 = letter_table(P111).k1step
-    g = CylFunction(1, {(c,): -float(k1[c]) for c in range(3)})
-    assert h_coeffs(g, T111).values == (-2.0, -1.0, 0.0)
+    ks = letter_table(P111).kstep
+    g = CylFunction(1, {(c,): -float(P111.degree - ks[c]) for c in range(3)})
+    assert h_coeffs(g, P111).values == (-2.0, -1.0, 0.0)
 
 
 def test_tower_total_examples():
     one = CylFunction.from_table(P113, 1, lambda w: 1.0)
     for n in range(1, 7):
         for kap in range(2 * n + 1):
-            assert tower_total(h_coeffs(one, T113), n, kap, T113) == T113.dim(n, kap)
-    h = h_coeffs(G_FIRST0, T11)
+            assert tower_total(h_coeffs(one, P113), n, kap, T113) == T113.dim(n, kap)
+    h = h_coeffs(G_FIRST0, P11)
     for n in range(1, 12):
         for kap in range(n + 1):
             assert tower_total(h, n, kap, T11) == T11.dim(n - 1, kap - 1)
@@ -93,8 +149,8 @@ def test_partial_sum_extremes():
     for n, kap in ((4, 2), (6, 3)):
         wmin = minimal_word(n, kap, P11)
         wmax = maximal_word(n, kap, P11)
-        assert float(partial_sum_exact(g, wmin, T11)) == g(wmin)
-        assert float(partial_sum_exact(g, wmax, T11)) == tower_total(h_coeffs(g, T11), n, kap, T11)
+        assert float(partial_sum_exact(g, wmin, P11)) == g(wmin)
+        assert float(partial_sum_exact(g, wmax, P11)) == tower_total(h_coeffs(g, P11), n, kap, T11)
 
 
 @pytest.mark.parametrize("poly,table,g", [
@@ -108,14 +164,14 @@ def test_partial_sum_matches_brute(poly, table, g):
         for kap in range(n * poly.degree + 1):
             sums = brute_tower_sums(g, n, kap, table)
             for j, w in enumerate(iter_tower(n, kap, poly), 1):
-                assert float(partial_sum_exact(g, w, table)) == pytest.approx(sums[j - 1], abs=1e-12)
+                assert float(partial_sum_exact(g, w, poly)) == pytest.approx(sums[j - 1], abs=1e-12)
 
 
 def test_brute_tower_sums_properties():
     zero = CylFunction(1, {})
     assert brute_tower_sums(zero, 5, 2, T11) == [0.0] * T11.dim(5, 2)
     sums = brute_tower_sums(G_FIRST0, 7, 3, T11)
-    assert sums[-1] == tower_total(h_coeffs(G_FIRST0, T11), 7, 3, T11)
+    assert sums[-1] == tower_total(h_coeffs(G_FIRST0, P11), 7, 3, T11)
     with pytest.raises(CapacityError):
         brute_tower_sums(G_FIRST0, 30, 15, T11, cap=10)
 
@@ -129,7 +185,7 @@ def test_node_grid_examples():
     assert [w for _, _, w in nodes] == tower_words_sorted(P11, 4, 2)
     # representative words actually have the stated rank
     for _, L, w in node_grid(6, 8, 3, T113):
-        assert rank(w, T113) == L
+        assert rank(w, P113) == L
 
 
 def test_node_grid_converges_to_stationary_points():
@@ -212,7 +268,7 @@ def test_stabilizing_candidates_basics():
     cands = [n for n, _ in _stabilizing_levels(y, table=T11, eps=1.0, delta=0.0,
                                                 n_max=40)]
     expected = [n for n, kap, rnk in
-                [(n, kappa(y.prefix(n), P11), rank(y.prefix(n), T11))
+                [(n, kappa(y.prefix(n), P11), rank(y.prefix(n), P11))
                  for n in range(1, 41)]
                 if rnk < T11.dim(n, kap)]
     assert cands == expected
@@ -242,7 +298,7 @@ def test_stabilizing_recurrence_for_random_paths():
 def test_extract_limiting_curve_converges_and_diagnoses():
     mp = measure_params(P11, 0.5)
     x = PathPrefix((), extend=letter_stream(mp, 2), max_level=300)
-    curve, diag = extract_limiting_curve(G_FIRST0, x, T11, eps=0.1, delta=0.1,
+    curve, diag = extract_limiting_curve(G_FIRST0, x, P11, eps=0.1, delta=0.1,
                                          m=6, tol=0.05, n_max=300, mp=mp)
     assert diag["converged_at"] == curve.n
     assert diag["distances"][-1] < 0.05
@@ -253,13 +309,13 @@ def test_extract_limiting_curve_failure_modes():
     mp = measure_params(P11, 0.5)
     x = PathPrefix((), extend=letter_stream(mp, 2), max_level=100)
     with pytest.raises(NoConvergence) as err:
-        extract_limiting_curve(G_FIRST0, x, T11, eps=0.1, delta=0.1, m=5,
+        extract_limiting_curve(G_FIRST0, x, P11, eps=0.1, delta=0.1, m=5,
                                tol=1e-9, n_max=100, mp=mp)
     assert err.value.distances
     const = CylFunction.from_table(P11, 1, lambda w: 1.0)
     y = PathPrefix((), extend=letter_stream(mp, 2), max_level=100)
     with pytest.raises(DegenerateCurve):
-        extract_limiting_curve(const, y, T11, eps=0.9, delta=0.0, m=4,
+        extract_limiting_curve(const, y, P11, eps=0.9, delta=0.0, m=4,
                                tol=0.05, n_max=60)
 
 
@@ -295,7 +351,7 @@ def test_cohomology_verdicts():
 def test_partial_sum_exact_is_rational():
     from fractions import Fraction
     g = CylFunction(2, {(0, 1): 1.0, (1, 1): -3.0})
-    val = partial_sum_exact(g, (0, 1, 1, 0, 1), T11)
+    val = partial_sum_exact(g, (0, 1, 1, 0, 1), P11)
     assert isinstance(val, Fraction)
 
 
@@ -306,7 +362,7 @@ def test_float_range_is_a_capacity_error_at_n1600():
     with pytest.raises(CapacityError, match="level 1600"):
         fluctuation_curve(G_FIRST0, 1600, 800, 4, table)
     with pytest.raises(CapacityError, match="level 1600"):
-        tower_total(h_coeffs(G_FIRST0, table), 1600, 800, table)
+        tower_total(h_coeffs(G_FIRST0, P11), 1600, 800, table)
     with pytest.raises(CapacityError, match=r"level \d+ exceeds float range"):
         cohomology_verdict(G_FIRST0, table, 1600, m=4)
 
@@ -324,10 +380,10 @@ def test_vertex_sums_past_float_range_end_in_capacity_errors():
     # h_l is an exact sum, so two values near the float maximum add up;
     # only the float conversions that need the sum can fail, naming the level
     g = CylFunction(2, {(0, 1): 1.7e308, (1, 0): 1.7e308})
-    assert h_coeffs(g, T11).values == (0, 2 * Fraction(1.7e308), 0)
+    assert h_coeffs(g, P11).values == (0, 2 * Fraction(1.7e308), 0)
     assert fluctuation_curve(g, 6, 3, 2, T11).R == 1.7e308
     with pytest.raises(CapacityError, match="tower total at level 6 exceeds float range"):
-        tower_total(h_coeffs(g, T11), 6, 3, T11)
+        tower_total(h_coeffs(g, P11), 6, 3, T11)
     with pytest.raises(CapacityError, match="R at level 5 exceeds float range"):
         cohomology_verdict(g, T11, 8)
 
@@ -340,40 +396,45 @@ def test_vertex_sums_keep_values_past_53_bits():
     words = tower_words_sorted(P11, n, kap)
     F = list(accumulate((Fraction(g(w)) for w in words), initial=Fraction(0)))
     H = len(words)
-    assert h_coeffs(g, T11).values == (0, 2 ** 60 + 1, 0)
+    assert h_coeffs(g, P11).values == (0, 2 ** 60 + 1, 0)
     grid_H, nodes = _grid_numerators(g, n, kap, 2, T11)
     assert grid_H == H and len(nodes) == 4
     for L, num in nodes:
         assert num == H * F[L] - L * F[H]
     for L, w in enumerate(words, 1):
-        assert partial_sum_exact(g, w, T11) == F[L]
+        assert partial_sum_exact(g, w, P11) == F[L]
 
 
-def test_extract_limiting_curve_reads_no_dense_row():
+def test_extract_limiting_curve_reads_no_dense_row(built_tables):
     mp = measure_params(P11, 0.5)
 
-    def extract(table):
+    def extract():
         x = PathPrefix((), extend=letter_stream(mp, 2), max_level=300)
-        return x, extract_limiting_curve(G_FIRST0, x, table, m=6, n_max=300, mp=mp)
+        return x, extract_limiting_curve(G_FIRST0, x, P11, m=6, n_max=300, mp=mp)
 
-    small = DimTable(P11, 10)
-    x, (curve, diag) = extract(small)
-    assert (curve, diag) == extract(DimTable(P11, 300))[1]
+    x, (curve, diag) = extract()
+    assert (curve, diag) == extract()[1]
     # the walk stops pulling path letters once it converges
     assert len(x) == diag["converged_at"] < 300
-    # and reads a column along the path, never the table's dense rows
-    assert small.n_max == 10
+    # and reads a column along the path, never a dense table ...
+    assert built_tables == []
+    # ... whose rows give the same curve
+    assert curve == fluctuation_curve(G_FIRST0, curve.n, curve.kappa, 6, T11)
 
 
-def test_extract_limiting_curve_past_the_table_budget():
+def test_extract_limiting_curve_past_the_table_budget(built_tables):
     mp = measure_params(P112, 0.25)
     g = CylFunction(1, {(2,): -1.0, (3,): -2.0})
-
-    def extract(table):
-        x = PathPrefix((), extend=letter_stream(mp, 2), max_level=300)
-        return extract_limiting_curve(g, x, table, m=6, n_max=300, mp=mp)
-
     tiny = DimTable(P112, 1, entry_budget=10)
     with pytest.raises(CapacityError):
         tiny.row(300)
-    assert extract(tiny) == extract(DimTable(P112, 300))
+    x = PathPrefix((), extend=letter_stream(mp, 2), max_level=300)
+    curve, diag = extract_limiting_curve(g, x, P112, m=6, n_max=300, mp=mp)
+    assert built_tables == [tiny]       # the walk builds no table of its own
+    dense = fluctuation_curve(g, curve.n, curve.kappa, 6, DimTable(P112, curve.n))
+    assert curve == dense and diag["converged_at"] == curve.n
+
+
+def test_curve_value_of_nan_is_nan():
+    c = PolygonalCurve((0.0, 0.5, 1.0), (0.0, 1.0, 0.0), 1.0, 0, 0, 0)
+    assert math.isnan(curve_value(c, float("nan")))

@@ -55,7 +55,7 @@ def _protocol_levels(coeffs, q, g, m=6, n_max=300, seed=2):
     table = DimTable(poly, n_max)
     mp = measure_params(poly, q)
     x = PathPrefix((), extend=letter_stream(mp, seed), max_level=n_max)
-    _, diag = extract_limiting_curve(g, x, table, eps=0.1, delta=0.1, m=m,
+    _, diag = extract_limiting_curve(g, x, poly, eps=0.1, delta=0.1, m=m,
                                      tol=0.05, n_max=n_max, mp=mp)
     return table, [(n, kappa(x.prefix(n), poly)) for n in diag["levels"]]
 
@@ -70,8 +70,8 @@ def test_a7_tower_grids_match_reference():
 
 def test_a8_tower_grids_match_reference():
     poly = GenPolynomial((1, 1, 1))
-    k1 = letter_table(poly).k1step
-    g = CylFunction(1, {(c,): -float(k1[c]) for c in range(3)})
+    ks = letter_table(poly).kstep
+    g = CylFunction(1, {(c,): -float(poly.degree - ks[c]) for c in range(3)})
     table, levels = _protocol_levels((1, 1, 1), 0.25, g)
     assert len(levels) >= 2
     for n, kap in levels:

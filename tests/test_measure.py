@@ -132,8 +132,8 @@ def test_sampling_determinism_and_frequencies():
         sd = math.sqrt(w * (1 - w) * len(word))
         assert abs(counts[c] - w * len(word)) <= 3 * sd
     # mean co-step converges to 2q + t for this polynomial
-    k1 = letter_table(P111).k1step
-    mean = sum(k1[c] for c in word) / len(word)
+    ks = letter_table(P111).kstep
+    mean = sum(P111.degree - ks[c] for c in word) / len(word)
     assert mean == pytest.approx(2 * 0.22 + mp.t, abs=0.01)
 
 

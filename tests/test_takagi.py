@@ -1,12 +1,14 @@
+import math
 import random
 
 import pytest
 
-from polyadic import (DivisionByZeroJet, GenPolynomial, Jet, MIRROR_SIGN,
-                      NoRoot, coding_map, cylinder_measure, depth_for,
+from conftest import t_prime_closed_form
+from polyadic import (CapacityError, DivisionByZeroJet, GenPolynomial, Jet,
+                      MIRROR_SIGN, NoRoot, coding_map, cylinder_measure,
                       encode_theta, jet_const, jet_var, letter_table,
                       measure_params, parabola_profile, self_affinity_residual,
-                      t_jet, t_prime_closed_form, takagi_function)
+                      t_jet, takagi_function)
 
 P11 = GenPolynomial((1, 1))
 P111 = GenPolynomial((1, 1, 1))
@@ -214,6 +216,13 @@ def test_self_affinity_residual():
         assert self_affinity_residual(poly, q1, q2, w0, rng.random()) <= 1e-10
 
 
+def depth_for(poly: GenPolynomial, q: float, tol: float) -> int:
+    """Digit depth making the truncated tail smaller than tol."""
+    p_max = max(measure_params(poly, q).weights)
+    needed = math.ceil(math.log(tol) / (0.99 * math.log(p_max)))
+    return max(needed, 1)
+
+
 def test_depth_for():
     poly, q = P112, 0.25
     p_max = max(measure_params(poly, q).weights)
@@ -236,6 +245,16 @@ def test_parabola_deviation_shrinks_with_degree():
     sup4 = max(abs(dev) for _, _, _, dev in parabola_profile(4, 64))
     sup8 = max(abs(dev) for _, _, _, dev in parabola_profile(8, 64))
     assert sup8 < sup4
+
+
+def test_derivative_orders_past_171_factorial():
+    # 171! is past float range; the exact k! c_k still fits for (1,1), where
+    # the re-encoding is a polynomial in q2 of degree below 171
+    for x in (0.0, 0.3, 0.5, 1.0):
+        assert takagi_function(P11, 0.5, 171, x) == 0.0
+    # for (1,1,2) the value itself leaves float range: an error, not inf
+    with pytest.raises(CapacityError, match="order 171"):
+        takagi_function(P112, 0.25, 171, 0.3)
 
 
 def test_takagi_domain_checks():
