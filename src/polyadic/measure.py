@@ -8,10 +8,11 @@ cylinder's mass then depends only on its end vertex.
 
 The coding of [0, 1] subdivides nested intervals in letter-label order, first
 letter most significant; stationary numbers are the points with a finite
-expansion.  One coder serves every number type: ``encode`` runs Horner over
-the digits in any ring (float, ``Fraction``, jets), and ``decode`` extracts
-digits in fixed-point integer arithmetic, which keeps them faithful far past
-the depth where a float remainder has run out of bits.
+expansion.  ``encode`` is the one Horner over the digits, for floats and
+``Fraction``s; the Takagi layer re-encodes in Taylor arithmetic by running the
+same Horner as one float pass per coefficient (``takagi._taylor_encode``).
+``decode`` extracts digits in fixed-point integer arithmetic, which keeps them
+faithful far past the depth where a float remainder has run out of bits.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def solve_t(poly: GenPolynomial, q: float) -> float:
     The degenerate degree-0 case has no free parameter: the equation forces
     q = 1/a_0, and t never enters the weights, so it is returned as q.
     """
+    if not math.isfinite(q):
+        raise NoRoot(f"q={q} is not a finite number")
     d = poly.degree
     a0 = poly.coeffs[0]
     if d == 0:
@@ -196,8 +199,10 @@ def low_sums(weights, zero) -> tuple:
 def encode(weights, lows, digits):
     """Left end of the digits' coding interval, by Horner from the last digit.
 
-    Works in any ring the weights and lows live in (float, ``Fraction``,
-    jets); ``lows[0]`` is that ring's zero, the value of the empty word.
+    Works in any ring the weights and lows live in (float, ``Fraction``);
+    ``lows[0]`` is that ring's zero, the value of the empty word.  Taylor
+    coefficients of the re-encoding come from ``takagi._taylor_encode``,
+    which runs this Horner once per coefficient in floats.
     """
     acc = lows[0]
     for c in reversed(digits):

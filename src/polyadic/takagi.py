@@ -4,8 +4,11 @@
 under another; differentiating it in the second parameter at the diagonal
 produces a family of continuous, typically nowhere-smooth curves whose first
 member (for the two-letter system at q = 1/2) is the classical Takagi curve
-up to normalization.  Derivatives are taken by running the digit re-encoding
-in truncated Taylor arithmetic through the implicitly defined root t(q).
+up to normalization.  Derivatives are taken by re-encoding the digits in
+truncated Taylor arithmetic (forward mode; Griewank and Walther, *Evaluating
+Derivatives*, 2008) through the implicitly defined root t(q): the letter
+weights are jets once per (system, q, order), and the Horner over the digits
+runs as one float pass per Taylor coefficient.
 """
 
 from __future__ import annotations
@@ -126,7 +129,8 @@ def t_jet(poly: GenPolynomial, q: float, order: int) -> Jet:
         return Jet((t0,))
     coeffs, deriv = _weight_poly_coeffs(poly, jet_var(q, order))
     t = jet_const(t0, order)
-    for _ in range(2 * order + 4):
+    # Each Newton step doubles the number of correct coefficients.
+    for _ in range(order.bit_length() + 2):
         step = _horner(coeffs, t) * _horner(deriv, t).reciprocal()
         t = t - step
         if max(abs(c) for c in step.coeffs) <= 1e-15 * max(
@@ -137,15 +141,44 @@ def t_jet(poly: GenPolynomial, q: float, order: int) -> Jet:
 
 @lru_cache(maxsize=128)
 def _letter_jets(poly: GenPolynomial, q: float, order: int):
-    """Per-letter weight jets and their low cumulative sums at q2 = q."""
+    """Taylor columns of the letter weights and low sums at q2 = q.
+
+    Column i holds the i-th coefficient of every letter's weight
+    t^s q2^(1-s) (resp. low sum).  q2 is inverted only for steps s >= 2: when
+    t is a polynomial in q2, as for (1, 1), so is every weight, and the
+    derivatives past the degree of the re-encoding come out exactly zero.
+    """
     q2 = jet_var(q, order)
-    b2 = t_jet(poly, q, order) * q2.reciprocal()
-    d = poly.degree
-    bpow = [jet_const(1.0, order)]
-    for _ in range(d):
-        bpow.append(bpow[-1] * b2)
-    weights = tuple(q2 * bpow[s] for s in letter_table(poly).kstep)
-    return weights, low_sums(weights, jet_const(0.0, order))
+    t = t_jet(poly, q, order)
+    ks = letter_table(poly).kstep
+    by_step = {s: t ** s * q2 ** (1 - s) for s in set(ks)}
+    wcols = tuple(zip(*(by_step[s].coeffs for s in ks)))
+    return wcols, tuple(low_sums(col, 0.0) for col in wcols)
+
+
+def _taylor_encode(wcols, lcols, digits) -> float:
+    """Coefficient K = len(wcols) - 1 of ``encode`` over the letter jets.
+
+    The jet Horner step acc = l_c + w_c acc is linear in acc, so coefficient i
+    of acc follows from a float Horner whose step adds the offset
+    sum_{j=1..i} w_j[c] a_{i-j}, read from the accumulators of the earlier
+    passes; pass 0 is the plain float Horner.
+    """
+    seq = digits[::-1]
+    w0 = wcols[0]
+    passes = []     # passes[i][s]: coefficient i of acc before step s
+    for i, low in enumerate(lcols):
+        offset = [0.0] * len(seq)
+        for j in range(1, i + 1):
+            wj = wcols[j]
+            offset = [o + wj[c] * a for o, c, a in zip(offset, seq, passes[i - j])]
+        acc = 0.0
+        path = [acc]
+        for c, o in zip(seq, offset):
+            acc = low[c] + (w0[c] * acc + o)
+            path.append(acc)
+        passes.append(path)
+    return acc
 
 
 def _check_depth(depth: int) -> None:
@@ -179,14 +212,13 @@ def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
     _check_depth(depth)
     if k == 0:
         return float(x)
-    weights, lows = _letter_jets(poly, q, k)
-    acc = encode(weights, lows, decode(poly, q, x, depth))
+    c_k = _taylor_encode(*_letter_jets(poly, q, k), decode(poly, q, x, depth))
     try:        # k! c_k formed exactly and rounded once: k! leaves float range at 171
-        num, den = acc.coeffs[k].as_integer_ratio()
+        num, den = c_k.as_integer_ratio()
         return math.factorial(k) * num / den
     except (OverflowError, ValueError):
         raise CapacityError(f"derivative of order {k} at x={x} is not a finite "
-                            f"float: {k}! * {acc.coeffs[k]!r}") from None
+                            f"float: {k}! * {c_k!r}") from None
 
 
 def self_affinity_residual(poly: GenPolynomial, q1: float, q2: float, w0,

@@ -54,6 +54,17 @@ def test_tq_bad_q_is_runtime_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("q", ["nan", "inf"])
+def test_non_finite_q_is_runtime_error(capsys, q):
+    # the degree-0 system only compares q with 1/a_0, and a comparison with
+    # NaN is always false
+    for argv in (["tq", "--poly", "3", "--q", q],
+                 ["orbit", "--poly", "3", "--q", q, "--n", "3", "--steps", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: q={q} ")
+
+
 def test_succ_and_pred(capsys):
     code, out, _ = run(capsys, "succ", "--poly", "1,1", "--word", "0110")
     assert code == 0 and out.strip() == "1001"

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_digits, reference_weights
-from polyadic import GenPolynomial, coding_map, measure_params, takagi_function
+from polyadic import (GenPolynomial, Jet, coding_map, cylinder_measure, kappa,
+                      letter_table, measure_params, takagi_function)
 from polyadic.measure import cylinder, decode, encode, fixed_coder, low_sums
-from polyadic.takagi import _letter_jets
+from polyadic.takagi import _letter_jets, _taylor_encode
 
 DEPTH = 60
 
@@ -81,9 +82,66 @@ def test_encodes_agree_across_rings(coeffs, frac, data):
     mp = measure_params(poly, q)
     as_float = encode(mp.weights, mp.lows, word)
     as_fraction, _ = cylinder(poly, q, word)
-    as_jet = encode(*_letter_jets(poly, q, 2), word).coeffs[0]
+    wcols, lcols = _letter_jets(poly, q, 2)
+    as_jet = encode(_jets(wcols), _jets(lcols), word).coeffs[0]
     assert abs(as_float - as_fraction) <= 1e-14
     assert abs(as_jet - as_float) <= 1e-14
+
+
+def _jets(cols, magnitude=float):
+    """Per-letter jets from Taylor columns (cols[i][c]: coefficient i of letter c)."""
+    return [Jet(tuple(magnitude(v) for v in col)) for col in zip(*cols)]
+
+
+TAYLOR_SYSTEMS = [((1, 1), 0.3), ((1, 1, 2), 0.25), ((2, 1, 1), 0.2),
+                  ((1,) * 33, 1 / 33)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=st.sampled_from(TAYLOR_SYSTEMS), order=st.integers(0, 8),
+       data=st.data())
+def test_taylor_encode_matches_the_jet_horner(system, order, data):
+    coeffs, q = system
+    poly = GenPolynomial(coeffs)
+    word = tuple(data.draw(st.lists(st.integers(0, poly.alphabet_size - 1), max_size=60)))
+    wcols, lcols = _letter_jets(poly, q, order)
+    want = encode(_jets(wcols), _jets(lcols), word).coeffs[order]
+    # relative to the same Horner over magnitudes, which bounds every term
+    scale = encode(_jets(wcols, abs), _jets(lcols, abs), word).coeffs[order]
+    assert abs(_taylor_encode(wcols, lcols, word) - want) <= 1e-12 * scale
+
+
+MEASURE_SYSTEMS = [(1, 1), (1, 1, 2), (2, 1, 1), (1, 1, 3), (1, 2, 1), (3, 1, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.sampled_from(MEASURE_SYSTEMS), frac=st.floats(0.15, 0.85),
+       data=st.data())
+def test_cylinder_measure_depends_only_on_the_end_vertex(coeffs, frac, data):
+    poly = GenPolynomial(coeffs)
+    mp = measure_params(poly, frac / coeffs[0])
+    word = data.draw(st.lists(st.integers(0, poly.alphabet_size - 1), max_size=30))
+    # another word into the same vertex: the steps reordered, each letter
+    # swapped for any letter of the same step
+    ks = letter_table(poly).kstep
+    other = [data.draw(st.sampled_from([c for c in range(poly.alphabet_size)
+                                        if ks[c] == ks[b]]))
+             for b in data.draw(st.permutations(word))]
+    assert kappa(other, poly) == kappa(word, poly)
+    got = cylinder_measure(mp, word)
+    assert cylinder_measure(mp, other) == pytest.approx(got, rel=1e-12)
+    closed = mp.q ** len(word) * (mp.t / mp.q) ** kappa(word, poly)
+    assert got == pytest.approx(closed, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.sampled_from(MEASURE_SYSTEMS), f1=st.floats(0.15, 0.85),
+       f2=st.floats(0.15, 0.85), x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0))
+def test_coding_map_is_monotone(coeffs, f1, f2, x, y):
+    poly = GenPolynomial(coeffs)
+    q1, q2 = f1 / coeffs[0], f2 / coeffs[0]
+    x, y = sorted((x, y))
+    assert coding_map(poly, q1, q2, x) <= coding_map(poly, q1, q2, y)
 
 
 def test_empty_word_is_the_rings_zero():

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+import polyadic.takagi
 from conftest import t_prime_closed_form
 from polyadic import (CapacityError, DivisionByZeroJet, GenPolynomial, Jet,
                       MIRROR_SIGN, NoRoot, coding_map, cylinder_measure,
                       encode_theta, jet_const, jet_var, letter_table,
                       measure_params, parabola_profile, self_affinity_residual,
                       t_jet, takagi_function)
+from polyadic.measure import _horner, _weight_poly_coeffs
 
 P11 = GenPolynomial((1, 1))
 P111 = GenPolynomial((1, 1, 1))
@@ -79,6 +81,38 @@ def test_t_jet_matches_closed_form():
         q = rng.uniform(0.1, 0.9) / poly.coeffs[0]
         assert t_jet(poly, q, 2).coeffs[1] == pytest.approx(
             t_prime_closed_form(poly, q), rel=1e-10)
+
+
+def test_t_jet_newton_steps_grow_with_the_bit_length_of_the_order(monkeypatch):
+    # Newton in jet arithmetic doubles the number of correct coefficients, so
+    # the loop stops after order.bit_length() + 2 steps even when the step
+    # never falls below its stop threshold
+    calls = []
+
+    def counted(coeffs, t):
+        calls.append(1)
+        return _horner(coeffs, t)
+
+    monkeypatch.setattr(polyadic.takagi, "_horner", counted)
+    systems = [((3, 1, 2), 0.2), ((1, 1, 1, 1), 0.2), ((1, 1, 2), 0.25),
+               ((2, 1, 1), 0.31), ((1, 2, 1), 0.2)]
+    for coeffs, q in systems:
+        poly = GenPolynomial(coeffs)
+        for order in (1, 2, 3, 8, 50, 200):
+            calls.clear()
+            t = t_jet(poly, q, order)
+            assert len(calls) <= 2 * (order.bit_length() + 2)
+            assert t.coeffs[1] == pytest.approx(t_prime_closed_form(poly, q), rel=1e-12)
+            # the weight equation holds to every order, relative to the same
+            # polynomial over magnitudes, which bounds every term
+            eq, _ = _weight_poly_coeffs(poly, jet_var(q, order))
+            residual = _horner(eq, t).coeffs
+            scale = _horner([_magnitude(c) for c in eq], _magnitude(t)).coeffs
+            assert all(abs(r) <= 1e-12 * s for r, s in zip(residual, scale))
+
+
+def _magnitude(jet):
+    return Jet(tuple(abs(c) for c in jet.coeffs))
 
 
 def test_t_jet_degree_zero_raises():
@@ -255,6 +289,14 @@ def test_derivative_orders_past_171_factorial():
     # for (1,1,2) the value itself leaves float range: an error, not inf
     with pytest.raises(CapacityError, match="order 171"):
         takagi_function(P112, 0.25, 171, 0.3)
+
+
+def test_high_orders_of_a_polynomial_reencoding_vanish():
+    # for (1,1) the weights q2 and 1 - q2 are linear, so the re-encoding of
+    # 20 digits is a polynomial of degree <= 20 in q2
+    for k in (21, 40, 100):
+        for x in (0.0, 0.1, 0.3, 0.5, 0.77, 1.0):
+            assert abs(takagi_function(P11, 0.3, k, x, 20)) <= 1e-9
 
 
 def test_takagi_domain_checks():
