@@ -80,7 +80,10 @@ def _cmd_tq(args, parser) -> int:
 
 
 def _cmd_rank(args, parser) -> int:
+    unrank_args = (args.level, args.kappa, args.index)
     if args.word is not None:
+        if any(v is not None for v in unrank_args):
+            parser.error("rank takes --word or --level/--kappa/--index, not both")
         word = word_from_string(args.word, args.poly)
         column = path_column(word, args.poly)
         n, kap, rnk = 0, 0, 1               # the empty word
@@ -90,7 +93,7 @@ def _cmd_rank(args, parser) -> int:
               [(word_to_string(word, args.poly), n, kap, str(rnk),
                 str(column.dim(n, kap)))])
         return 0
-    if args.level is None or args.kappa is None or args.index is None:
+    if None in unrank_args:
         parser.error("rank needs --word, or --level/--kappa/--index")
     table = DimTable(args.poly)
     word = unrank(args.level, args.kappa, args.index, table)
@@ -115,13 +118,15 @@ def _cmd_succ(args, parser) -> int:
 
 
 def _cmd_orbit(args, parser) -> int:
+    if args.word is not None and args.n is not None:
+        parser.error("orbit takes --word or --n, not both")
     horizon = _level(args.horizon, "--horizon")
     steps = _level(args.steps, "--steps")
     mp = measure_params(args.poly, args.q)
-    if args.word:
+    if args.word is not None:
         x = PathPrefix(word_from_string(args.word, args.poly),
                        extend=letter_stream(mp, args.seed), max_level=horizon)
-    elif args.n:
+    elif args.n is not None:
         x = PathPrefix((), extend=letter_stream(mp, args.seed), max_level=horizon)
         x.prefix(_level(args.n, "--n"))
     else:

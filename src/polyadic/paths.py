@@ -61,11 +61,12 @@ def word_from_string(text: str, poly: GenPolynomial) -> tuple[int, ...]:
     if not text:
         return ()
     if "," in text:
-        word = tuple(int(p) for p in text.split(","))
-    elif r <= 10:
-        word = tuple(int(ch) for ch in text)
+        labels = [p.strip() for p in text.split(",")]
     else:
-        word = (int(text),)
+        labels = list(text) if r <= 10 else [text]
+    if not all(p.isascii() and p.isdigit() for p in labels):
+        raise ValueError(f"bad word {text!r}: labels must be ASCII digits")
+    word = tuple(int(p) for p in labels)
     if any(not 0 <= c < r for c in word):
         raise ValueError(f"letter out of range in {text!r} (alphabet size {r})")
     return word

@@ -6,7 +6,8 @@ The coefficient table holds ``C(n, k)``, the coefficient of ``x^k`` in
 graph generated by ``p``, so everything downstream (ranking, measures, curve
 extraction) leans on these integers being exact.  ``DimTable`` holds dense
 rows; ``PathColumn`` holds only the entries near one path's vertices, which
-is all that ranking and curve extraction along that path read.
+is all that ranking and curve extraction along that path read.  Both build a
+level from the one below with the one level builder, ``_next_level``.
 """
 
 from __future__ import annotations
@@ -45,22 +46,62 @@ class GenPolynomial:
 
     @classmethod
     def parse(cls, text: str) -> "GenPolynomial":
-        """Build from a comma-separated coefficient list such as ``"1,1,3"``."""
-        parts = [p for p in text.replace(" ", "").split(",") if p]
-        try:
-            return cls(tuple(int(p) for p in parts))
-        except ValueError as exc:
-            raise ValueError(f"bad coefficient list {text!r}") from exc
+        """Build from a comma-separated coefficient list such as ``"1,1,3"``.
+
+        Each field, stripped of surrounding whitespace, must be a nonempty run
+        of ASCII digits.
+        """
+        parts = [p.strip() for p in text.split(",")]
+        if all(p.isascii() and p.isdigit() for p in parts):
+            try:
+                return cls(tuple(int(p) for p in parts))
+            except ValueError:
+                pass
+        raise ValueError(f"bad coefficient list {text!r}")
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.coeffs)
+
+
+def _next_level(a, n, prev_lo, prev, lo, hi) -> list[int]:
+    """C(n, lo..hi) for coefficients ``a``, from level n - 1's ``prev``.
+
+    ``prev`` holds C(n-1, k) in k order from ``prev_lo`` on (a window, or the
+    whole row), and the zeros past either end of level n - 1 count as held.
+    Convolution, C(n, k) = sum_j a_j C(n-1, k-j), gives the entries whose
+    C(n-1, k-j) are held: all of [0, n*d] for a whole row.  The other ends of
+    a window come from the recurrence p y' = n p' y gives for y = p^n,
+        a_0 k C(n, k) = sum_{j=1..d} a_j ((n+1) j - k) C(n, k-j),
+    run forwards at the right end and solved for its j = d term at the left
+    end.  Both divisions are exact.
+    """
+    d = len(a) - 1
+    lead = d if prev_lo == 0 else 0
+    tail = d if prev_lo + len(prev) - 1 == (n - 1) * d else 0
+    padded, prev_lo = [*(0,) * lead, *prev, *(0,) * tail], prev_lo - lead
+    start, stop = max(lo, prev_lo + d), min(hi, prev_lo + len(padded) - 1)
+    i0, i1 = start - prev_lo, stop - prev_lo + 1
+    vals = [a[0] * v for v in padded[i0:i1]]
+    for j in range(1, d + 1):
+        vals = [u + a[j] * v for u, v in zip(vals, padded[i0 - j:i1 - j])]
+    for k in range(stop + 1, hi + 1):
+        vals.append(sum(a[j] * ((n + 1) * j - k) * vals[k - j - start]
+                        for j in range(1, min(k, d) + 1)) // (a[0] * k))
+    for k in range(start - 1 + d, lo - 1 + d, -1):
+        # vals[0] is C(n, start); solve for C(n, k - d) and put it first
+        num = a[0] * k * vals[k - start] - sum(
+            a[j] * ((n + 1) * j - k) * vals[k - j - start] for j in range(1, d))
+        vals.insert(0, num // (a[d] * ((n + 1) * d - k)))
+        start -= 1
+    return vals
 
 
 class DimTable:
     """Dense per-level rows of exact vertex dimensions C(n, k).
 
     The table grows on demand: asking :meth:`row` or :meth:`dim` for a level
-    above ``n_max`` first builds the missing levels, within ``entry_budget``.
+    above ``n_max`` first builds the missing levels, within ``entry_budget``,
+    each by ``_next_level`` over the whole window [0, n*d].
     Rows are append-only tuples: existing entries never change, so concurrent
     readers are safe once a level is built.
     """
@@ -80,21 +121,14 @@ class DimTable:
 
     def extend(self, n_max: int) -> None:
         """Grow the table so that all levels up to ``n_max`` are present."""
-        d = self.poly.degree
-        coeffs = self.poly.coeffs
+        a, d = self.poly.coeffs, self.poly.degree
         entries = (n_max + 1) + d * n_max * (n_max + 1) // 2
         if entries > self.entry_budget:
             raise CapacityError(
                 f"table with n_max={n_max}, degree={d} needs {entries} entries, "
                 f"budget is {self.entry_budget}")
-        while len(self._rows) <= n_max:
-            prev = self._rows[-1]
-            n = len(self._rows)
-            row = [0] * (n * d + 1)
-            for k, value in enumerate(prev):
-                for j, a in enumerate(coeffs):
-                    row[k + j] += a * value
-            self._rows.append(tuple(row))
+        for n in range(len(self._rows), n_max + 1):
+            self._rows.append(tuple(_next_level(a, n, 0, self._rows[-1], 0, n * d)))
 
     def row(self, n: int) -> tuple[int, ...]:
         """Level n's entries C(n, 0..n*d), building the table up to n first."""
@@ -118,8 +152,9 @@ class PathColumn:
     step.  ``row(n)[k]`` and ``dim(n, k)`` hold for |k - kappa_n| <= (depth+1)*d,
     kappa_n being the path's vertex at level n, on the last depth + 1 levels
     built; ``dim`` is zero for k outside [0, n*d] as in DimTable, and every
-    other read raises KeyError.  A walk that reads only near the path thus
-    costs O(depth d^2) big-integer products per level instead of O(n d^2).
+    other read raises KeyError.  Each window is built from the one below by
+    ``_next_level``, so a walk that reads only near the path costs
+    O(depth d^2) big-integer products per level instead of O(n d^2).
     """
 
     def __init__(self, poly: GenPolynomial, steps, depth: int = 0):
@@ -145,41 +180,13 @@ class PathColumn:
         return row[k] if 0 <= k <= n * self.poly.degree else 0
 
     def _grow(self) -> None:
-        """Build level n = newest + 1 from level n - 1.
-
-        Convolution, C(n, k) = sum_j a_j C(n-1, k-j), gives the entries whose
-        C(n-1, k-j) level n-1's window holds; the window's new ends come from
-        the recurrence p y' = n p' y gives for the coefficients of y = p^n,
-            a_0 k C(n, k) = sum_{j=1..d} a_j ((n+1) j - k) C(n, k-j),
-        run forwards at the right end and solved for its j = d term at the
-        left end.  Both divisions are exact.
-        """
-        a, d = self.poly.coeffs, self.poly.degree
+        """Build level n = newest + 1 from level n - 1's window."""
         n = self._n + 1
-        top = (n - 1) * d           # last nonzero index of level n - 1
         prev_lo = max(self._kap - self._reach, 0)
-        prev = list(self._rows[n - 1].values())     # in k order from prev_lo
-        prev_hi = prev_lo + len(prev) - 1
-        if prev_lo == 0:            # zeros of level n - 1 below 0 ...
-            prev_lo, prev = -d, [0] * d + prev
-        if prev_hi == top:          # ... and above top are known too
-            prev_hi, prev = top + d, prev + [0] * d
         self._kap += next(self._steps)
-        lo, hi = max(self._kap - self._reach, 0), min(self._kap + self._reach, n * d)
-        start, stop = max(lo, prev_lo + d), min(hi, prev_hi)
-        i0, i1 = start - prev_lo, stop - prev_lo + 1
-        vals = [a[0] * v for v in prev[i0:i1]]
-        for j in range(1, d + 1):
-            vals = [u + a[j] * v for u, v in zip(vals, prev[i0 - j:i1 - j])]
-        for k in range(stop + 1, hi + 1):
-            vals.append(sum(a[j] * ((n + 1) * j - k) * vals[k - j - start]
-                            for j in range(1, min(k, d) + 1)) // (a[0] * k))
-        for k in range(start - 1 + d, lo - 1 + d, -1):
-            # vals[0] is C(n, start); solve for C(n, k - d) and put it first
-            num = a[0] * k * vals[k - start] - sum(
-                a[j] * ((n + 1) * j - k) * vals[k - j - start] for j in range(1, d))
-            vals.insert(0, num // (a[d] * ((n + 1) * d - k)))
-            start -= 1
-        self._rows[n] = dict(zip(range(lo, hi + 1), vals))
+        lo, hi = max(self._kap - self._reach, 0), min(self._kap + self._reach,
+                                                      n * self.poly.degree)
+        self._rows[n] = dict(zip(range(lo, hi + 1), _next_level(
+            self.poly.coeffs, n, prev_lo, self._rows[n - 1].values(), lo, hi)))
         self._rows.pop(n - self._keep, None)
         self._n = n

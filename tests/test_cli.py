@@ -38,6 +38,12 @@ def test_dims_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["dims", "--nmax", "3"])
     assert err.value.code == 2
+    # a --poly that is not comma-separated ASCII digits is never coerced
+    for poly in ["1 1", "1 1,3", "1,,1", "1,1,", "\u0661,1"]:
+        with pytest.raises(SystemExit) as err:
+            main(["dims", "--poly", poly, "--nmax", "3"])
+        assert err.value.code == 2
+    assert "bad coefficient list" in capsys.readouterr().err
 
 
 def test_tq(capsys):
@@ -81,6 +87,9 @@ def test_rank_round_trip(capsys):
                        "--kappa", str(kap), "--index", str(idx))
     assert code == 0
     assert out.strip().splitlines()[1].split(",")[0] == word
+    # full-width digits are not letters
+    code, out, err = run(capsys, "rank", "--poly", "1,1", "--word", "\uff10\uff11")
+    assert code == 1 and out == "" and "bad word" in err
 
 
 def test_parabola_row(capsys):
@@ -98,6 +107,26 @@ def test_orbit(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "step,theta,word"
     assert len(lines) == 10
+    # counts and words are taken as given, also when zero or empty
+    code, out, _ = run(capsys, "orbit", "--poly", "1,1", "--q", "0.5",
+                       "--steps", "3", "--n", "0", "--seed", "3")
+    assert code == 0 and out.splitlines()[1] == "0,0.0,"
+    code, empty, _ = run(capsys, "orbit", "--poly", "1,1", "--q", "0.5",
+                         "--steps", "3", "--word", "", "--seed", "3")
+    assert code == 0 and empty == out
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--poly", "1,1", "--q", "0.5", "--word", "01", "--n", "5"),
+    ("rank", "--poly", "1,1", "--word", "01", "--level", "2", "--kappa", "1",
+     "--index", "1"),
+    ("rank", "--poly", "1,1", "--word", "01", "--index", "1"),
+])
+def test_conflicting_inputs_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    assert "not both" in capsys.readouterr().err
 
 
 def _write_g(tmp_path, poly, g, name="g.json"):

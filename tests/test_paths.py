@@ -274,6 +274,11 @@ def test_word_strings():
     assert word_from_string("", P11) == ()
     with pytest.raises(ValueError):
         word_from_string("091", P113)
+    # labels are ASCII digits only: no full-width digits, signs or empty fields
+    for text in ["\uff10\uff11", "0,-1", "0,,1", "1 0"]:
+        with pytest.raises(ValueError, match="bad word"):
+            word_from_string(text, P11)
+    assert word_from_string(" 0, 1 ", P11) == (0, 1)
 
 
 def test_prefix_walk_matches_rank():
