@@ -181,12 +181,12 @@ class PathColumn:
 
     def _grow(self) -> None:
         """Build level n = newest + 1 from level n - 1's window."""
+        a, d = self.poly.coeffs, self.poly.degree
         n = self._n + 1
         prev_lo = max(self._kap - self._reach, 0)
         self._kap += next(self._steps)
-        lo, hi = max(self._kap - self._reach, 0), min(self._kap + self._reach,
-                                                      n * self.poly.degree)
-        self._rows[n] = dict(zip(range(lo, hi + 1), _next_level(
-            self.poly.coeffs, n, prev_lo, self._rows[n - 1].values(), lo, hi)))
+        lo, hi = max(self._kap - self._reach, 0), min(self._kap + self._reach, n * d)
+        vals = _next_level(a, n, prev_lo, self._rows[n - 1].values(), lo, hi)
+        self._rows[n] = dict(zip(range(lo, hi + 1), vals))
         self._rows.pop(n - self._keep, None)
         self._n = n
