@@ -12,13 +12,14 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
+from itertools import chain, islice
 
 from .errors import DegenerateCurve, NoConvergence, PolyadicError
 from .ergodic import (CylFunction, cohomology_verdict, extract_limiting_curve)
 from .measure import (encode_theta, letter_stream, measure_params,
                       weight_residual)
-from .paths import (PathPrefix, letter_table, path_column, prefix_walk,
-                    successor, unrank, word_from_string, word_to_string)
+from .paths import (PathPrefix, _steps, letter_table, path_column, prefix_walk,
+                    unrank, word_from_string, word_to_string)
 from .poly import DimTable, GenPolynomial
 from .takagi import parabola_profile, takagi_function
 
@@ -105,9 +106,9 @@ def _cmd_rank(args, parser) -> int:
 
 def _cmd_succ(args, parser) -> int:
     x = PathPrefix(word_from_string(args.word, args.poly))
-    direction = -1 if args.pred else 1
-    for _ in range(_level(args.steps, "--steps")):
-        x = successor(x, args.poly, direction)
+    walk = _steps(x, args.poly, -1 if args.pred else 1)
+    for x in islice(walk, _level(args.steps, "--steps")):
+        pass
     out = word_to_string(x.known(), args.poly)
     if args.out:
         with open(args.out, "w") as fh:
@@ -123,20 +124,15 @@ def _cmd_orbit(args, parser) -> int:
     horizon = _level(args.horizon, "--horizon")
     steps = _level(args.steps, "--steps")
     mp = measure_params(args.poly, args.q)
-    if args.word is not None:
-        x = PathPrefix(word_from_string(args.word, args.poly),
-                       extend=letter_stream(mp, args.seed), max_level=horizon)
-    elif args.n is not None:
-        x = PathPrefix((), extend=letter_stream(mp, args.seed), max_level=horizon)
-        x.prefix(_level(args.n, "--n"))
-    else:
+    if args.word is None and args.n is None:
         parser.error("orbit needs --word or --n")
-    rows = []
-    for step in range(steps + 1):
-        rows.append((step, repr(encode_theta(mp, x.known())),
-                     word_to_string(x.known(), args.poly)))
-        if step < steps:
-            x = successor(x, args.poly)
+    word = () if args.word is None else word_from_string(args.word, args.poly)
+    x = PathPrefix(word, extend=letter_stream(mp, args.seed), max_level=horizon)
+    if args.n is not None:
+        x.prefix(_level(args.n, "--n"))
+    walk = chain((x,), islice(_steps(x, args.poly, 1), steps))
+    rows = [(step, repr(encode_theta(mp, y.known())),
+             word_to_string(y.known(), args.poly)) for step, y in enumerate(walk)]
     _emit(args, ("step", "theta", "word"), rows,
           meta={"poly": list(args.poly.coeffs), "q": args.q, "seed": args.seed})
     return 0

@@ -6,10 +6,13 @@ down to the last ``a_0`` letters which step by zero.  A word is a finite path
 read from level 1 upward; two words of the same length and the same total
 step compare at the *largest* index where they differ, letters comparing by
 label.  Rank, unrank, successor and predecessor below all realize that order.
+Successor, predecessor, iter_tower and the CLI's succ/orbit step through one
+loop, ``_steps``, which rewrites only the letters up to each step's pivot.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
@@ -27,6 +30,8 @@ class LetterTable:
     kstep: tuple[int, ...]       # vertex-index increment of each letter
     # number of letters with label < c stepping by s, for each letter c
     below: tuple[tuple[int, ...], ...]
+    first: tuple[int, ...]       # lowest label of each step: first words
+    last: tuple[int, ...]        # highest label of each step: last words
 
 
 @lru_cache(maxsize=None)
@@ -39,7 +44,9 @@ def letter_table(poly: GenPolynomial) -> LetterTable:
     for s in kstep:
         below.append(tuple(counts))
         counts[s] += 1
-    return LetterTable(poly, kstep, tuple(below))
+    first = tuple(kstep.index(s) for s in range(d + 1))
+    last = tuple(f + a - 1 for f, a in zip(first, poly.coeffs))
+    return LetterTable(poly, kstep, tuple(below), first, last)
 
 
 def kappa(word, poly: GenPolynomial) -> int:
@@ -64,8 +71,10 @@ def word_from_string(text: str, poly: GenPolynomial) -> tuple[int, ...]:
         labels = [p.strip() for p in text.split(",")]
     else:
         labels = list(text) if r <= 10 else [text]
-    if not all(p.isascii() and p.isdigit() for p in labels):
-        raise ValueError(f"bad word {text!r}: labels must be ASCII digits")
+    if not all(p.isascii() and p.isdigit() and (p == "0" or p[0] != "0")
+               for p in labels):
+        raise ValueError(f"bad word {text!r}: labels must be ASCII digits "
+                         "without leading zeros")
     word = tuple(int(p) for p in labels)
     if any(not 0 <= c < r for c in word):
         raise ValueError(f"letter out of range in {text!r} (alphabet size {r})")
@@ -110,7 +119,7 @@ def unrank(n: int, kap: int, index: int, table: DimTable) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def _extreme_word(n: int, kap: int, poly: GenPolynomial,
+def _extreme_word(n: int, kap: int, lt: LetterTable,
                   direction: int) -> tuple[int, ...]:
     """First (direction 1) or last (direction -1) word of the tower at (n, kap).
 
@@ -120,31 +129,27 @@ def _extreme_word(n: int, kap: int, poly: GenPolynomial,
     max(0, rest - (level-1)*d), the smallest such step, and takes the highest
     label.  Either way the steps are d..d, one remainder, 0..0.
     """
-    d = poly.degree
+    d = lt.poly.degree
     if n < 0:
         raise ValueError(f"level {n} is negative")
     if not 0 <= kap <= n * d:
         raise RankOutOfRange(f"empty tower at vertex ({n}, {kap})")
-    first = letter_table(poly).kstep.index
-
-    def label(step):            # lowest or highest label of that step
-        return first(step) + (0 if direction > 0 else poly.coeffs[step] - 1)
-
+    label = lt.first if direction > 0 else lt.last
     full, rest = divmod(kap, d) if d else (0, 0)
-    high = (label(d),) * full
-    mid = (label(rest),) if full < n else ()
-    zero = (label(0),) * (n - full - 1)
+    high = (label[d],) * full
+    mid = (label[rest],) if full < n else ()
+    zero = (label[0],) * (n - full - 1)
     return zero + mid + high if direction > 0 else high + mid + zero
 
 
 def minimal_word(n: int, kap: int, poly: GenPolynomial) -> tuple[int, ...]:
     """Rank-1 word at (n, kap)."""
-    return _extreme_word(n, kap, poly, 1)
+    return _extreme_word(n, kap, letter_table(poly), 1)
 
 
 def maximal_word(n: int, kap: int, poly: GenPolynomial) -> tuple[int, ...]:
     """Last word at (n, kap), of rank C(n, kap)."""
-    return _extreme_word(n, kap, poly, -1)
+    return _extreme_word(n, kap, letter_table(poly), -1)
 
 
 class PathPrefix:
@@ -188,13 +193,6 @@ class PathPrefix:
                 self._extend = None
                 raise PrefixExhausted(f"extension policy ended before level {nxt}") from None
 
-    def with_head(self, head) -> "PathPrefix":
-        """Copy of the prefix with its first len(head) letters replaced."""
-        letters = list(head) + self._letters[len(head):]
-        out = PathPrefix(letters, max_level=self.max_level)
-        out._extend = self._extend  # continuation stream is handed over
-        return out
-
 
 def _as_prefix(x) -> PathPrefix:
     return x if isinstance(x, PathPrefix) else PathPrefix(tuple(x))
@@ -230,35 +228,46 @@ def prefix_walk(x, table: DimTable | PathColumn, n_max: int | None = None):
         yield n, kap, rnk
 
 
-def successor(x, poly: GenPolynomial, direction: int = 1) -> PathPrefix:
-    """Next path in the tail-lexicographic order, or the previous one for -1.
+def _steps(x, poly: GenPolynomial, direction: int):
+    """Yield the successors of x one after another, or its predecessors for -1.
 
-    Walks up the letters to the first level n where a label b past the
-    prefix's letter, in that direction, leaves a nonempty tower below
-    (0 <= kappa_n - step(b) <= (n-1)*d); every head below is then extremal
-    in its tower.  The new head is the first word (the last, for -1) of the
-    tower below followed by b; letters above the pivot are untouched.
+    One copy of x's letters, sharing x's stream and horizon, is rewritten in
+    place and yielded at every step.  A step walks up the letters to the
+    first level n where a label b past the letter there, in that direction,
+    leaves a nonempty tower below (0 <= kappa_n - step(b) <= (n-1)*d); every
+    head below is then extremal in its tower.  The new head is the first word
+    (the last, for -1) of the tower below followed by b, and the letters
+    above the pivot are untouched, so a step costs O(1) levels on average.
     """
     if direction not in (1, -1):
         raise ValueError(f"direction must be 1 or -1, got {direction!r}")
     x = _as_prefix(x)
-    ks = letter_table(poly).kstep
-    d = poly.degree
-    kap = 0
-    n = 0
+    y = PathPrefix(x.known(), x._extend, x.max_level)
+    lt = letter_table(poly)
+    ks, d, r, letters = lt.kstep, poly.degree, len(lt.kstep), y._letters
+    kap = n = 0
     while True:
         try:
-            c = x.letter(n + 1)
+            c = y.letter(n + 1)
         except PrefixExhausted as exc:
             if direction > 0:
                 raise MaximalPath(f"maximal through level {n}") from exc
             raise MinimalPath(f"minimal through level {n}") from exc
         kap += ks[c]
-        for b in range(c + 1, len(ks)) if direction > 0 else range(c - 1, -1, -1):
-            if 0 <= kap - ks[b] <= n * d:
-                head = _extreme_word(n, kap - ks[b], poly, direction)
-                return x.with_head(head + (b,))
-        n += 1
+        b = c + direction
+        while 0 <= b < r and not 0 <= kap - ks[b] <= n * d:
+            b += direction
+        if 0 <= b < r:
+            letters[:n + 1] = _extreme_word(n, kap - ks[b], lt, direction) + (b,)
+            yield y
+            kap = n = 0
+        else:
+            n += 1
+
+
+def successor(x, poly: GenPolynomial, direction: int = 1) -> PathPrefix:
+    """Next path in the tail-lexicographic order, or the previous one for -1."""
+    return next(_steps(x, poly, direction))
 
 
 def predecessor(x, poly: GenPolynomial) -> PathPrefix:
@@ -268,13 +277,7 @@ def predecessor(x, poly: GenPolynomial) -> PathPrefix:
 
 def iter_tower(n: int, kap: int, poly: GenPolynomial):
     """Yield the words of the tower at vertex (n, kap) in rank order."""
-    try:
+    with suppress(RankOutOfRange, MaximalPath):     # empty tower, last word
         word = minimal_word(n, kap, poly)
-    except RankOutOfRange:      # empty tower
-        return
-    while True:
         yield word
-        try:
-            word = successor(PathPrefix(word), poly).known()
-        except MaximalPath:
-            return
+        yield from (y.known() for y in _steps(word, poly, 1))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import poly_power_row
 from polyadic import (CylFunction, DimTable, GenPolynomial, PathPrefix,
-                      extract_limiting_curve, letter_stream, measure_params)
+                      extract_limiting_curve, letter_stream, maximal_word,
+                      measure_params, minimal_word, word_to_string)
 from polyadic import cli
 from polyadic.cli import main
 
@@ -76,6 +77,21 @@ def test_succ_and_pred(capsys):
     assert code == 0 and out.strip() == "1001"
     code, out, _ = run(capsys, "succ", "--poly", "1,1", "--word", "1001", "--pred")
     assert code == 0 and out.strip() == "0110"
+    # many steps through one (1,1,3) tower: first word to last, back again,
+    # and one step past the last word
+    poly = GenPolynomial((1, 1, 3))
+    dim = DimTable(poly).dim(5, 4)
+    first, last = (word_to_string(w(5, 4, poly), poly)
+                   for w in (minimal_word, maximal_word))
+    code, out, _ = run(capsys, "succ", "--poly", "1,1,3", "--word", first,
+                       "--steps", str(dim - 1))
+    assert code == 0 and out.strip() == last
+    code, out, _ = run(capsys, "succ", "--poly", "1,1,3", "--word", last,
+                       "--steps", str(dim - 1), "--pred")
+    assert code == 0 and out.strip() == first
+    code, out, err = run(capsys, "succ", "--poly", "1,1,3", "--word", first,
+                         "--steps", str(dim))
+    assert code == 1 and out == "" and "maximal through level 5" in err
 
 
 def test_rank_round_trip(capsys):
@@ -89,6 +105,10 @@ def test_rank_round_trip(capsys):
     assert out.strip().splitlines()[1].split(",")[0] == word
     # full-width digits are not letters
     code, out, err = run(capsys, "rank", "--poly", "1,1", "--word", "\uff10\uff11")
+    assert code == 1 and out == "" and "bad word" in err
+    # nor is a leading zero: over eleven letters 01 is no label
+    code, out, err = run(capsys, "rank", "--poly", ",".join(["1"] * 11),
+                         "--word", "01")
     assert code == 1 and out == "" and "bad word" in err
 
 
@@ -297,6 +317,10 @@ def test_orbit_horizon_only_bounds_the_search(capsys):
     code, out_3000, err = run(capsys, *argv, "--horizon", "3000")
     assert code == 0, err
     assert out_3000 == out_1000
+    # a step that hits the horizon ends the run before any row is printed
+    code, out, err = run(capsys, "orbit", "--poly", "1,1", "--q", "0.5",
+                         "--word", "1111", "--horizon", "4", "--steps", "1")
+    assert code == 1 and out == "" and "error: level 5 beyond horizon 4" in err
 
 
 @pytest.mark.parametrize("doc", [

@@ -198,11 +198,15 @@ def test_prefix_extension_policies():
         y.letter(4)
 
 
-def test_with_head_hands_over_stream():
-    x = PathPrefix((1, 1, 0), extend=iter((0, 1)))
-    y = x.with_head((0, 0, 1))
-    assert y.known() == (0, 0, 1)
-    assert y.letter(5) == 1
+def test_successor_hands_over_stream():
+    # the pivot lies above the known letters: the successor pulls level 4
+    # from x's stream, and its later reads continue that same stream
+    x = PathPrefix((1, 1, 1), extend=iter((0, 1, 0)))
+    y = successor(x, P11)
+    assert y.known() == (1, 1, 0, 1)
+    assert y.letter(6) == 0
+    assert y.known() == (1, 1, 0, 1, 1, 0)
+    assert x.known() == (1, 1, 1)
 
 
 def test_is_minimal_maximal():
@@ -279,6 +283,16 @@ def test_word_strings():
         with pytest.raises(ValueError, match="bad word"):
             word_from_string(text, P11)
     assert word_from_string(" 0, 1 ", P11) == (0, 1)
+    # labels are canonical, with no leading zero, so a comma-free word over
+    # more than ten letters is one label and never silently drops its zeros
+    eleven = GenPolynomial((1,) * 11)
+    for text in ["01", "0010", "0,01", "00"]:
+        with pytest.raises(ValueError, match="bad word"):
+            word_from_string(text, eleven)
+    assert word_from_string("10", eleven) == (10,)
+    assert word_from_string("0,10", eleven) == (0, 10)
+    assert word_from_string("0", eleven) == (0,)
+    assert word_from_string("0010", P113) == (0, 0, 1, 0)
 
 
 def test_prefix_walk_matches_rank():
