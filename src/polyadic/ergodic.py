@@ -19,13 +19,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from operator import sub
 
 from .errors import CapacityError, DegenerateCurve, NoConvergence
 from .paths import (letter_table, minimal_word, path_column, prefix_walk,
-                    word_from_string, word_to_string)
+                    unrank, word_from_string, word_to_string)
 from .poly import DimTable, GenPolynomial, PathColumn
 
 _GRID_BUDGET = 2_000_000
@@ -145,33 +144,24 @@ def tower_total(h: HCoeffs, n: int, kap: int, table: DimTable) -> float:
     return _to_float(total.numerator, total.denominator, "tower total", n)
 
 
-def _top_walk(n: int, kap: int, m: int, table: DimTable | PathColumn, phi=None):
-    """Valid top-m letter blocks of the tower at (n, kap), depth first in rank order.
+def _top_blocks(n: int, kap: int, m: int, table: DimTable | PathColumn):
+    """Valid top-m letter blocks of the tower at (n, kap), in rank order.
 
-    Yields (top_word, bottom_kappa, rank, block_sum): the rank of the block's
-    minimal completion and the sum of phi(level, k) over the blocks below it.
+    Returns a (bottom_kappa, rank) pair per block: the rank is that of the
+    block's minimal completion, 1 plus the sizes C(n-m, kb) of the blocks
+    before it, so it is a prefix sum read from level n - m alone.  The
+    blocks are built level by level, each block's kids in letter order.
     """
     poly = table.poly
     r, d = poly.alphabet_size, poly.degree
     if r ** m > _GRID_BUDGET:
         raise CapacityError(f"{r}^{m} top words exceed grid budget")
     ks = letter_table(poly).kstep
-    rows = {j: table.row(j) for j in range(n - m, n)}
-    stack = [(n, kap, (), 1, 0)] if 0 <= kap <= n * d else []
-    while stack:
-        level, rem, top, L, S = stack.pop()
-        if level == n - m:
-            yield top, rem, L, S
-            continue
-        level -= 1
-        kids = []
-        for c in range(r):
-            k = rem - ks[c]
-            if 0 <= k <= level * d:
-                kids.append((level, k, (c,) + top, L, S))
-                L += rows[level][k]
-                S += phi(level, k) if phi else 0
-        stack.extend(reversed(kids))
+    kbs = [kap] if 0 <= kap <= n * d else []
+    for level in range(n - 1, n - m - 1, -1):
+        kbs = [k - s for k in kbs for s in ks if 0 <= k - s <= level * d]
+    row = table.row(n - m)
+    return list(zip(kbs, accumulate((row[kb] for kb in kbs), initial=1)))
 
 
 def node_grid(n: int, kap: int, m: int, table: DimTable):
@@ -183,8 +173,9 @@ def node_grid(n: int, kap: int, m: int, table: DimTable):
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    return [(u, L, minimal_word(n - m, kb, table.poly) + u)
-            for u, kb, L, _ in _top_walk(n, kap, m, table)]
+    # the word of rank L is its block's minimal completion
+    return [(w[n - m:], L, w) for _, L in _top_blocks(n, kap, m, table)
+            for w in [unrank(n, kap, L, table)]]
 
 
 @dataclass(frozen=True)
@@ -205,28 +196,31 @@ def _grid_numerators(g: CylFunction, n: int, kap: int, m: int,
 
     Returns (H, [(L, numerator), ...]) in rank order.  Exact numerators make
     'identically zero' decidable and defer all rounding to the normalization.
+    A node's rank L = 1 + sum C(n-m, kb) and block sum S = sum Phi(kb), with
+    Phi(kb) 2^s g summed over block kb, run over the blocks before it, all at
+    level n - m; so H (S + 2^s g(node)) - L FH, FH = 2^s F(H), is a running
+    sum of H Phi - FH C plus H 2^s g(node) - FH, each built once per kb.
     """
-    N = g.N
+    N, poly = g.N, table.poly
     if m < 0 or n - m < N:
         raise ValueError(f"need depth m <= n - N = {n - N}")
     H = table.dim(n, kap)
     if H == 0:
         raise ValueError(f"empty tower at ({n}, {kap})")
     s = _dyadic_bits(g.values.values())
-    h = [(l, _scaled(v, s)) for l, v in enumerate(h_coeffs(g, table.poly).values) if v]
-
-    @lru_cache(maxsize=None)
-    def phi(level, k):          # 2^s times the sum of g over a block
-        return sum(hl * table.dim(level - N, k - l) for l, hl in h)
-
-    FH = phi(n, kap)
-    gmin = {}
-    nodes = []
-    for _, kb, L, S in _top_walk(n, kap, m, table, phi):
-        if kb not in gmin:      # minimal words step by min(d, rest) from the top
-            kN = max(kb - (n - m - N) * table.poly.degree, 0)
-            gmin[kb] = _scaled(g(minimal_word(N, kN, table.poly)), s)
-        nodes.append((L, H * (S + gmin[kb]) - L * FH))
+    h = [(l, _scaled(v, s)) for l, v in enumerate(h_coeffs(g, poly).values) if v]
+    FH = sum(hl * table.dim(n - N, kap - l) for l, hl in h)
+    blocks = _top_blocks(n, kap, m, table)
+    step, own = {}, {}
+    for kb in {kb for kb, _ in blocks}:
+        phi = sum(hl * table.dim(n - m - N, kb - l) for l, hl in h)  # 2^s sum of g
+        kN = max(kb - (n - m - N) * poly.degree, 0)     # minimal words step min(d, rest)
+        step[kb] = H * phi - FH * table.dim(n - m, kb)
+        own[kb] = H * _scaled(g(minimal_word(N, kN, poly)), s) - FH
+    acc, nodes = 0, []
+    for kb, L in blocks:
+        nodes.append((L, acc + own[kb]))
+        acc += step[kb]
     return H, nodes
 
 
@@ -335,6 +329,8 @@ def extract_limiting_curve(g: CylFunction, x, poly: GenPolynomial, *,
     approach the limit without the square-root-scale vertex tilt that a free
     vertex carries at moderate n.
     """
+    if not tol >= 0:            # NaN fails too
+        raise ValueError("need tol >= 0")
     diagnostics = {"levels": [], "distances": []}
     prev = None
     # A curve at level n reads levels n-m-N..n within (m+N)*d of the path.

@@ -165,7 +165,7 @@ def reference_digits(weights, x, m, min_bits=150):
 # own, its block list rebuilt for each block, numerators combined as Fractions
 # from full-length minimal words, and the nodes sorted by rank afterwards.
 # Only the table, h_coeffs and minimal_word come from the package.  The
-# library walks the same blocks depth first with shared prefix sums and
+# library lists the same blocks level by level with shared prefix sums and
 # integer numerators; these oracles pin it to the direct construction.
 
 

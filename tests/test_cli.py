@@ -201,6 +201,14 @@ def test_curve_no_convergence_exit_code(tmp_path, capsys):
     assert code == 3 and "error" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_curve_rejects_bad_tol_before_walking(tmp_path, capsys, tol):
+    gpath = _write_g(tmp_path, GenPolynomial((1, 1)), CylFunction(1, {(0,): 1.0}))
+    code, out, err = run(capsys, "curve", "--poly", "1,1", "--q", "0.5", "--g", gpath,
+                         "--m", "6", "--nmax", "300", "--seed", "2", "--tol", tol)
+    assert (code, out, err) == (1, "", "error: need tol >= 0\n")
+
+
 def test_cohom(tmp_path, capsys):
     poly = GenPolynomial((3,))
     g = CylFunction(2, {(0, 1): 1.0, (2, 0): -0.5})

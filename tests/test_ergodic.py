@@ -319,6 +319,16 @@ def test_extract_limiting_curve_failure_modes():
                                tol=0.05, n_max=60)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_extract_limiting_curve_rejects_bad_tol_before_walking(tol):
+    def unread():
+        raise AssertionError("the walk read the path")
+        yield
+    x = PathPrefix((), extend=unread(), max_level=100)
+    with pytest.raises(ValueError, match="need tol >= 0"):
+        extract_limiting_curve(G_FIRST0, x, P11, tol=tol, n_max=100)
+
+
 def test_central_vertex_and_measure_ray():
     assert central_vertex(T11, 10) == 5
     assert central_vertex(T11, 11) == 5       # lowest index on ties

@@ -1,4 +1,4 @@
-"""The depth-first integer grid against the enumerate-all-blocks oracle in conftest."""
+"""The level-by-level integer grid against the enumerate-all-blocks oracle in conftest."""
 
 import random
 from fractions import Fraction
@@ -15,6 +15,7 @@ from polyadic import (CylFunction, DegenerateCurve, DimTable, GenPolynomial,
                       fluctuation_curve, kappa, letter_stream, letter_table,
                       measure_params, node_grid, sup_distance)
 from polyadic.ergodic import _dyadic_bits, _grid_numerators
+from polyadic.paths import path_column
 
 
 def assert_grid_matches(g, n, kap, m, table):
@@ -129,6 +130,25 @@ def test_grid_matches_reference_on_drawn_functions(coeffs, data):
     g = CylFunction(N, {w: data.draw(_DYADIC) for w in words})
     table = DimTable(poly, n)
     assert_curve_matches(g, n, kap, m, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.lists(st.integers(1, 2), min_size=2, max_size=4), data=st.data())
+def test_column_grids_match_dense_grids_along_a_path(coeffs, data):
+    poly = GenPolynomial(tuple(coeffs))
+    r = poly.alphabet_size
+    x = tuple(data.draw(st.lists(st.integers(0, r - 1), min_size=30, max_size=60)))
+    N = data.draw(st.integers(1, 2))
+    m = data.draw(st.integers(0, 4))
+    words = [tuple(w) for w in data.draw(st.lists(
+        st.lists(st.integers(0, r - 1), min_size=N, max_size=N), max_size=6))]
+    g = CylFunction(N, {w: data.draw(_DYADIC) for w in words})
+    table = DimTable(poly, len(x))
+    column = path_column(x, poly, m + N)
+    for n in range(m + N, len(x) + 1):  # upward: the column keeps m + N + 1 levels
+        kap = kappa(x[:n], poly)
+        assert _grid_numerators(g, n, kap, m, column) == \
+            _grid_numerators(g, n, kap, m, table)
 
 
 def test_cohomology_series_is_the_exact_ratio_rounded_once():
