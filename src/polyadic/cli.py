@@ -20,7 +20,7 @@ from .measure import (encode_theta, letter_stream, measure_params,
                       weight_residual)
 from .paths import (PathPrefix, _steps, letter_table, path_column, prefix_walk,
                     unrank, word_from_string, word_to_string)
-from .poly import DimTable, GenPolynomial
+from .poly import DimTable, GenPolynomial, VertexCone
 from .takagi import parabola_profile, takagi_function
 
 
@@ -96,11 +96,11 @@ def _cmd_rank(args, parser) -> int:
         return 0
     if None in unrank_args:
         parser.error("rank needs --word, or --level/--kappa/--index")
-    table = DimTable(args.poly)
-    word = unrank(args.level, args.kappa, args.index, table)
+    cone = VertexCone(args.poly, args.level, args.kappa)
+    word = unrank(args.level, args.kappa, args.index, cone)
     _emit(args, ("word", "n", "kappa", "rank", "dim"),
           [(word_to_string(word, args.poly), args.level, args.kappa,
-            str(args.index), str(table.dim(args.level, args.kappa)))])
+            str(args.index), str(cone.dim(args.level, args.kappa)))])
     return 0
 
 

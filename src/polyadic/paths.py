@@ -19,7 +19,7 @@ from itertools import count
 
 from .errors import (HorizonExhausted, MaximalPath, MinimalPath,
                      PrefixExhausted, RankOutOfRange)
-from .poly import DimTable, GenPolynomial, PathColumn
+from .poly import DimTable, GenPolynomial, PathColumn, VertexCone
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,14 @@ def rank(word, poly: GenPolynomial) -> int:
     return rnk
 
 
-def unrank(n: int, kap: int, index: int, table: DimTable) -> tuple[int, ...]:
-    """Word of length n at vertex index kap whose rank equals index."""
+def unrank(n: int, kap: int, index: int,
+           table: DimTable | PathColumn | VertexCone) -> tuple[int, ...]:
+    """Word of length n at vertex index kap whose rank equals index.
+
+    The walk reads any row source through ``dim``, and only vertices on the
+    word's path down from (n, kap): the cone ``VertexCone(poly, n, kap)``
+    holds all it reads.
+    """
     lt = letter_table(table.poly)
     total = table.dim(n, kap)
     if not 1 <= index <= total:
@@ -108,14 +114,13 @@ def unrank(n: int, kap: int, index: int, table: DimTable) -> tuple[int, ...]:
             f"index {index} outside [1, {total}] at vertex ({n}, {kap})")
     letters = [0] * n
     for level in range(n, 0, -1):
-        row = table.row(level - 1)
+        blocks = [table.dim(level - 1, kap - s) for s in range(lt.poly.degree + 1)]
         for c, step in enumerate(lt.kstep):
-            block = row[kap - step] if 0 <= kap - step < len(row) else 0
-            if index <= block:
+            if index <= blocks[step]:
                 letters[level - 1] = c
                 kap -= step
                 break
-            index -= block
+            index -= blocks[step]
     return tuple(letters)
 
 

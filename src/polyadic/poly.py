@@ -4,15 +4,19 @@ The coefficient table holds ``C(n, k)``, the coefficient of ``x^k`` in
 ``p(x)^n``, for a polynomial ``p`` with positive integer coefficients.  Entry
 ``(n, k)`` counts the paths from the root to vertex ``(n, k)`` of the graded
 graph generated by ``p``, so everything downstream (ranking, measures, curve
-extraction) leans on these integers being exact.  ``DimTable`` holds dense
-rows; ``PathColumn`` holds only the entries near one path's vertices, which
-is all that ranking and curve extraction along that path read.  Both build a
-level from the one below with the one level builder, ``_next_level``.
+extraction) leans on these integers being exact.  Three row sources share
+one read surface (``poly``, ``row(n)``, ``dim(n, k)``): ``DimTable`` holds
+dense rows; ``PathColumn`` holds only the entries near one path's vertices,
+which is all that ranking and curve extraction along that path read;
+``VertexCone`` holds only the vertices on some path up to one vertex, which
+is all that unranking at that vertex reads.  Each builds a level from the one
+below with the one level builder, ``_next_level``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import CapacityError
 
@@ -190,3 +194,60 @@ class PathColumn:
         self._rows[n] = dict(zip(range(lo, hi + 1), vals))
         self._rows.pop(n - self._keep, None)
         self._n = n
+
+
+def _cone_entries(d: int, n: int, kap: int) -> int:
+    """Entries of the cone below (n, kap), for 0 <= kap <= n*d.
+
+    Level L holds max(0, kap - (n-L)*d) <= k <= min(L*d, kap).  With
+    m = min(n, kap // d), the upper ends sum to d*m(m+1)/2 + kap*(n-m) and
+    the lower ends to (m+1)*kap - d*m(m+1)/2.
+    """
+    m = min(n, kap // d) if d else n
+    return d * m * (m + 1) + kap * (n - 2 * m - 1) + n + 1
+
+
+class VertexCone:
+    """Exact C(L, k) on the paths up to one vertex: a read-only stand-in for DimTable.
+
+    Level L holds the band max(0, kap - (n-L)*d) <= k <= min(L*d, kap) of
+    the vertices that have a path up to (n, kap); each band is the plain
+    convolution of the band below, so ``_next_level`` never runs its end
+    recurrences.  ``row(L)`` is the band as {k: C(L, k)} for 0 <= L <= n,
+    ``dim(L, k)`` is zero for k outside [0, L*d] as in DimTable, and every
+    other read raises KeyError.  For kap outside [0, n*d] the cone is empty.
+    The entries are counted before any is built, against the entry budget.
+    """
+
+    def __init__(self, poly: GenPolynomial, n: int, kap: int):
+        if n < 0:
+            raise ValueError(f"level {n} is negative")
+        self.poly = poly
+        self._bands: list[list[int]] = []
+        a, d = poly.coeffs, poly.degree
+        if not 0 <= kap <= n * d:
+            return
+        entries = _cone_entries(d, n, kap)
+        if entries > DEFAULT_ENTRY_BUDGET:
+            raise CapacityError(
+                f"cone below vertex ({n}, {kap}) needs {entries} entries, "
+                f"budget is {DEFAULT_ENTRY_BUDGET}")
+        self._los = [max(0, kap - (n - L) * d) for L in range(n + 1)]
+        self._bands.append([1])
+        for L in range(1, n + 1):
+            self._bands.append(_next_level(a, L, self._los[L - 1], self._bands[-1],
+                                           self._los[L], min(L * d, kap)))
+
+    def row(self, n: int) -> dict[int, int]:
+        """Level n's band {k: C(n, k)}."""
+        if not 0 <= n < len(self._bands):
+            raise KeyError(n)
+        return dict(zip(count(self._los[n]), self._bands[n]))
+
+    def dim(self, n: int, k: int) -> int:
+        """C(n, k); zero for k outside [0, n*d]."""
+        if not 0 <= k <= n * self.poly.degree:
+            return 0
+        if 0 <= n < len(self._bands) and 0 <= k - self._los[n] < len(self._bands[n]):
+            return self._bands[n][k - self._los[n]]
+        raise KeyError((n, k))

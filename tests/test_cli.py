@@ -402,6 +402,52 @@ def test_rank_word_past_the_dense_table_budget(capsys):
                                for j in range(2, 3001, 2))
 
 
+def test_unrank_past_the_dense_table_budget(capsys):
+    # the dense table to level 3000 would need 9006001 entries; the cone
+    # below (3000, 5997) holds at most four a level
+    code, out, err = run(capsys, "rank", "--poly", "1,1,3", "--level", "3000",
+                         "--kappa", "5997", "--index", "7")
+    assert code == 0, err
+    word, n, kap, rnk, dim = out.splitlines()[1].split(",")
+    assert (n, kap, rnk) == ("3000", "5997", "7")
+    code, out, err = run(capsys, "rank", "--poly", "1,1,3", "--word", word)
+    assert code == 0, err
+    assert out.splitlines()[1].split(",") == [word, "3000", "5997", "7", dim]
+
+
+def test_unrank_counts_its_entries_before_building(capsys):
+    code, out, err = run(capsys, "rank", "--poly", "1,1", "--level", "1000000000",
+                         "--kappa", "5", "--index", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+def test_unrank_builds_no_dense_table(capsys, monkeypatch):
+    class Refused(DimTable):
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("unranking built a DimTable")
+
+    monkeypatch.setattr(cli, "DimTable", Refused)
+    code, out, err = run(capsys, "rank", "--poly", "1,1,3", "--level", "5",
+                         "--kappa", "4", "--index", "3")
+    assert code == 0, err
+    assert out.splitlines()[1] == "44420,5,4,3,185"
+
+
+@pytest.mark.parametrize("level,kap,index,message", [
+    ("-1", "0", "1", "error: level -1 is negative\n"),
+    ("5", "-1", "1", "error: index 1 outside [1, 0] at vertex (5, -1)\n"),
+    ("5", "11", "1", "error: index 1 outside [1, 0] at vertex (5, 11)\n"),
+    ("5", "4", "0", "error: index 0 outside [1, 185] at vertex (5, 4)\n"),
+    ("5", "4", "186", "error: index 186 outside [1, 185] at vertex (5, 4)\n"),
+])
+def test_unrank_errors(capsys, level, kap, index, message):
+    code, out, err = run(capsys, "rank", "--poly", "1,1,3", "--level", level,
+                         "--kappa", kap, "--index", index)
+    assert (code, out, err) == (1, "", message)
+
+
 def test_dims_prints_integers_past_the_digit_limit(capsys):
     # C(44, 0) = (10^100)^44 has 4401 digits, past Python's default of 4300
     coeffs = (10 ** 100, 1)

@@ -13,6 +13,7 @@ from polyadic import (CapacityError, DimTable, GenPolynomial, HorizonExhausted, 
                       iter_tower, kappa, letter_table, maximal_word,
                       minimal_word, predecessor, prefix_walk, rank, successor,
                       unrank, word_from_string, word_to_string)
+from polyadic.poly import VertexCone
 
 P11 = GenPolynomial((1, 1))
 P113 = GenPolynomial((1, 1, 3))
@@ -337,3 +338,19 @@ def test_rank_and_neighbour_round_trips_on_drawn_words(poly, data):
             continue
         assert back(moved, poly).known() == w
     assert table.n_max <= n
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly=_POLYS, n=st.integers(0, 60), data=st.data())
+def test_unrank_on_the_vertex_cone_equals_unrank_on_dense_rows(poly, n, data):
+    table = DimTable(poly)
+    kap = data.draw(st.integers(-1, n * poly.degree + 1))
+    total = table.dim(n, kap)
+    cone = VertexCone(poly, n, kap)
+    assert cone.dim(n, kap) == total
+    if total == 0:                  # kappa outside [0, n*d]: the same error
+        with pytest.raises(RankOutOfRange, match=r"outside \[1, 0\]"):
+            unrank(n, kap, 1, cone)
+        return
+    index = data.draw(st.integers(1, total))
+    assert unrank(n, kap, index, cone) == unrank(n, kap, index, table)

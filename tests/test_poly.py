@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import poly_power_row
 from polyadic import CapacityError, DimTable, GenPolynomial
-from polyadic.poly import PathColumn
+from polyadic.poly import PathColumn, VertexCone, _cone_entries
 
 
 def test_parse_and_validation():
@@ -280,3 +281,56 @@ def test_path_column_windows_equal_the_dense_table(coeffs, depth, data):
 def test_path_column_rejects_negative_depth():
     with pytest.raises(ValueError):
         PathColumn(GenPolynomial((1, 1)), [], -1)
+
+
+@pytest.mark.parametrize("coeffs", [(1,), (3,), (1, 1), (1, 2, 1), (1, 1, 3),
+                                    (1, 3, 3, 1), (2, 1, 1, 2)])
+def test_vertex_cone_bands_equal_dense_rows(coeffs):
+    d = len(coeffs) - 1
+    rows = [poly_power_row(coeffs, n) for n in range(13)]
+    for n in range(13):
+        for kap in range(-1, n * d + 2):
+            cone = VertexCone(GenPolynomial(coeffs), n, kap)
+            if not 0 <= kap <= n * d:       # empty cone, empty tower
+                assert cone.dim(n, kap) == 0
+                with pytest.raises(KeyError):
+                    cone.row(n)
+                continue
+            for L in range(n + 1):
+                lo, hi = max(0, kap - (n - L) * d), min(L * d, kap)
+                assert cone.row(L) == {k: rows[L][k] for k in range(lo, hi + 1)}
+                for k in range(-1, L * d + 2):
+                    if lo <= k <= hi or not 0 <= k <= L * d:
+                        assert cone.dim(L, k) == (rows[L][k] if 0 <= k <= L * d else 0)
+                    else:
+                        with pytest.raises(KeyError):
+                            cone.dim(L, k)
+            assert _cone_entries(d, n, kap) == sum(
+                len(cone.row(L)) for L in range(n + 1))
+            for L in (-1, n + 1):
+                with pytest.raises(KeyError):
+                    cone.row(L)
+
+
+def test_vertex_cone_checks_level_and_budget_before_building():
+    with pytest.raises(ValueError, match="level -1 is negative"):
+        VertexCone(GenPolynomial((1, 1)), -1, 0)
+    # counted in closed form: building these would run out of memory
+    with pytest.raises(CapacityError, match=r"vertex \(1000000000, 5\) needs "
+                                            r"5999999976 entries, budget is 4000000"):
+        VertexCone(GenPolynomial((1, 1)), 10 ** 9, 5)
+    with pytest.raises(CapacityError, match="needs 1000000001 entries"):
+        VertexCone(GenPolynomial((3,)), 10 ** 9, 0)
+    # an empty cone costs nothing at any height
+    assert VertexCone(GenPolynomial((1, 1)), 10 ** 9, -1).dim(10 ** 9, -1) == 0
+
+
+def test_vertex_cone_near_the_tower_edge_stays_narrow():
+    # (1999, 10) on 1,1,3: the dense table to level 1999 needs about 4 million
+    # entries; the cone holds at most kap + 1 = 11 per level
+    cone = VertexCone(GenPolynomial((1, 1, 3)), 1999, 10)
+    widths = [len(cone.row(L)) for L in range(2000)]
+    assert max(widths) == 11 and sum(widths) == _cone_entries(2, 1999, 10) == 21940
+    # p = 1 + x + 3x^2: j squares, 10 - 2j linear terms, the rest constants
+    assert cone.dim(1999, 10) == sum(
+        math.comb(1999, j) * math.comb(1999 - j, 10 - 2 * j) * 3 ** j for j in range(6))
