@@ -100,12 +100,13 @@ def rank(word, poly: GenPolynomial) -> int:
 
 
 def unrank(n: int, kap: int, index: int,
-           table: DimTable | PathColumn | VertexCone) -> tuple[int, ...]:
+           table: DimTable | VertexCone) -> tuple[int, ...]:
     """Word of length n at vertex index kap whose rank equals index.
 
-    The walk reads any row source through ``dim``, and only vertices on the
+    The walk reads the row source through ``dim``, and only vertices on the
     word's path down from (n, kap): the cone ``VertexCone(poly, n, kap)``
-    holds all it reads.
+    holds all it reads.  The source must hold every level from 0 to n, which
+    a ``PathColumn`` (keeping only its last few levels) does not.
     """
     lt = letter_table(table.poly)
     total = table.dim(n, kap)

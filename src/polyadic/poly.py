@@ -21,6 +21,9 @@ from itertools import count
 from .errors import CapacityError
 
 DEFAULT_ENTRY_BUDGET = 4_000_000
+# Bits a cone above the dense table's reach may hold: an entry at level L has
+# up to L*log2(p(1)) bits, so counting entries alone does not bound memory.
+_CONE_BIT_BUDGET = 64 * DEFAULT_ENTRY_BUDGET
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ class DimTable:
     def extend(self, n_max: int) -> None:
         """Grow the table so that all levels up to ``n_max`` are present."""
         a, d = self.poly.coeffs, self.poly.degree
-        entries = (n_max + 1) + d * n_max * (n_max + 1) // 2
+        entries = _table_entries(d, n_max)
         if entries > self.entry_budget:
             raise CapacityError(
                 f"table with n_max={n_max}, degree={d} needs {entries} entries, "
@@ -196,6 +199,11 @@ class PathColumn:
         self._n = n
 
 
+def _table_entries(d: int, n: int) -> int:
+    """Entries of the dense table to level n: sum of L*d + 1 over L <= n."""
+    return (n + 1) + d * n * (n + 1) // 2
+
+
 def _cone_entries(d: int, n: int, kap: int) -> int:
     """Entries of the cone below (n, kap), for 0 <= kap <= n*d.
 
@@ -207,6 +215,24 @@ def _cone_entries(d: int, n: int, kap: int) -> int:
     return d * m * (m + 1) + kap * (n - 2 * m - 1) + n + 1
 
 
+def _cone_bits(poly: GenPolynomial, n: int, kap: int, stop: int) -> tuple[int, int]:
+    """Bound on the bits of the cone below (n, kap) up to level L, and that L.
+
+    C(L, k) <= p(1)^L, so an entry at level L is charged L*bitlen(p(1)) + 1
+    bits.  The sum runs up the levels and stops at the first level where it
+    passes ``stop``; each level adds at least L bits, so it stops within
+    about sqrt(2*stop) levels at any n.
+    """
+    d, b = poly.degree, poly.alphabet_size.bit_length()
+    bits = 0
+    for L in range(n + 1):
+        width = min(L * d, kap) - max(0, kap - (n - L) * d) + 1
+        bits += width * (L * b + 1)
+        if bits > stop:
+            break
+    return bits, L
+
+
 class VertexCone:
     """Exact C(L, k) on the paths up to one vertex: a read-only stand-in for DimTable.
 
@@ -216,7 +242,11 @@ class VertexCone:
     recurrences.  ``row(L)`` is the band as {k: C(L, k)} for 0 <= L <= n,
     ``dim(L, k)`` is zero for k outside [0, L*d] as in DimTable, and every
     other read raises KeyError.  For kap outside [0, n*d] the cone is empty.
-    The entries are counted before any is built, against the entry budget.
+    Before any entry is built, the entries are counted against the entry
+    budget.  Above the highest level whose dense table fits that budget, the
+    bits are bounded too: there the cone's entries grow long enough that
+    their count no longer bounds memory.  Up to that level the cone is part
+    of the dense table, so it answers wherever the dense table did.
     """
 
     def __init__(self, poly: GenPolynomial, n: int, kap: int):
@@ -232,6 +262,12 @@ class VertexCone:
             raise CapacityError(
                 f"cone below vertex ({n}, {kap}) needs {entries} entries, "
                 f"budget is {DEFAULT_ENTRY_BUDGET}")
+        if _table_entries(d, n) > DEFAULT_ENTRY_BUDGET:
+            bits, top = _cone_bits(poly, n, kap, _CONE_BIT_BUDGET)
+            if bits > _CONE_BIT_BUDGET:
+                raise CapacityError(
+                    f"cone below vertex ({n}, {kap}) needs up to {bits} bits "
+                    f"by level {top}, budget is {_CONE_BIT_BUDGET} bits")
         self._los = [max(0, kap - (n - L) * d) for L in range(n + 1)]
         self._bands.append([1])
         for L in range(1, n + 1):

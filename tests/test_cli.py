@@ -423,6 +423,16 @@ def test_unrank_counts_its_entries_before_building(capsys):
     assert err.startswith("error: ") and "budget" in err
 
 
+def test_unrank_bounds_the_cone_bits_before_building(capsys):
+    # 1.2 million entries of up to 3^300000 each: within the entry budget,
+    # far past memory
+    code, out, err = run(capsys, "rank", "--poly", "1,1,3", "--level", "300000",
+                         "--kappa", "599997", "--index", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
 def test_unrank_builds_no_dense_table(capsys, monkeypatch):
     class Refused(DimTable):
         def __init__(self, *args, **kwargs):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import poly_power_row
 from polyadic import CapacityError, DimTable, GenPolynomial
-from polyadic.poly import PathColumn, VertexCone, _cone_entries
+from polyadic.poly import (_CONE_BIT_BUDGET, PathColumn, VertexCone, _cone_bits,
+                           _cone_entries, _table_entries)
 
 
 def test_parse_and_validation():
@@ -323,6 +324,29 @@ def test_vertex_cone_checks_level_and_budget_before_building():
         VertexCone(GenPolynomial((3,)), 10 ** 9, 0)
     # an empty cone costs nothing at any height
     assert VertexCone(GenPolynomial((1, 1)), 10 ** 9, -1).dim(10 ** 9, -1) == 0
+
+
+def test_vertex_cone_bounds_its_bits_above_the_dense_reach():
+    p113 = GenPolynomial((1, 1, 3))
+    # 1.2 million entries, but about 3^L each: tens of gigabytes in all
+    assert _cone_entries(2, 300000, 599997) < 4_000_000
+    with pytest.raises(CapacityError, match=r"vertex \(300000, 599997\) needs up to "
+                                            r"\d+ bits by level \d+, budget is 256000000"):
+        VertexCone(p113, 300000, 599997)
+    # 2.2 million entries at (2100, 2100), refused as the dense table was
+    assert _table_entries(2, 2100) > 4_000_000
+    with pytest.raises(CapacityError, match="bits"):
+        VertexCone(p113, 2100, 2100)
+    # a narrow cone past the dense reach fits
+    assert _cone_bits(p113, 3000, 5997, _CONE_BIT_BUDGET)[0] <= _CONE_BIT_BUDGET
+    assert VertexCone(p113, 3000, 5997).dim(3000, 5997) == 3000 * 2999 * 2998 // 6 * 3 ** 2997 \
+        + 3000 * 2999 * 3 ** 2998
+    # where the dense table fits the entry budget the cone, a part of it,
+    # answers whatever its bits: unranking refuses nothing it answered before
+    big = GenPolynomial((1000, 1000))
+    assert _table_entries(1, 600) <= 4_000_000
+    assert _cone_bits(big, 600, 300, _CONE_BIT_BUDGET)[0] > _CONE_BIT_BUDGET
+    assert VertexCone(big, 600, 300).dim(600, 300) == math.comb(600, 300) * 1000 ** 600
 
 
 def test_vertex_cone_near_the_tower_edge_stays_narrow():
