@@ -9,8 +9,10 @@ one read surface (``poly``, ``row(n)``, ``dim(n, k)``): ``DimTable`` holds
 dense rows; ``PathColumn`` holds only the entries near one path's vertices,
 which is all that ranking and curve extraction along that path read;
 ``VertexCone`` holds only the vertices on some path up to one vertex, which
-is all that unranking at that vertex reads.  Each builds a level from the one
-below with the one level builder, ``_next_level``.
+is all that unranking at that vertex reads.  ``DimTable`` and ``PathColumn``
+build a level from the one below with the one level builder,
+``_next_level``; a cone band is a plain convolution and is built packed into
+one integer instead.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ DEFAULT_ENTRY_BUDGET = 4_000_000
 # Bits a cone above the dense table's reach may hold: an entry at level L has
 # up to L*log2(p(1)) bits, so counting entries alone does not bound memory.
 _CONE_BIT_BUDGET = 64 * DEFAULT_ENTRY_BUDGET
+# Levels a packed cone band may grow before its entries are measured and
+# repacked: a level's entries, and every partial sum of its convolution, have
+# at most bitlen(p(1)) bits more than the largest entry of the level below.
+_REPACK_LEVELS = 32
 
 
 @dataclass(frozen=True)
@@ -238,22 +244,30 @@ class VertexCone:
 
     Level L holds the band max(0, kap - (n-L)*d) <= k <= min(L*d, kap) of
     the vertices that have a path up to (n, kap); each band is the plain
-    convolution of the band below, so ``_next_level`` never runs its end
-    recurrences.  ``row(L)`` is the band as {k: C(L, k)} for 0 <= L <= n,
-    ``dim(L, k)`` is zero for k outside [0, L*d] as in DimTable, and every
-    other read raises KeyError.  For kap outside [0, n*d] the cone is empty.
+    convolution of the band below.  ``row(L)`` is the band as {k: C(L, k)}
+    for 0 <= L <= n, ``dim(L, k)`` is zero for k outside [0, L*d] as in
+    DimTable, and every other read raises KeyError.  For kap outside
+    [0, n*d] the cone is empty.
     Before any entry is built, the entries are counted against the entry
     budget.  Above the highest level whose dense table fits that budget, the
     bits are bounded too: there the cone's entries grow long enough that
     their count no longer bounds memory.  Up to that level the cone is part
     of the dense table, so it answers wherever the dense table did.
+
+    Each band is one integer: entry k sits in bits (k - lo)*w up to
+    (k - lo + 1)*w, w a whole number of bytes that holds every entry of the
+    level.  Entries never carry into their neighbours, so the convolution of
+    a whole band is d shifts and additions of that one integer, with no
+    Python step per entry.  Every ``_REPACK_LEVELS`` levels the band is
+    unpacked, its largest entry measured, and w reset to hold that many
+    more levels of growth.
     """
 
     def __init__(self, poly: GenPolynomial, n: int, kap: int):
         if n < 0:
             raise ValueError(f"level {n} is negative")
         self.poly = poly
-        self._bands: list[list[int]] = []
+        self._bands: list[int] = []
         a, d = poly.coeffs, poly.degree
         if not 0 <= kap <= n * d:
             return
@@ -268,22 +282,55 @@ class VertexCone:
                 raise CapacityError(
                     f"cone below vertex ({n}, {kap}) needs up to {bits} bits "
                     f"by level {top}, budget is {_CONE_BIT_BUDGET} bits")
-        self._los = [max(0, kap - (n - L) * d) for L in range(n + 1)]
-        self._bands.append([1])
+        los = self._los = [max(0, kap - (n - L) * d) for L in range(n + 1)]
+        his = self._his = [min(L * d, kap) for L in range(n + 1)]
+        grow = poly.alphabet_size.bit_length()
+        self._bands.append(1)
+        self._entry_bits = [8]
+        w, room = 8, 0                  # bits an entry, levels before a repack
         for L in range(1, n + 1):
-            self._bands.append(_next_level(a, L, self._los[L - 1], self._bands[-1],
-                                           self._los[L], min(L * d, kap)))
+            band = self._bands[-1]
+            if not room:
+                vals = _unpack(band, his[L - 1] - los[L - 1] + 1, w)
+                w = -(-(max(vals).bit_length() + _REPACK_LEVELS * grow) // 8) * 8
+                band, room = _pack(vals, w), _REPACK_LEVELS
+            room -= 1
+            # sum_j a_j * band * 2^(j*w), by Horner from the top coefficient
+            conv = a[d] * band
+            for j in range(d - 1, -1, -1):
+                conv = (conv << w) + (band if a[j] == 1 else a[j] * band)
+            if los[L] > los[L - 1]:
+                conv >>= (los[L] - los[L - 1]) * w
+            if his[L] < his[L - 1] + d:
+                conv &= (1 << ((his[L] - los[L] + 1) * w)) - 1
+            self._bands.append(conv)
+            self._entry_bits.append(w)
 
     def row(self, n: int) -> dict[int, int]:
         """Level n's band {k: C(n, k)}."""
         if not 0 <= n < len(self._bands):
             raise KeyError(n)
-        return dict(zip(count(self._los[n]), self._bands[n]))
+        width = self._his[n] - self._los[n] + 1
+        return dict(zip(count(self._los[n]), _unpack(self._bands[n], width,
+                                                      self._entry_bits[n])))
 
     def dim(self, n: int, k: int) -> int:
         """C(n, k); zero for k outside [0, n*d]."""
         if not 0 <= k <= n * self.poly.degree:
             return 0
-        if 0 <= n < len(self._bands) and 0 <= k - self._los[n] < len(self._bands[n]):
-            return self._bands[n][k - self._los[n]]
-        raise KeyError((n, k))
+        if not (0 <= n < len(self._bands) and self._los[n] <= k <= self._his[n]):
+            raise KeyError((n, k))
+        w = self._entry_bits[n]
+        return (self._bands[n] >> ((k - self._los[n]) * w)) & ((1 << w) - 1)
+
+
+def _unpack(band: int, width: int, w: int) -> list[int]:
+    """The ``width`` entries of ``w`` bits each packed into ``band``, lowest first."""
+    raw, size = band.to_bytes(width * w // 8, "little"), w // 8
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+
+def _pack(vals: list[int], w: int) -> int:
+    """``vals`` packed lowest first into ``w`` bits each (a multiple of 8)."""
+    size = w // 8
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in vals), "little")

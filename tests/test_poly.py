@@ -313,6 +313,23 @@ def test_vertex_cone_bands_equal_dense_rows(coeffs):
                     cone.row(L)
 
 
+@pytest.mark.parametrize("coeffs", [(3,), (1, 1), (1, 2, 1), (1, 1, 3), (1000, 1000),
+                                    (7, 1, 250), (1, 3, 3, 1)])
+def test_vertex_cone_bands_stay_exact_across_repacks(coeffs):
+    # 100 levels repack the packed bands several times; the edge vertices keep
+    # entries far below p(1)^L, central ones near it
+    n, d = 100, len(coeffs) - 1
+    rows = [poly_power_row(coeffs, L) for L in range(n + 1)]
+    top = n * d
+    for kap in {k for k in (0, 1, 5, top // 3, top // 2, top - 4, top) if 0 <= k <= top}:
+        cone = VertexCone(GenPolynomial(coeffs), n, kap)
+        for L in range(n + 1):
+            lo, hi = max(0, kap - (n - L) * d), min(L * d, kap)
+            band = {k: rows[L][k] for k in range(lo, hi + 1)}
+            assert cone.row(L) == band
+            assert [cone.dim(L, k) for k in band] == list(band.values())
+
+
 def test_vertex_cone_checks_level_and_budget_before_building():
     with pytest.raises(ValueError, match="level -1 is negative"):
         VertexCone(GenPolynomial((1, 1)), -1, 0)
