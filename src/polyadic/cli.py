@@ -86,21 +86,18 @@ def _cmd_rank(args, parser) -> int:
         if any(v is not None for v in unrank_args):
             parser.error("rank takes --word or --level/--kappa/--index, not both")
         word = word_from_string(args.word, args.poly)
-        column = path_column(word, args.poly)
+        source = path_column(word, args.poly)
         n, kap, rnk = 0, 0, 1               # the empty word
-        for n, kap, rnk in prefix_walk(word, column):
+        for n, kap, rnk in prefix_walk(word, source):
             pass
-        _emit(args, ("word", "n", "kappa", "rank", "dim"),
-              [(word_to_string(word, args.poly), n, kap, str(rnk),
-                str(column.dim(n, kap)))])
-        return 0
-    if None in unrank_args:
+    elif None in unrank_args:
         parser.error("rank needs --word, or --level/--kappa/--index")
-    cone = VertexCone(args.poly, args.level, args.kappa)
-    word = unrank(args.level, args.kappa, args.index, cone)
+    else:
+        n, kap, rnk = unrank_args
+        source = VertexCone(args.poly, n, kap)
+        word = unrank(n, kap, rnk, source)
     _emit(args, ("word", "n", "kappa", "rank", "dim"),
-          [(word_to_string(word, args.poly), args.level, args.kappa,
-            str(args.index), str(cone.dim(args.level, args.kappa)))])
+          [(word_to_string(word, args.poly), n, kap, str(rnk), str(source.dim(n, kap)))])
     return 0
 
 

@@ -282,26 +282,22 @@ def _stabilizing_levels(x, table: DimTable | PathColumn, eps: float,
                         delta: float, n_max: int):
     """Yield (n, kappa_n) at each stabilizing level of the prefix up to n_max.
 
-    A level qualifies when the prefix sits low in its tower and its vertex is
-    central.  The rank test rank/H < eps is decided in exact integer arithmetic; the
-    vertex test keeps kappa/(n d) within [delta, 1 - delta] (void for the
-    degree-0 system, whose only vertex is central).
+    A level qualifies when the prefix sits low in its tower, rank/H < eps,
+    and its vertex is central, delta <= kappa/(n d) <= 1 - delta.  Both tests
+    are exact: they cross-multiply integers, eps and delta read once as
+    integer ratios.  At degree 0 the vertex test reads 0 <= 0 <= 0: no branch.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("need 0 < eps <= 1")
     if not 0.0 <= delta < 0.25:
         raise ValueError("need 0 <= delta < 1/4")
     d = table.poly.degree
-    eps_f = Fraction(eps)
-    delta_f = Fraction(delta)
+    e, e_den = eps.as_integer_ratio()
+    c, c_den = delta.as_integer_ratio()
     for n, kap, rnk in prefix_walk(x, table, n_max):
-        if Fraction(rnk, table.dim(n, kap)) >= eps_f:
-            continue
-        if d > 0:
-            ratio = Fraction(kap, n * d)
-            if not delta_f <= ratio <= 1 - delta_f:
-                continue
-        yield n, kap
+        if (rnk * e_den < e * table.dim(n, kap)
+                and c * n * d <= kap * c_den <= (c_den - c) * n * d):
+            yield n, kap
 
 
 def measure_ray(mp, n: int) -> int:

@@ -125,9 +125,11 @@ class MeasureParams:
 def measure_params(poly: GenPolynomial, q: float) -> MeasureParams:
     t = solve_t(poly, q)
     ks = letter_table(poly).kstep
-    b = t / q
-    weights = tuple(q * b ** s for s in ks)
-    total = sum(weights)
+    try:
+        weights = tuple(q * (t / q) ** s for s in ks)
+        total = sum(weights)
+    except OverflowError:       # t/q past float range: t is no root at this q
+        total = math.inf
     if abs(total - 1.0) > 1e-9:
         raise NoRoot(f"weights sum to {total}, not 1; degenerate parameters")
     return MeasureParams(poly, q, t, weights, low_sums(weights, 0.0))

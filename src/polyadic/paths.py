@@ -237,18 +237,19 @@ def prefix_walk(x, table: DimTable | PathColumn, n_max: int | None = None):
 def _steps(x, poly: GenPolynomial, direction: int):
     """Yield the successors of x one after another, or its predecessors for -1.
 
-    One copy of x's letters, sharing x's stream and horizon, is rewritten in
-    place and yielded at every step.  A step walks up the letters to the
-    first level n where a label b past the letter there, in that direction,
-    leaves a nonempty tower below (0 <= kappa_n - step(b) <= (n-1)*d); every
-    head below is then extremal in its tower.  The new head is the first word
+    One copy of x's letters, with x's horizon, is rewritten in place and
+    yielded at every step; it reads the letters above its prefix through x,
+    so x keeps its own letters.  A step walks up the letters to the first level
+    n where a label b past the letter there, in that direction, leaves a
+    nonempty tower below (0 <= kappa_n - step(b) <= (n-1)*d); every head
+    below is then extremal in its tower.  The new head is the first word
     (the last, for -1) of the tower below followed by b, and the letters
     above the pivot are untouched, so a step costs O(1) levels on average.
     """
     if direction not in (1, -1):
         raise ValueError(f"direction must be 1 or -1, got {direction!r}")
     x = _as_prefix(x)
-    y = PathPrefix(x.known(), x._extend, x.max_level)
+    y = PathPrefix(x.known(), map(x.letter, count(len(x) + 1)), x.max_level)
     lt = letter_table(poly)
     ks, d, r, letters = lt.kstep, poly.degree, len(lt.kstep), y._letters
     kap = n = 0

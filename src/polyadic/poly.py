@@ -162,12 +162,14 @@ class PathColumn:
 
     ``steps`` yields the vertex step of the path's letters 1, 2, ...; level n
     is built the first time ``row`` or ``dim`` asks for it and pulls the n-th
-    step.  ``row(n)[k]`` and ``dim(n, k)`` hold for |k - kappa_n| <= (depth+1)*d,
-    kappa_n being the path's vertex at level n, on the last depth + 1 levels
-    built; ``dim`` is zero for k outside [0, n*d] as in DimTable, and every
-    other read raises KeyError.  Each window is built from the one below by
-    ``_next_level``, so a walk that reads only near the path costs
-    O(depth d^2) big-integer products per level instead of O(n d^2).
+    step.  ``row(n)[k]`` and ``dim(n, k)`` hold for |k - kappa_n| <= w,
+    w = max(depth, 1)*d and kappa_n the path's vertex at level n, on the last
+    depth + 1 levels built: a prefix walk reads level n - 1 within d of the
+    path, a reader of depth m level n - j within j*d <= m*d.  ``dim`` is zero
+    for k outside [0, n*d] as in DimTable, and every other read raises
+    KeyError.  Each window is built from the one below by ``_next_level``,
+    so a walk that reads only near the path costs O(depth d^2) big-integer
+    products per level instead of O(n d^2).
     """
 
     def __init__(self, poly: GenPolynomial, steps, depth: int = 0):
@@ -175,7 +177,7 @@ class PathColumn:
             raise ValueError("depth must be >= 0")
         self.poly = poly
         self._steps = iter(steps)
-        self._reach = (depth + 1) * poly.degree
+        self._reach = max(depth, 1) * poly.degree
         self._keep = depth + 1
         self._rows: dict[int, dict[int, int]] = {0: {0: 1}}
         self._n = 0

@@ -254,6 +254,20 @@ def test_g_file_poly_mismatch(tmp_path, capsys):
     assert code == 1 and "error" in captured.err
 
 
+@pytest.mark.parametrize("poly,q", [("1,1,3", "1e-300"), ("1,1,2", "1e-200"),
+                                    ("1,1,3", "5e-324")])
+def test_tiny_q_ends_in_error_not_traceback(tmp_path, capsys, poly, q):
+    # every term of the weight equation is about q, so the root search
+    # settles on a t whose weights q (t/q)^s leave float range
+    gpath = _write_g(tmp_path, GenPolynomial.parse(poly), CylFunction(1, {(0,): 1.0}))
+    for argv in (["tq"], ["orbit", "--n", "5", "--steps", "3"],
+                 ["curve", "--g", gpath, "--nmax", "40"], ["takagi", "--grid", "4"]):
+        code, out, err = run(capsys, *argv, "--poly", poly, "--q", q)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "degenerate parameters" in err
+
+
 def test_float_range_ends_in_error_not_traceback(tmp_path, capsys):
     gpath = _write_g(tmp_path, GenPolynomial((1, 1)), CylFunction(1, {(0,): 1.0}))
     walk = ("--q", "0.5", "--m", "2", "--tol", "0", "--eps", "1", "--delta", "0",
@@ -500,7 +514,7 @@ def test_takagi_past_171_factorial(capsys):
 _INT = st.integers(-3, 12).map(str)
 _SMALL = st.integers(-2, 4).map(str)
 _POLY = st.sampled_from(["1,1", "1,1", "1,1,2", "3", "2,1", "1,0", "x"])
-_Q = st.sampled_from(["0.5", "0.25", "0.3", "0", "1", "1.5", "-0.2", "nan"])
+_Q = st.sampled_from(["0.5", "0.25", "0.3", "0", "1", "1.5", "-0.2", "nan", "1e-300"])
 _FLOAT = st.sampled_from(["0.1", "0.05", "0", "0.3", "1.5", "-1", "nan"])
 _WORD = st.text("012349,", max_size=6)
 _G = st.sampled_from(["g11.json", "g11.json", "gconst.json", "g3.json", "missing.json"])
@@ -549,6 +563,7 @@ def cli_files(tmp_path_factory):
           "--depth", "5"])
 @example(["takagi", "--poly", "1,1,2", "--q", "0.25", "--k", "171", "--grid", "1",
           "--depth", "5"])
+@example(["tq", "--poly", "1,1,2", "--q", "1e-300"])
 @given(argv=_argv())
 def test_drawn_command_lines_end_in_a_documented_exit_code(cli_files, argv):
     argv = [str(cli_files / a) if a.endswith((".json", ".csv")) else a for a in argv]

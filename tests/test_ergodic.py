@@ -6,6 +6,8 @@ from functools import lru_cache
 from itertools import accumulate, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_tower_sums, poly_power_row, tower_words_sorted
 from polyadic import (CapacityError, CylFunction, DegenerateCurve, DimTable,
@@ -16,8 +18,9 @@ from polyadic import (CapacityError, CylFunction, DegenerateCurve, DimTable,
                       letter_table, measure_params, measure_ray, node_grid,
                       rank, stationary_points, sup_distance,
                       tower_total, maximal_word, minimal_word,
-                      iter_tower)
+                      iter_tower, prefix_walk)
 from polyadic.ergodic import _grid_numerators, _stabilizing_levels
+from polyadic.paths import path_column
 
 P11 = GenPolynomial((1, 1))
 P111 = GenPolynomial((1, 1, 1))
@@ -282,6 +285,34 @@ def test_stabilizing_candidates_delta_band():
     x = PathPrefix((0,) * 20)         # kappa = n at every level: ratio 1
     cands = [n for n, _ in _stabilizing_levels(x, T11, 1.0, 0.1, 20)]
     assert cands == []
+
+
+def _levels_by_fractions(x, poly, eps, delta, n_max):
+    """The level test in Fractions: rank/H < eps, delta <= kappa/(n d) <= 1 - delta."""
+    table, d = DimTable(poly), poly.degree
+    eps, delta = Fraction(eps), Fraction(delta)
+    return [(n, kap) for n, kap, rnk in prefix_walk(x, table, n_max)
+            if Fraction(rnk, table.dim(n, kap)) < eps
+            and (d == 0 or delta <= Fraction(kap, n * d) <= 1 - delta)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.sampled_from([(3,), (1, 1), (1, 1, 2), (1, 1, 3)]),
+       data=st.data(),
+       eps=st.one_of(st.sampled_from([1.0, 0.5, 0.25, 0.125]),
+                     st.floats(0.0, 1.0, exclude_min=True)),
+       delta=st.one_of(st.sampled_from([0.0, 0.125]),
+                       st.floats(0.0, 0.25, exclude_max=True)),
+       depth=st.integers(0, 3))
+def test_stabilizing_levels_equal_the_fraction_test(coeffs, data, eps, delta, depth):
+    # dyadic eps and delta are met exactly at small levels, where an
+    # off-by-one comparison shows
+    poly = GenPolynomial(coeffs)
+    word = tuple(data.draw(st.lists(st.integers(0, poly.alphabet_size - 1),
+                                    max_size=24)))
+    levels = list(_stabilizing_levels(word, path_column(word, poly, depth),
+                                      eps, delta, len(word)))
+    assert levels == _levels_by_fractions(word, poly, eps, delta, len(word))
 
 
 def test_stabilizing_recurrence_for_random_paths():

@@ -10,8 +10,9 @@ from conftest import tower_words_comparison_sorted, tower_words_sorted
 from polyadic import (CapacityError, DimTable, GenPolynomial, HorizonExhausted, MaximalPath,
                       MinimalPath, PathPrefix, PrefixExhausted,
                       RankOutOfRange,
-                      iter_tower, kappa, letter_table, maximal_word,
-                      minimal_word, predecessor, prefix_walk, rank, successor,
+                      iter_tower, kappa, letter_stream, letter_table,
+                      maximal_word, measure_params, minimal_word, predecessor,
+                      prefix_walk, rank, successor,
                       unrank, word_from_string, word_to_string)
 from polyadic.poly import VertexCone
 
@@ -207,7 +208,19 @@ def test_successor_hands_over_stream():
     assert y.known() == (1, 1, 0, 1)
     assert y.letter(6) == 0
     assert y.known() == (1, 1, 0, 1, 1, 0)
-    assert x.known() == (1, 1, 1)
+    assert x.known() == (1, 1, 1, 0, 1, 0)
+    assert x.known()[4:] == y.known()[4:]     # the pivot is level 4
+
+
+def test_successor_leaves_a_streamed_path_unchanged():
+    # the successor reads x's letters above its prefix through x, so x
+    # reads on as a path that was never stepped
+    mp = measure_params(P11, 0.5)
+    x = PathPrefix((1, 1), extend=letter_stream(mp, 3), max_level=50)
+    fresh = PathPrefix((1, 1), extend=letter_stream(mp, 3), max_level=50)
+    y = successor(x, P11)
+    assert x.prefix(8) == fresh.prefix(8) == (1, 1, 0, 1, 0, 1, 1, 0)
+    assert y.prefix(8) == (1, 0, 1, 1, 0, 1, 1, 0)
 
 
 def test_is_minimal_maximal():

@@ -257,7 +257,7 @@ def test_path_column_windows_equal_the_dense_table(coeffs, depth, data):
     # The oracle is the plain convolution of the tests, not DimTable, which
     # builds its rows with the column's own level builder.
     rows = [poly_power_row(coeffs, n) for n in range(len(steps) + 1)]
-    reach = (depth + 1) * d
+    reach = max(depth, 1) * d
     kap = 0
     for n, step in enumerate(steps, 1):
         kap += step
