@@ -173,21 +173,14 @@ def decode_digits(mp: MeasureParams, x: float, m: int) -> tuple[int, ...]:
 
 
 def stationary_points(mp: MeasureParams, m: int) -> list[float]:
-    """Sorted left endpoints of all coding intervals of rank m."""
+    """Sorted left endpoints of all coding intervals of rank m, as encode_theta's."""
     r = len(mp.weights)
     if r ** m > _STATIONARY_BUDGET:
         raise CapacityError(f"{r}^{m} stationary points exceed budget")
-    lows = mp.lows
-    points = {0.0}
-    level = [(0.0, 1.0)]
+    values = [mp.lows[0]]           # encode's Horner, over all r^m words at once
     for _ in range(m):
-        nxt = []
-        for start, scale in level:
-            for c in range(r):
-                nxt.append((start + scale * lows[c], scale * mp.weights[c]))
-        level = nxt
-    points.update(start for start, _ in level)
-    return sorted(points)
+        values = [mp.lows[c] + mp.weights[c] * v for c in range(r) for v in values]
+    return sorted(set(values))
 
 
 # -- the digit coder ----------------------------------------------------------

@@ -1,13 +1,14 @@
 """Words over the edge alphabet, the tail-lexicographic order, and the adic map.
 
-Edges into every vertex carry letters ``0..r-1``.  The first ``a_d`` letters
-step the vertex index by ``d``, the next ``a_{d-1}`` by ``d-1``, and so on
-down to the last ``a_0`` letters which step by zero.  A word is a finite path
-read from level 1 upward; two words of the same length and the same total
-step compare at the *largest* index where they differ, letters comparing by
-label.  Rank, unrank, successor and predecessor below all realize that order.
-Successor, predecessor, iter_tower and the CLI's succ/orbit step through one
-loop, ``_steps``, which rewrites only the letters up to each step's pivot.
+Edges into every vertex carry letters ``0..r-1`` in step groups: the first
+``a_d`` letters step the vertex index by ``d``, and so on down to the last
+``a_0`` letters, which step by zero; so the labels below a letter are counted
+from the group sizes.  A word is a finite path read from level 1 upward; two
+words of the same length and the same total step compare at the *largest*
+index where they differ, letters comparing by label.  Rank, unrank, successor
+and predecessor below all realize that order.  Successor, predecessor,
+iter_tower and the CLI's succ/orbit step through one loop, ``_steps``, which
+rewrites only the letters up to each step's pivot.
 """
 
 from __future__ import annotations
@@ -15,38 +16,34 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import accumulate, count
 
-from .errors import (HorizonExhausted, MaximalPath, MinimalPath,
+from .errors import (CapacityError, HorizonExhausted, MaximalPath, MinimalPath,
                      PrefixExhausted, RankOutOfRange)
-from .poly import DimTable, GenPolynomial, PathColumn, VertexCone
+from .poly import DEFAULT_ENTRY_BUDGET, DimTable, GenPolynomial, PathColumn, VertexCone
 
 
 @dataclass(frozen=True)
 class LetterTable:
-    """Per-letter bookkeeping derived from the generating polynomial."""
+    """Step groups of the labels: the a_s labels first[s]..last[s] step by s."""
 
     poly: GenPolynomial
     kstep: tuple[int, ...]       # vertex-index increment of each letter
-    # number of letters with label < c stepping by s, for each letter c
-    below: tuple[tuple[int, ...], ...]
-    first: tuple[int, ...]       # lowest label of each step: first words
+    first: tuple[int, ...]       # lowest label of step s: a_d + ... + a_{s+1}
     last: tuple[int, ...]        # highest label of each step: last words
 
 
 @lru_cache(maxsize=None)
 def letter_table(poly: GenPolynomial) -> LetterTable:
     """Label groups in decreasing step order: sizes (a_d, ..., a_0)."""
-    d = poly.degree
-    kstep = tuple(s for s in range(d, -1, -1) for _ in range(poly.coeffs[s]))
-    below = []
-    counts = [0] * (d + 1)
-    for s in kstep:
-        below.append(tuple(counts))
-        counts[s] += 1
-    first = tuple(kstep.index(s) for s in range(d + 1))
-    last = tuple(f + a - 1 for f, a in zip(first, poly.coeffs))
-    return LetterTable(poly, kstep, tuple(below), first, last)
+    if poly.alphabet_size > DEFAULT_ENTRY_BUDGET:
+        raise CapacityError(f"alphabet needs {poly.alphabet_size} letters, "
+                            f"budget is {DEFAULT_ENTRY_BUDGET}")
+    a, d = poly.coeffs, poly.degree
+    kstep = tuple(s for s in range(d, -1, -1) for _ in range(a[s]))
+    first = tuple(accumulate(a[:0:-1], initial=0))[::-1]
+    last = tuple(f + size - 1 for f, size in zip(first, a))
+    return LetterTable(poly, kstep, first, last)
 
 
 def kappa(word, poly: GenPolynomial) -> int:
@@ -103,25 +100,29 @@ def unrank(n: int, kap: int, index: int,
            table: DimTable | VertexCone) -> tuple[int, ...]:
     """Word of length n at vertex index kap whose rank equals index.
 
-    The walk reads the row source through ``dim``, and only vertices on the
-    word's path down from (n, kap): the cone ``VertexCone(poly, n, kap)``
-    holds all it reads.  The source must hold every level from 0 to n, which
-    a ``PathColumn`` (keeping only its last few levels) does not.
+    Step group s holds a_s blocks of C(level-1, kap-s) words; the walk reads
+    them group by group, from step d down, only up to the index's group.  It
+    reads ``dim`` only at vertices on the word's path down from (n, kap), all
+    in the cone ``VertexCone(poly, n, kap)``; the source must hold levels 0
+    to n, which a ``PathColumn`` (its last few levels only) does not.
     """
     lt = letter_table(table.poly)
+    a, d = lt.poly.coeffs, lt.poly.degree
     total = table.dim(n, kap)
     if not 1 <= index <= total:
         raise RankOutOfRange(
             f"index {index} outside [1, {total}] at vertex ({n}, {kap})")
+    before = index - 1              # words ranked below the one sought
     letters = [0] * n
     for level in range(n, 0, -1):
-        blocks = [table.dim(level - 1, kap - s) for s in range(lt.poly.degree + 1)]
-        for c, step in enumerate(lt.kstep):
-            if index <= blocks[step]:
-                letters[level - 1] = c
-                kap -= step
+        for s in range(d, -1, -1):
+            block = table.dim(level - 1, kap - s)
+            if before < a[s] * block:
                 break
-            index -= blocks[step]
+            before -= a[s] * block
+        offset, before = divmod(before, block)
+        letters[level - 1] = lt.first[s] + offset
+        kap -= s
     return tuple(letters)
 
 
@@ -208,14 +209,16 @@ def prefix_walk(x, table: DimTable | PathColumn, n_max: int | None = None):
     """Yield (n, kappa_n, rank_n) for n = 1, 2, ... along the path prefix.
 
     The rank accumulates level by level: at level n, each letter below the
-    prefix's letter adds the words that agree above n and carry it at n,
-    i.e. the dimension of the vertex it leaves one level down.  The walk
-    stops after level n_max, or quietly where the prefix runs out of letters
-    or reaches its own horizon.
+    prefix's letter c adds the words that agree above n and carry it at n,
+    C(n-1, kappa_n - s) for its step s.  These are c - first[sigma] letters of
+    c's own step sigma and a_s of each larger step s <= kappa_n, so each vertex
+    read is the previous one or within d left of it: on the row, in a path
+    column's reach.  The walk stops after level n_max, or quietly where the
+    prefix runs out of letters or reaches its own horizon.
     """
     x = _as_prefix(x)
     lt = letter_table(table.poly)
-    d = table.poly.degree
+    a, d = table.poly.coeffs, table.poly.degree
     kap = 0
     rnk = 1
     n = 0
@@ -225,12 +228,12 @@ def prefix_walk(x, table: DimTable | PathColumn, n_max: int | None = None):
         except (PrefixExhausted, HorizonExhausted):
             return
         row = table.row(n)
-        top = n * d
         n += 1
-        kap += lt.kstep[c]
-        for s, cnt in enumerate(lt.below[c]):
-            if cnt and 0 <= kap - s <= top:
-                rnk += cnt * row[kap - s]
+        sigma = lt.kstep[c]
+        kap += sigma
+        rnk += (c - lt.first[sigma]) * row[kap - sigma]
+        for s in range(sigma + 1, min(d, kap) + 1):
+            rnk += a[s] * row[kap - s]
         yield n, kap, rnk
 
 

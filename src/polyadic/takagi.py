@@ -22,7 +22,7 @@ from .errors import CapacityError, DivisionByZeroJet, NoRoot
 from .measure import (_horner, _weight_poly_coeffs, cylinder, cylinder_measure,
                       decode, encode, low_sums, measure_params, solve_t)
 from .paths import letter_table
-from .poly import GenPolynomial
+from .poly import DEFAULT_ENTRY_BUDGET, GenPolynomial
 
 # The coding subdivides intervals in letter-label order, which runs through
 # [0, 1] opposite to the step-ordered subdivision that the classical
@@ -252,6 +252,9 @@ def parabola_profile(d: int, grid: int, depth: int = 60):
         raise ValueError("degree must be >= 1")
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    if d + 1 > DEFAULT_ENTRY_BUDGET:
+        raise CapacityError(f"degree {d} needs {d + 1} coefficients, "
+                            f"budget is {DEFAULT_ENTRY_BUDGET}")
     poly = GenPolynomial((1,) * (d + 1))
     q = 1.0 / (d + 1)
     rows = []

@@ -447,6 +447,25 @@ def test_unrank_bounds_the_cone_bits_before_building(capsys):
     assert err.startswith("error: ") and "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # p(1) = 10^23 letters; a billion coefficients
+    ["tq", "--poly", "99999999999999999999999,1", "--q", "1e-30"],
+    ["parabola", "--d", "1000000000"],
+])
+def test_alphabets_past_the_entry_budget_are_refused_before_building(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+def test_dims_lists_no_letters(capsys):
+    code, out, err = run(capsys, "dims", "--poly", "99999999999999999999999,1",
+                         "--nmax", "2")
+    assert code == 0, err
+    assert out.splitlines()[-1] == "2,2,1"
+
+
 def test_unrank_builds_no_dense_table(capsys, monkeypatch):
     class Refused(DimTable):
         def __init__(self, *args, **kwargs):

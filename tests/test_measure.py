@@ -227,3 +227,11 @@ def test_stationary_points():
     with pytest.raises(CapacityError):
         stationary_points(mp2, 12)
 
+
+@pytest.mark.parametrize("coeffs, q, m", [((1, 1, 3), 0.14, 3), ((1, 1), 0.3, 6),
+                                          ((2, 1, 1), 0.31, 3)])
+def test_stationary_points_are_the_encoded_words(coeffs, q, m):
+    # bit for bit: a separate recursion over (start, scale) rounds differently
+    mp = measure_params(GenPolynomial(coeffs), q)
+    words = product(range(len(mp.weights)), repeat=m)
+    assert stationary_points(mp, m) == sorted({encode_theta(mp, w) for w in words})

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from polyadic import (CapacityError, DimTable, GenPolynomial, HorizonExhausted, 
                       maximal_word, measure_params, minimal_word, predecessor,
                       prefix_walk, rank, successor,
                       unrank, word_from_string, word_to_string)
+from polyadic.paths import path_column
 from polyadic.poly import VertexCone
 
 P11 = GenPolynomial((1, 1))
@@ -22,6 +24,8 @@ P21 = GenPolynomial((2, 1))
 T11 = DimTable(P11, 40)
 T113 = DimTable(P113, 10)
 T21 = DimTable(P21, 10)
+# groups of one to seven labels, at degrees 0 to 5
+_WIDE_GROUPS = [(3,), (1, 7), (5, 1, 4), (2, 1, 1, 2), (7, 1, 5), (1, 1, 1, 1, 1, 1)]
 
 
 def test_letter_table_groups():
@@ -31,11 +35,36 @@ def test_letter_table_groups():
     assert lt.kstep == (2, 2, 2, 1, 0)
     lt = letter_table(GenPolynomial((3,)))
     assert lt.kstep == (0, 0, 0)
-    # group sizes recover the coefficients
-    for poly in (P11, P113, P21):
+    # group sizes recover the coefficients, and the group bounds are the
+    # first and last label of each step
+    for poly in (P11, P113, P21, *map(GenPolynomial, _WIDE_GROUPS)):
         lt = letter_table(poly)
+        r = poly.alphabet_size
         for s, a in enumerate(poly.coeffs):
-            assert sum(1 for c in range(poly.alphabet_size) if lt.kstep[c] == s) == a
+            assert sum(1 for c in range(r) if lt.kstep[c] == s) == a
+            assert lt.first[s] == lt.kstep.index(s)
+            assert lt.last[s] == r - 1 - lt.kstep[::-1].index(s)
+
+
+def _entries(value) -> int:
+    """Scalars held by a field, counting through nested tuples."""
+    if isinstance(value, tuple):
+        return sum(_entries(v) for v in value)
+    return 1
+
+
+def test_letter_table_holds_at_most_one_entry_per_letter_in_each_field():
+    # a per-letter table of counts by step would hold 20,001^2 entries here
+    poly = GenPolynomial((1,) * 20_001)
+    lt = letter_table(poly)
+    for field in fields(lt):
+        if field.name != "poly":
+            assert _entries(getattr(lt, field.name)) <= poly.alphabet_size
+
+
+def test_letter_table_refuses_an_alphabet_past_the_entry_budget():
+    with pytest.raises(CapacityError, match="needs 4000001 letters, budget is 4000000"):
+        letter_table(GenPolynomial((4_000_000, 1)))
 
 
 def test_kappa_and_co_kappa():
@@ -367,3 +396,33 @@ def test_unrank_on_the_vertex_cone_equals_unrank_on_dense_rows(poly, n, data):
         return
     index = data.draw(st.integers(1, total))
     assert unrank(n, kap, index, cone) == unrank(n, kap, index, table)
+
+
+def _walk_by_letter(w, poly, table):
+    """Reference walk: rank_n sums C(n-1, kappa_n - step(b)) over every label b < c."""
+    ks = letter_table(poly).kstep
+    kap, rnk, walk = 0, 1, []
+    for n, c in enumerate(w, 1):
+        kap += ks[c]
+        rnk += sum(table.dim(n - 1, kap - ks[b]) for b in range(c))
+        walk.append((n, kap, rnk))
+    return walk
+
+
+@pytest.mark.parametrize("coeffs", _WIDE_GROUPS)
+def test_group_counts_rank_and_unrank_every_short_word(coeffs):
+    poly = GenPolynomial(coeffs)
+    r = poly.alphabet_size
+    table = DimTable(poly)
+    cones = {}
+    for n in range(7 if r < 8 else 5):
+        for w in product(range(r), repeat=n):
+            walk = _walk_by_letter(w, poly, table)
+            assert list(prefix_walk(w, table)) == walk
+            if n <= 4:              # a column's windows are already narrower than its rows
+                assert list(prefix_walk(w, path_column(w, poly))) == walk
+            _, kap, rnk = walk[-1] if w else (0, 0, 1)
+            if (n, kap) not in cones:
+                cones[n, kap] = VertexCone(poly, n, kap)
+            assert unrank(n, kap, rnk, table) == w
+            assert unrank(n, kap, rnk, cones[n, kap]) == w
