@@ -10,9 +10,10 @@ from .errors import (CapacityError, DegenerateCurve, DivisionByZeroJet,
                      HorizonExhausted, MaximalPath, MinimalPath, NoConvergence,
                      NoRoot, PolyadicError, PrefixExhausted, RankOutOfRange)
 from .poly import DimTable, GenPolynomial
-from .paths import (LetterTable, PathPrefix, iter_tower, kappa, letter_table,
-                    maximal_word, minimal_word, predecessor, prefix_walk, rank,
-                    successor, unrank, word_from_string, word_to_string)
+from .paths import (LetterTable, PathPrefix, iter_tower, jump, kappa,
+                    letter_table, maximal_word, minimal_word, predecessor,
+                    prefix_walk, rank, successor, unrank, word_from_string,
+                    word_to_string)
 from .measure import (MeasureParams, cylinder_measure, decode_digits,
                       encode_theta, letter_stream, measure_params, sample_word,
                       solve_t, stationary_points, weight_residual)

@@ -18,8 +18,8 @@ from .errors import DegenerateCurve, NoConvergence, PolyadicError
 from .ergodic import (CylFunction, cohomology_verdict, extract_limiting_curve)
 from .measure import (encode_theta, letter_stream, measure_params,
                       weight_residual)
-from .paths import (PathPrefix, _steps, letter_table, path_column, prefix_walk,
-                    unrank, word_from_string, word_to_string)
+from .paths import (PathPrefix, _steps, jump, letter_table, path_column,
+                    prefix_walk, unrank, word_from_string, word_to_string)
 from .poly import DimTable, GenPolynomial, VertexCone
 from .takagi import parabola_profile, takagi_function
 
@@ -102,11 +102,9 @@ def _cmd_rank(args, parser) -> int:
 
 
 def _cmd_succ(args, parser) -> int:
-    x = PathPrefix(word_from_string(args.word, args.poly))
-    walk = _steps(x, args.poly, -1 if args.pred else 1)
-    for x in islice(walk, _level(args.steps, "--steps")):
-        pass
-    out = word_to_string(x.known(), args.poly)
+    word = word_from_string(args.word, args.poly)
+    word = jump(word, args.poly, _level(args.steps, "--steps"), -1 if args.pred else 1)
+    out = word_to_string(word, args.poly)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out + "\n")

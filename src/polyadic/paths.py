@@ -7,8 +7,11 @@ from the group sizes.  A word is a finite path read from level 1 upward; two
 words of the same length and the same total step compare at the *largest*
 index where they differ, letters comparing by label.  Rank, unrank, successor
 and predecessor below all realize that order.  Successor, predecessor,
-iter_tower and the CLI's succ/orbit step through one loop, ``_steps``, which
-rewrites only the letters up to each step's pivot.
+iter_tower and the CLI's orbit step through one loop, ``_steps``, which
+rewrites only the letters up to each step's pivot.  The CLI's succ moves K
+steps at once with ``jump``: the adic map adds one to the rank at the lowest
+level where that rank still fits and leaves the letters above alone, so K
+steps are one rank walk and one unrank.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, count, islice
 
 from .errors import (CapacityError, HorizonExhausted, MaximalPath, MinimalPath,
                      PrefixExhausted, RankOutOfRange)
-from .poly import DEFAULT_ENTRY_BUDGET, DimTable, GenPolynomial, PathColumn, VertexCone
+from .poly import (DEFAULT_ENTRY_BUDGET, DimTable, GenPolynomial, PathColumn, VertexCone,
+                   _cone_entries)
 
 
 @dataclass(frozen=True)
@@ -257,12 +261,13 @@ def _steps(x, poly: GenPolynomial, direction: int):
     ks, d, r, letters = lt.kstep, poly.degree, len(lt.kstep), y._letters
     kap = n = 0
     while True:
-        try:
-            c = y.letter(n + 1)
-        except PrefixExhausted as exc:
-            if direction > 0:
-                raise MaximalPath(f"maximal through level {n}") from exc
-            raise MinimalPath(f"minimal through level {n}") from exc
+        if n < len(letters):
+            c = letters[n]
+        else:
+            try:
+                c = y.letter(n + 1)
+            except PrefixExhausted as exc:
+                raise _no_neighbour(direction, n) from exc
         kap += ks[c]
         b = c + direction
         while 0 <= b < r and not 0 <= kap - ks[b] <= n * d:
@@ -273,6 +278,63 @@ def _steps(x, poly: GenPolynomial, direction: int):
             kap = n = 0
         else:
             n += 1
+
+
+def _no_neighbour(direction: int, n: int) -> MaximalPath | MinimalPath:
+    if direction > 0:
+        return MaximalPath(f"maximal through level {n}")
+    return MinimalPath(f"minimal through level {n}")
+
+
+def jump(word, poly: GenPolynomial, steps: int, direction: int = 1) -> tuple[int, ...]:
+    """The word ``steps`` adic steps after the finite word (before it, for -1).
+
+    It gives the same word, or the same MaximalPath/MinimalPath, as taking
+    the steps one by one, and takes them so itself where rank arithmetic
+    would build more big-integer entries than there are steps (``_jump``).
+    """
+    if direction not in (1, -1):
+        raise ValueError(f"direction must be 1 or -1, got {direction!r}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    word = tuple(word)
+    if not steps:
+        return word
+    moved = _jump(word, poly, steps, direction, steps)
+    if moved is None:
+        for y in islice(_steps(word, poly, direction), steps):
+            pass
+        moved = y.known()
+    return moved
+
+
+def _jump(word: tuple[int, ...], poly: GenPolynomial, steps: int, direction: int,
+          budget: int) -> tuple[int, ...] | None:
+    """``jump`` by rank arithmetic, or None where it would build over ``budget`` entries.
+
+    Every step of the adic map adds one to the rank at the pivot level and
+    leaves the letters above it alone, so ``steps`` of them lead to the word
+    of rank r_n + steps (r_n - steps, for -1) at (n, kappa_n), followed by
+    the word's letters above n, for the lowest level n where that rank lies
+    in [1, C(n, kappa_n)].  The rank walk reads the word's path column, up
+    to 2d + 1 entries a level, and the unrank the cone below (n, kappa_n).
+    Before a level is built, those entries up to it and its cone are
+    counted against ``budget``; cones only grow along a path, so once the
+    count passes the budget it passes it at every level above.
+    """
+    d = poly.degree
+    column = path_column(word, poly)
+    for n, kap, rnk in prefix_walk(word, column):
+        if (2 * d + 1) * n + _cone_entries(d, n, kap) > budget:
+            return None
+        target = rnk + direction * steps
+        if 1 <= target <= column.dim(n, kap):
+            try:
+                cone = VertexCone(poly, n, kap)
+            except CapacityError:
+                return None
+            return unrank(n, kap, target, cone) + word[n:]
+    raise _no_neighbour(direction, len(word))
 
 
 def successor(x, poly: GenPolynomial, direction: int = 1) -> PathPrefix:

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from conftest import poly_power_row
 from polyadic import (CylFunction, DimTable, GenPolynomial, PathPrefix,
                       extract_limiting_curve, letter_stream, maximal_word,
-                      measure_params, minimal_word, word_to_string)
-from polyadic import cli
+                      measure_params, minimal_word, predecessor, successor,
+                      unrank, word_to_string)
+from polyadic import cli, paths
 from polyadic.cli import main
 
 
@@ -92,6 +93,42 @@ def test_succ_and_pred(capsys):
     code, out, err = run(capsys, "succ", "--poly", "1,1,3", "--word", first,
                          "--steps", str(dim))
     assert code == 1 and out == "" and "maximal through level 5" in err
+
+
+def test_succ_jumps_by_rank_without_stepping(capsys, monkeypatch):
+    def no_steps(*args):
+        raise AssertionError("succ stepped")
+
+    monkeypatch.setattr(paths, "_steps", no_steps)
+    poly = GenPolynomial((1, 1, 3))
+    table = DimTable(poly)
+    kap = 60
+    top = table.dim(60, kap)
+    start = unrank(60, kap, top - 10 ** 29, table)
+    code, out, _ = run(capsys, "succ", "--poly", "1,1,3",
+                       "--word", word_to_string(start, poly), "--steps", "20000")
+    assert code == 0
+    assert out.strip() == word_to_string(unrank(60, kap, top - 10 ** 29 + 20000, table), poly)
+    # stepping would take 10**29 steps before it found the end of the tower
+    for last, pred, end in ((start, (), "maximal"),
+                            (unrank(60, kap, 10 ** 29, table), ("--pred",), "minimal")):
+        code, out, err = run(capsys, "succ", "--poly", "1,1,3", "--word",
+                             word_to_string(last, poly), "--steps", str(10 ** 30), *pred)
+        assert (code, out, err) == (1, "", f"error: {end} through level 60\n")
+
+
+def test_succ_steps_where_the_pivot_cone_is_over_budget(capsys):
+    # the pivot sits at level 3000, whose cone holds 4,503,000 entries, more
+    # than three steps would cost (and more than the entry budget)
+    poly = GenPolynomial((1, 1, 3))
+    for word, step, pred in ((maximal_word(2999, 2999, poly) + (0,), successor, ()),
+                             (minimal_word(2999, 2999, poly) + (4,), predecessor, ("--pred",))):
+        x = PathPrefix(word)
+        for _ in range(3):
+            x = step(x, poly)
+        code, out, _ = run(capsys, "succ", "--poly", "1,1,3", "--word",
+                           word_to_string(word, poly), "--steps", "3", *pred)
+        assert (code, out) == (0, word_to_string(x.known(), poly) + "\n")
 
 
 def test_rank_round_trip(capsys):

@@ -1,7 +1,7 @@
 import math
 import random
 from dataclasses import fields
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +11,12 @@ from conftest import tower_words_comparison_sorted, tower_words_sorted
 from polyadic import (CapacityError, DimTable, GenPolynomial, HorizonExhausted, MaximalPath,
                       MinimalPath, PathPrefix, PrefixExhausted,
                       RankOutOfRange,
-                      iter_tower, kappa, letter_stream, letter_table,
+                      iter_tower, jump, kappa, letter_stream, letter_table,
                       maximal_word, measure_params, minimal_word, predecessor,
                       prefix_walk, rank, successor,
                       unrank, word_from_string, word_to_string)
-from polyadic.paths import path_column
+from polyadic import paths
+from polyadic.paths import _jump, _steps, path_column
 from polyadic.poly import VertexCone
 
 P11 = GenPolynomial((1, 1))
@@ -216,6 +217,60 @@ def test_extremal_paths_raise():
     # a step is one place up or down the order, nothing else
     with pytest.raises(ValueError):
         successor((0, 1), P11, 0)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1, 1, 3), (1, 2, 1), (3,)])
+def test_jump_equals_stepping_on_every_short_word(coeffs):
+    # _jump with no entry budget always answers by rank walk and unrank;
+    # jump itself, under its budget, also falls back to stepping
+    poly = GenPolynomial(coeffs)
+    for n in range(6):
+        for w in product(range(poly.alphabet_size), repeat=n):
+            for direction in (1, -1):
+                seen, end = [w], None
+                try:
+                    for y in islice(_steps(w, poly, direction), 40):
+                        seen.append(y.known())
+                except (MaximalPath, MinimalPath) as exc:
+                    end = exc
+                for k in (0, 1, 2, 3, 7, 40):
+                    moves = [lambda: jump(w, poly, k, direction)]
+                    if k:
+                        moves.append(lambda: _jump(w, poly, k, direction, math.inf))
+                    for move in moves:
+                        if k < len(seen):
+                            assert move() == seen[k]
+                            continue
+                        with pytest.raises(type(end)) as err:
+                            move()
+                        assert str(err.value) == str(end) == (
+                            f"{'max' if direction > 0 else 'min'}imal through level {n}")
+
+
+def test_jump_leaves_costly_cones_to_stepping(monkeypatch):
+    # the pivot cone at (3000, 3001) holds 4,503,000 entries, past the entry
+    # budget: even with no budget of its own the rank jump gives up
+    word = maximal_word(2999, 2999, P113) + (0,)
+    assert _jump(word, P113, 3, 1, math.inf) is None
+    assert jump(word, P113, 1) == successor(PathPrefix(word), P113).known()
+    # the cone at (1000, 1001) fits the entry budget, but its 501,000 entries
+    # cost far more than three steps: jump steps without building it
+    def no_cone(*args):
+        raise AssertionError("cone built")
+
+    word = maximal_word(999, 999, P113) + (0,)
+    stepped = list(islice(_steps(word, P113, 1), 3))[-1].known()
+    monkeypatch.setattr(paths, "VertexCone", no_cone)
+    assert jump(word, P113, 3) == stepped
+
+
+def test_jump_arguments():
+    assert jump((0, 1, 1, 0), P11, 1) == (1, 0, 0, 1)
+    assert jump([1, 0, 0, 1], P11, 1, -1) == (0, 1, 1, 0)
+    with pytest.raises(ValueError):
+        jump((0, 1), P11, 1, 0)
+    with pytest.raises(ValueError):
+        jump((0, 1), P11, -1)
 
 
 def test_prefix_extension_policies():

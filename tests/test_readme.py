@@ -25,7 +25,7 @@ def test_cli_examples_run(tmp_path, monkeypatch, capsys):
     for name, body in files:
         (tmp_path / name).write_text(body)
     lines = re.findall(r"^    polyadic (.*)$", text, re.M)
-    assert len(lines) == 10
+    assert len(lines) == 11
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert main(shlex.split(line)) == 0, (line, capsys.readouterr().err)
