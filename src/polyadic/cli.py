@@ -8,10 +8,10 @@ big integers are printed as decimal strings.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import nullcontext
+from functools import cache
 from itertools import chain, islice
 
 from .errors import DegenerateCurve, NoConvergence, PolyadicError
@@ -31,12 +31,24 @@ def _poly_arg(text: str) -> GenPolynomial:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _line(row) -> str:
+    """One CSV row, \\n-ended, as csv.writer's default QUOTE_MINIMAL writes it.
+
+    Numbers are written as ``str`` gives them; only a text field can need quotes.
+    """
+    return ",".join([_field(v) if type(v) is str else str(v) for v in row]) + "\n"
+
+
+def _field(text: str) -> str:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit(args, header, rows, meta=None) -> None:
     """Write CSV rows to --out or stdout as they come; ``rows`` may be lazy."""
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(map(_line, chain((header,), rows)))
     if meta is None:
         return
     if args.out:
@@ -188,6 +200,7 @@ def _cmd_parabola(args, parser) -> int:
     return 0
 
 
+@cache     # one parser per process: main builds nine subcommands otherwise
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyadic",

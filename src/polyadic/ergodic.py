@@ -23,7 +23,7 @@ from itertools import accumulate, product
 from operator import sub
 
 from .errors import CapacityError, DegenerateCurve, NoConvergence
-from .paths import (letter_table, minimal_word, path_column, prefix_walk,
+from .paths import (kappa, letter_table, minimal_word, path_column, prefix_walk,
                     unrank, word_from_string, word_to_string)
 from .poly import DimTable, GenPolynomial, PathColumn
 
@@ -109,10 +109,9 @@ class HCoeffs:
 
 
 def h_coeffs(g: CylFunction, poly: GenPolynomial) -> HCoeffs:
-    ks = letter_table(poly).kstep
     out = [Fraction(0)] * (g.N * poly.degree + 1)
     for word, val in g.values.items():
-        out[sum(ks[c] for c in word)] += Fraction(val)
+        out[kappa(word, poly)] += Fraction(val)
     return HCoeffs(g.N, tuple(out))
 
 
@@ -214,9 +213,8 @@ def _grid_numerators(g: CylFunction, n: int, kap: int, m: int,
     step, own = {}, {}
     for kb in {kb for kb, _ in blocks}:
         phi = sum(hl * table.dim(n - m - N, kb - l) for l, hl in h)  # 2^s sum of g
-        kN = max(kb - (n - m - N) * poly.degree, 0)     # minimal words step min(d, rest)
         step[kb] = H * phi - FH * table.dim(n - m, kb)
-        own[kb] = H * _scaled(g(minimal_word(N, kN, poly)), s) - FH
+        own[kb] = H * _scaled(g(minimal_word(n - m, kb, poly)), s) - FH
     acc, nodes = 0, []
     for kb, L in blocks:
         nodes.append((L, acc + own[kb]))

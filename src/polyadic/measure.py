@@ -8,9 +8,10 @@ cylinder's mass then depends only on its end vertex.
 
 The coding of [0, 1] subdivides nested intervals in letter-label order, first
 letter most significant; stationary numbers are the points with a finite
-expansion.  ``encode`` is the one Horner over the digits, for floats and
-``Fraction``s; the Takagi layer re-encodes in Taylor arithmetic by running the
-same Horner as one float pass per coefficient (``takagi._taylor_encode``).
+expansion.  ``encode`` is the one Horner over the digits: it takes Taylor
+columns of the letter weights in any ring and returns one coefficient, so the
+plain coding (floats, ``Fraction``s) and the Takagi layer's derivatives of the
+re-encoding run the same passes.
 ``decode`` extracts digits in fixed-point integer arithmetic, which keeps them
 faithful far past the depth where a float remainder has run out of bits.
 """
@@ -23,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 
 from .errors import CapacityError, NoRoot
 from .paths import letter_table
@@ -157,7 +158,7 @@ def letter_stream(mp: MeasureParams, seed: int):
 
 def encode_theta(mp: MeasureParams, word) -> float:
     """Left endpoint in [0, 1] of the word's nested coding interval."""
-    return encode(mp.weights, mp.lows, word)
+    return encode((mp.weights,), (mp.lows,), word)
 
 
 def decode_digits(mp: MeasureParams, x: float, m: int) -> tuple[int, ...]:
@@ -177,7 +178,7 @@ def stationary_points(mp: MeasureParams, m: int) -> list[float]:
     r = len(mp.weights)
     if r ** m > _STATIONARY_BUDGET:
         raise CapacityError(f"{r}^{m} stationary points exceed budget")
-    values = [mp.lows[0]]           # encode's Horner, over all r^m words at once
+    values = [mp.lows[0]]           # encode's K = 0 step, over all r^m words at once
     for _ in range(m):
         values = [mp.lows[c] + mp.weights[c] * v for c in range(r) for v in values]
     return sorted(set(values))
@@ -191,18 +192,36 @@ def low_sums(weights, zero) -> tuple:
     return tuple(accumulate(weights[:-1], initial=zero))
 
 
-def encode(weights, lows, digits):
-    """Left end of the digits' coding interval, by Horner from the last digit.
+def encode(wcols, lcols, digits):
+    """Coefficient K of the digits' coding, by Horner from the last digit.
 
-    Works in any ring the weights and lows live in (float, ``Fraction``);
-    ``lows[0]`` is that ring's zero, the value of the empty word.  Taylor
-    coefficients of the re-encoding come from ``takagi._taylor_encode``,
-    which runs this Horner once per coefficient in floats.
+    ``wcols`` and ``lcols`` hold K + 1 Taylor columns of the letter weights
+    and low sums (column i: every letter's i-th coefficient) in any ring:
+    float, ``Fraction`` or jet.  ``lcols[0][0]`` is the ring's zero, the
+    value of the empty word; one column (K = 0) gives the plain coding, the
+    left end of the digits' interval.  The step acc = l_c + w_c acc is
+    linear in acc, so pass i is that Horner in coefficient i plus the offset
+    sum_{j=1..i} w_j[c] a_{i-j}, read from the earlier passes.
+    ``stationary_points`` runs the K = 0 step over all words at once.
     """
-    acc = lows[0]
-    for c in reversed(digits):
-        acc = lows[c] + weights[c] * acc
-    return acc
+    seq = digits[::-1]
+    zero, w0, last = lcols[0][0], wcols[0], len(lcols) - 1
+    passes = []     # passes[i][s]: coefficient i of acc before step s
+    for i, low in enumerate(lcols):
+        offset = repeat(zero)
+        for j in range(1, i + 1):
+            wj = wcols[j]
+            offset = [o + wj[c] * a for o, c, a in zip(offset, seq, passes[i - j])]
+        acc = zero
+        if i == last:       # the last pass keeps no accumulators
+            for c, o in zip(seq, offset):
+                acc = low[c] + (w0[c] * acc + o)
+            return acc
+        path = [acc]
+        for c, o in zip(seq, offset):
+            acc = low[c] + (w0[c] * acc + o)
+            path.append(acc)
+        passes.append(path)
 
 
 def _exact_t(poly: GenPolynomial, q: Fraction, t0: float) -> Fraction:
@@ -265,4 +284,4 @@ def cylinder(poly: GenPolynomial, q: float, word) -> tuple[Fraction, Fraction]:
     weights = [Fraction(w, _ONE) for w in weights]
     lows = [Fraction(v, _ONE) for v in lows]
     width = math.prod((weights[c] for c in word), start=Fraction(1))
-    return encode(weights, lows, word), width
+    return encode((weights,), (lows,), word), width

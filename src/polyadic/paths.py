@@ -291,7 +291,8 @@ def jump(word, poly: GenPolynomial, steps: int, direction: int = 1) -> tuple[int
 
     It gives the same word, or the same MaximalPath/MinimalPath, as taking
     the steps one by one, and takes them so itself where rank arithmetic
-    would build more big-integer entries than there are steps (``_jump``).
+    would build more big-integer entries than there are steps (``_jump``);
+    more steps than the entry budget are refused with a CapacityError.
     """
     if direction not in (1, -1):
         raise ValueError(f"direction must be 1 or -1, got {direction!r}")
@@ -302,6 +303,9 @@ def jump(word, poly: GenPolynomial, steps: int, direction: int = 1) -> tuple[int
         return word
     moved = _jump(word, poly, steps, direction, steps)
     if moved is None:
+        if steps > DEFAULT_ENTRY_BUDGET:
+            raise CapacityError(f"cannot jump {steps} steps within the entry budget, and "
+                                f"more than {DEFAULT_ENTRY_BUDGET} are not taken one by one")
         for y in islice(_steps(word, poly, direction), steps):
             pass
         moved = y.known()

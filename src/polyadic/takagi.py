@@ -7,8 +7,9 @@ member (for the two-letter system at q = 1/2) is the classical Takagi curve
 up to normalization.  Derivatives are taken by re-encoding the digits in
 truncated Taylor arithmetic (forward mode; Griewank and Walther, *Evaluating
 Derivatives*, 2008) through the implicitly defined root t(q): the letter
-weights are jets once per (system, q, order), and the Horner over the digits
-runs as one float pass per Taylor coefficient.
+weights are jets once per (system, q, order), and ``measure.encode``, the
+package's one digit coder, takes their Taylor columns and runs one float pass
+per coefficient.
 """
 
 from __future__ import annotations
@@ -156,31 +157,6 @@ def _letter_jets(poly: GenPolynomial, q: float, order: int):
     return wcols, tuple(low_sums(col, 0.0) for col in wcols)
 
 
-def _taylor_encode(wcols, lcols, digits) -> float:
-    """Coefficient K = len(wcols) - 1 of ``encode`` over the letter jets.
-
-    The jet Horner step acc = l_c + w_c acc is linear in acc, so coefficient i
-    of acc follows from a float Horner whose step adds the offset
-    sum_{j=1..i} w_j[c] a_{i-j}, read from the accumulators of the earlier
-    passes; pass 0 is the plain float Horner.
-    """
-    seq = digits[::-1]
-    w0 = wcols[0]
-    passes = []     # passes[i][s]: coefficient i of acc before step s
-    for i, low in enumerate(lcols):
-        offset = [0.0] * len(seq)
-        for j in range(1, i + 1):
-            wj = wcols[j]
-            offset = [o + wj[c] * a for o, c, a in zip(offset, seq, passes[i - j])]
-        acc = 0.0
-        path = [acc]
-        for c, o in zip(seq, offset):
-            acc = low[c] + (w0[c] * acc + o)
-            path.append(acc)
-        passes.append(path)
-    return acc
-
-
 def _check_depth(depth: int) -> None:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -196,7 +172,7 @@ def coding_map(poly: GenPolynomial, q1: float, q2: float, x: float,
     """
     _check_depth(depth)
     mp2 = measure_params(poly, q2)
-    return encode(mp2.weights, mp2.lows, decode(poly, q1, x, depth))
+    return encode((mp2.weights,), (mp2.lows,), decode(poly, q1, x, depth))
 
 
 def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
@@ -212,7 +188,7 @@ def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
     _check_depth(depth)
     if k == 0:
         return float(x)
-    c_k = _taylor_encode(*_letter_jets(poly, q, k), decode(poly, q, x, depth))
+    c_k = encode(*_letter_jets(poly, q, k), decode(poly, q, x, depth))
     try:        # k! c_k formed exactly and rounded once: k! leaves float range at 171
         num, den = c_k.as_integer_ratio()
         return math.factorial(k) * num / den

@@ -159,6 +159,18 @@ def reference_digits(weights, x, m, min_bits=150):
     return tuple(out)
 
 
+def reference_encode(weights, lows, digits):
+    """Left end of the digits' coding interval, by the plain Horner in any ring.
+
+    One weight and one low sum per letter (floats, Fractions or whole jets),
+    where the package's coder takes Taylor columns and runs one pass each.
+    """
+    acc = lows[0]
+    for c in reversed(digits):
+        acc = lows[c] + weights[c] * acc
+    return acc
+
+
 # -- reference fluctuation grid -----------------------------------------------
 #
 # The grid as first written: every one of the r^m top blocks enumerated on its

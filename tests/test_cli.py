@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -14,7 +16,8 @@ from polyadic import (CylFunction, DimTable, GenPolynomial, PathPrefix,
                       measure_params, minimal_word, predecessor, successor,
                       unrank, word_to_string)
 from polyadic import cli, paths
-from polyadic.cli import main
+from polyadic.cli import _emit, main
+from polyadic.poly import DEFAULT_ENTRY_BUDGET
 
 
 def run(capsys, *argv):
@@ -46,6 +49,64 @@ def test_dims_usage_error(capsys):
             main(["dims", "--poly", poly, "--nmax", "3"])
         assert err.value.code == 2
     assert "bad coefficient list" in capsys.readouterr().err
+
+
+def test_a_second_main_call_reuses_the_parser(capsys, monkeypatch):
+    run(capsys, "tq", "--poly", "1,1", "--q", "0.3")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recorded(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+    code, out, _ = run(capsys, "tq", "--poly", "1,1", "--q", "0.3")
+    assert code == 0 and "t,0.7" in out and built == []
+
+
+def _csv_writer_lines(rows) -> str:
+    """Rows as csv.writer writes them in its default dialect, one \\n-ended line each.
+
+    The default line terminator holds both \\r and \\n, so csv.writer quotes a
+    field with either on every Python version.
+    """
+    out = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf).writerow(row)
+        assert buf.getvalue().endswith("\r\n")
+        out.append(buf.getvalue()[:-2] + "\n")
+    return "".join(out)
+
+
+_FIELDS = st.one_of(
+    st.integers(),
+    st.integers(1, 9).flatmap(lambda a: st.integers(4300, 4400).map(lambda e: a * 10 ** e + 7)),
+    st.floats(),
+    st.floats().map(repr),
+    st.sampled_from([repr(math.nan), repr(math.inf), repr(-0.0)]),
+    st.text("0123456789"),
+    st.lists(st.integers(0, 20)).map(lambda w: ",".join(map(str, w))),
+    st.text("01,\"\r\n a"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_FIELDS, min_size=2, max_size=5).map(tuple), min_size=1,
+                     max_size=6))
+def test_emit_writes_the_bytes_of_csv_writer(rows):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)     # as main does for the command
+    try:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            _emit(argparse.Namespace(out=None), rows[0], rows[1:])
+        assert buf.getvalue() == _csv_writer_lines(rows)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_tq(capsys):
@@ -129,6 +190,22 @@ def test_succ_steps_where_the_pivot_cone_is_over_budget(capsys):
         code, out, _ = run(capsys, "succ", "--poly", "1,1,3", "--word",
                            word_to_string(word, poly), "--steps", "3", *pred)
         assert (code, out) == (0, word_to_string(x.known(), poly) + "\n")
+
+
+def test_succ_past_the_entry_budget_is_refused_without_stepping(capsys, monkeypatch):
+    def no_steps(*args):
+        raise AssertionError("succ stepped")
+
+    monkeypatch.setattr(paths, "_steps", no_steps)
+    poly = GenPolynomial((1, 1, 3))
+    # the pivot's cone at level 3000 (4,503,000 entries) is over the budget
+    for word, pred in ((maximal_word(2999, 2999, poly) + (0,), ()),
+                       (minimal_word(2999, 2999, poly) + (4,), ("--pred",))):
+        for steps in (10 ** 30, DEFAULT_ENTRY_BUDGET + 1):
+            code, out, err = run(capsys, "succ", "--poly", "1,1,3", "--word",
+                                 word_to_string(word, poly), "--steps", str(steps), *pred)
+            assert (code, out) == (1, "")
+            assert "budget" in err and "islice" not in err and str(steps) in err
 
 
 def test_rank_round_trip(capsys):

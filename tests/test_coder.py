@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_digits, reference_weights
+from conftest import reference_digits, reference_encode, reference_weights
 from polyadic import (GenPolynomial, Jet, coding_map, cylinder_measure, kappa,
                       letter_table, measure_params, takagi_function)
 from polyadic.measure import cylinder, decode, encode, fixed_coder, low_sums
-from polyadic.takagi import _letter_jets, _taylor_encode
+from polyadic.takagi import _letter_jets
 
 DEPTH = 60
 
@@ -65,7 +65,7 @@ def test_stationary_points_decode_to_padded_word(system, data):
     r = sum(coeffs)
     word = tuple(data.draw(st.lists(st.integers(0, r - 1), max_size=20)))
     weights = [w] * r
-    x = encode(weights, low_sums(weights, Fraction(0)), word)
+    x = encode((weights,), (low_sums(weights, Fraction(0)),), word)
     assert float(x) == x
     got = decode(GenPolynomial(coeffs), q, float(x), 30)
     assert got == word + (0,) * (30 - len(word))
@@ -80,10 +80,10 @@ def test_encodes_agree_across_rings(coeffs, frac, data):
     q = frac / coeffs[0]
     word = tuple(data.draw(st.lists(st.integers(0, poly.alphabet_size - 1), max_size=40)))
     mp = measure_params(poly, q)
-    as_float = encode(mp.weights, mp.lows, word)
+    as_float = encode((mp.weights,), (mp.lows,), word)
     as_fraction, _ = cylinder(poly, q, word)
     wcols, lcols = _letter_jets(poly, q, 2)
-    as_jet = encode(_jets(wcols), _jets(lcols), word).coeffs[0]
+    as_jet = reference_encode(_jets(wcols), _jets(lcols), word).coeffs[0]
     assert abs(as_float - as_fraction) <= 1e-14
     assert abs(as_jet - as_float) <= 1e-14
 
@@ -105,10 +105,60 @@ def test_taylor_encode_matches_the_jet_horner(system, order, data):
     poly = GenPolynomial(coeffs)
     word = tuple(data.draw(st.lists(st.integers(0, poly.alphabet_size - 1), max_size=60)))
     wcols, lcols = _letter_jets(poly, q, order)
-    want = encode(_jets(wcols), _jets(lcols), word).coeffs[order]
+    want = reference_encode(_jets(wcols), _jets(lcols), word).coeffs[order]
     # relative to the same Horner over magnitudes, which bounds every term
-    scale = encode(_jets(wcols, abs), _jets(lcols, abs), word).coeffs[order]
-    assert abs(_taylor_encode(wcols, lcols, word) - want) <= 1e-12 * scale
+    scale = reference_encode(_jets(wcols, abs), _jets(lcols, abs), word).coeffs[order]
+    assert abs(encode(wcols, lcols, word) - want) <= 1e-12 * scale
+
+
+def _parent_taylor_encode(wcols, lcols, digits) -> float:
+    """The Taylor coder as it stood beside the single-column Horner: float passes."""
+    seq = digits[::-1]
+    w0 = wcols[0]
+    passes = []
+    for i, low in enumerate(lcols):
+        offset = [0.0] * len(seq)
+        for j in range(1, i + 1):
+            wj = wcols[j]
+            offset = [o + wj[c] * a for o, c, a in zip(offset, seq, passes[i - j])]
+        acc = 0.0
+        path = [acc]
+        for c, o in zip(seq, offset):
+            acc = low[c] + (w0[c] * acc + o)
+            path.append(acc)
+        passes.append(path)
+    return acc
+
+
+CODING_SYSTEMS = [((1, 1), 0.5), ((1, 1), 0.3), ((1, 1, 3), 0.12), ((1, 1, 2), 0.25),
+                  ((3,), 1 / 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=st.sampled_from(CODING_SYSTEMS), data=st.data())
+def test_plain_coding_is_the_horner_bit_for_bit(system, data):
+    coeffs, q = system
+    poly = GenPolynomial(coeffs)
+    word = tuple(data.draw(st.lists(st.integers(0, poly.alphabet_size - 1), max_size=80)))
+    mp = measure_params(poly, q)
+    for w in (word, ()):
+        got = encode((mp.weights,), (mp.lows,), w)
+        assert got.hex() == reference_encode(mp.weights, mp.lows, w).hex()
+    weights, lows = fixed_coder(poly, q)
+    weights = [Fraction(v, 1 << 192) for v in weights]
+    lows = [Fraction(v, 1 << 192) for v in lows]
+    assert encode((weights,), (lows,), word) == reference_encode(weights, lows, word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=st.sampled_from(TAYLOR_SYSTEMS), order=st.integers(0, 4), data=st.data())
+def test_taylor_coefficients_are_the_float_passes_bit_for_bit(system, order, data):
+    coeffs, q = system
+    poly = GenPolynomial(coeffs)
+    word = tuple(data.draw(st.lists(st.integers(0, poly.alphabet_size - 1), max_size=60)))
+    wcols, lcols = _letter_jets(poly, q, order)
+    for w in (word, ()):
+        assert encode(wcols, lcols, w).hex() == _parent_taylor_encode(wcols, lcols, w).hex()
 
 
 MEASURE_SYSTEMS = [(1, 1), (1, 1, 2), (2, 1, 1), (1, 1, 3), (1, 2, 1), (3, 1, 2)]
@@ -146,7 +196,7 @@ def test_coding_map_is_monotone(coeffs, f1, f2, x, y):
 
 def test_empty_word_is_the_rings_zero():
     mp = measure_params(GenPolynomial((1, 1)), 0.3)
-    assert encode(mp.weights, mp.lows, ()) == 0.0
+    assert encode((mp.weights,), (mp.lows,), ()) == 0.0
     assert cylinder(GenPolynomial((1, 1)), 0.3, ()) == (0, 1)
 
 
