@@ -34,7 +34,8 @@ def _poly_arg(text: str) -> GenPolynomial:
 def _line(row) -> str:
     """One CSV row, \\n-ended, as csv.writer's default QUOTE_MINIMAL writes it.
 
-    Numbers are written as ``str`` gives them; only a text field can need quotes.
+    Numbers are written as ``str`` gives them (for a float, its ``repr``); only
+    a text field can need quotes.
     """
     return ",".join([_field(v) if type(v) is str else str(v) for v in row]) + "\n"
 
@@ -155,7 +156,7 @@ def _cmd_curve(args, parser) -> int:
         g, x, args.poly, eps=args.eps, delta=args.delta, m=m,
         tol=args.tol, n_max=nmax, mp=None if args.align < 0 else mp,
         align=max(args.align, 0))
-    rows = list(zip((repr(v) for v in curve.xs), (repr(v) for v in curve.ys)))
+    rows = zip(curve.xs, curve.ys)
     meta = {"n": curve.n, "kappa": curve.kappa, "m": curve.depth,
             "R": repr(curve.R), "seed": args.seed, "q": args.q,
             "poly": list(args.poly.coeffs), "levels": diag["levels"],
@@ -170,8 +171,7 @@ def _cmd_cohom(args, parser) -> int:
     m = _level(args.m, "--m")
     g = _load_g(args.g, args.poly)
     verdict, series = cohomology_verdict(g, DimTable(args.poly), nmax, m)
-    rows = [(n, repr(r)) for n, r in series]
-    _emit(args, ("n", "R"), rows,
+    _emit(args, ("n", "R"), series,
           meta={"verdict": verdict, "poly": list(args.poly.coeffs),
                 "nmax": args.nmax, "m": args.m})
     sys.stderr.write(f"verdict: {verdict}\n")
@@ -184,8 +184,7 @@ def _cmd_takagi(args, parser) -> int:
     rows = []
     for i in range(args.grid + 1):
         x = i / args.grid
-        rows.append((repr(x),
-                     repr(takagi_function(args.poly, args.q, args.k, x, args.depth))))
+        rows.append((x, takagi_function(args.poly, args.q, args.k, x, args.depth)))
     _emit(args, ("x", "value"), rows,
           meta={"poly": list(args.poly.coeffs), "q": args.q, "k": args.k,
                 "depth": args.depth})
@@ -193,8 +192,7 @@ def _cmd_takagi(args, parser) -> int:
 
 
 def _cmd_parabola(args, parser) -> int:
-    rows = [(repr(x), repr(v), repr(p), repr(dev))
-            for x, v, p, dev in parabola_profile(args.d, args.grid, args.depth)]
+    rows = parabola_profile(args.d, args.grid, args.depth)
     _emit(args, ("x", "value", "parabola", "deviation"), rows,
           meta={"d": args.d, "grid": args.grid, "depth": args.depth})
     return 0

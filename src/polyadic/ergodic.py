@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from operator import sub
 
 from .errors import CapacityError, DegenerateCurve, NoConvergence
 from .paths import (kappa, letter_table, minimal_word, path_column, prefix_walk,
@@ -148,8 +148,9 @@ def _top_blocks(n: int, kap: int, m: int, table: DimTable | PathColumn):
 
     Returns a (bottom_kappa, rank) pair per block: the rank is that of the
     block's minimal completion, 1 plus the sizes C(n-m, kb) of the blocks
-    before it, so it is a prefix sum read from level n - m alone.  The
-    blocks are built level by level, each block's kids in letter order.
+    before it, so it is a prefix sum read from level n - m alone, one read
+    per distinct kb.  The blocks are built level by level, each block's kids
+    in letter order.
     """
     poly = table.poly
     r, d = poly.alphabet_size, poly.degree
@@ -159,8 +160,8 @@ def _top_blocks(n: int, kap: int, m: int, table: DimTable | PathColumn):
     kbs = [kap] if 0 <= kap <= n * d else []
     for level in range(n - 1, n - m - 1, -1):
         kbs = [k - s for k in kbs for s in ks if 0 <= k - s <= level * d]
-    row = table.row(n - m)
-    return list(zip(kbs, accumulate((row[kb] for kb in kbs), initial=1)))
+    size = {kb: table.dim(n - m, kb) for kb in set(kbs)}
+    return list(zip(kbs, accumulate(map(size.__getitem__, kbs), initial=1)))
 
 
 def node_grid(n: int, kap: int, m: int, table: DimTable):
@@ -247,33 +248,67 @@ def fluctuation_curve(g: CylFunction, n: int, kap: int, m: int,
 
 def curve_value(curve: PolygonalCurve, x: float) -> float:
     """Piecewise-linear value of the curve at x in [0, 1]."""
-    return _values_on(curve, (x,))[0]
-
-
-def _values_on(curve: PolygonalCurve, grid) -> list[float]:
-    """Piecewise-linear values on an ascending grid, by one merge pass."""
     xs, ys = curve.xs, curve.ys
-    first, last = xs[0], xs[-1]
-    out = []
-    hi = 1
-    for x in grid:
-        if x <= first:
-            out.append(ys[0])
-        elif x >= last:
-            out.append(ys[-1])
-        else:
-            while xs[hi] <= x:      # hi = bisect_right(xs, x)
-                hi += 1
-            lo = hi - 1
-            w = (x - xs[lo]) / (xs[hi] - xs[lo])
-            out.append(ys[lo] * (1.0 - w) + ys[hi] * w)
-    return out
+    if math.isnan(x):               # bisect_right would put it past the end
+        return math.nan
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    hi = bisect_right(xs, x)
+    lo = hi - 1
+    w = (x - xs[lo]) / (xs[hi] - xs[lo])
+    return ys[lo] * (1.0 - w) + ys[hi] * w
 
 
 def sup_distance(c1: PolygonalCurve, c2: PolygonalCurve) -> float:
-    """Sup-metric distance of two polygonal curves on the union of nodes."""
-    grid = sorted(set(c1.xs) | set(c2.xs))
-    return max(map(abs, map(sub, _values_on(c1, grid), _values_on(c2, grid))))
+    """Sup-metric distance of two polygonal curves on the union of nodes.
+
+    One merge walks both node lists upward.  At its own node a curve takes
+    its ys there (a repeated node's last, or its first at the curve's left
+    end, as curve_value reads it); at the other curve's nodes it is
+    interpolated as in curve_value, and held at its end values outside its
+    own span.
+    """
+    xs1, ys1, xs2, ys2 = c1.xs, c1.ys, c2.xs, c2.ys
+    n1, n2, left1, left2 = len(xs1), len(xs2), xs1[0], xs2[0]
+    ex1, ex2 = xs1 + (math.inf,), xs2 + (math.inf,)
+    i = j = 0                   # the nodes of c1, c2 below the next x
+    sup = 0.0
+    while True:
+        x1, x2 = ex1[i], ex2[j]
+        if x1 < x2:             # c1's node
+            i += 1
+            if ex1[i] == x1:
+                continue
+            v1 = ys1[i - 1] if x1 > left1 else ys1[0]
+            if 0 < j < n2:
+                w = (x1 - xs2[j - 1]) / (xs2[j] - xs2[j - 1])
+                v2 = ys2[j - 1] * (1.0 - w) + ys2[j] * w
+            else:
+                v2 = ys2[-1] if j else ys2[0]
+        elif x2 < x1:           # c2's node
+            j += 1
+            if ex2[j] == x2:
+                continue
+            v2 = ys2[j - 1] if x2 > left2 else ys2[0]
+            if 0 < i < n1:
+                w = (x2 - xs1[i - 1]) / (xs1[i] - xs1[i - 1])
+                v1 = ys1[i - 1] * (1.0 - w) + ys1[i] * w
+            else:
+                v1 = ys1[-1] if i else ys1[0]
+        elif x1 == math.inf:
+            return sup
+        else:                   # a node of both
+            i += 1
+            j += 1
+            if ex1[i] == x1 or ex2[j] == x2:
+                continue
+            v1 = ys1[i - 1] if x1 > left1 else ys1[0]
+            v2 = ys2[j - 1] if x2 > left2 else ys2[0]
+        gap = abs(v1 - v2)
+        if gap > sup:
+            sup = gap
 
 
 def _stabilizing_levels(x, table: DimTable | PathColumn, eps: float,

@@ -216,13 +216,15 @@ def prefix_walk(x, table: DimTable | PathColumn, n_max: int | None = None):
     prefix's letter c adds the words that agree above n and carry it at n,
     C(n-1, kappa_n - s) for its step s.  These are c - first[sigma] letters of
     c's own step sigma and a_s of each larger step s <= kappa_n, so each vertex
-    read is the previous one or within d left of it: on the row, in a path
-    column's reach.  The walk stops after level n_max, or quietly where the
+    read is the previous one or within d left of it: on the row, in the
+    narrow window a path column builds each level with.  The walk reads
+    through ``dim`` alone.  It stops after level n_max, or quietly where the
     prefix runs out of letters or reaches its own horizon.
     """
     x = _as_prefix(x)
     lt = letter_table(table.poly)
     a, d = table.poly.coeffs, table.poly.degree
+    dim = table.dim
     kap = 0
     rnk = 1
     n = 0
@@ -231,13 +233,12 @@ def prefix_walk(x, table: DimTable | PathColumn, n_max: int | None = None):
             c = x.letter(n + 1)
         except (PrefixExhausted, HorizonExhausted):
             return
-        row = table.row(n)
-        n += 1
         sigma = lt.kstep[c]
         kap += sigma
-        rnk += (c - lt.first[sigma]) * row[kap - sigma]
+        rnk += (c - lt.first[sigma]) * dim(n, kap - sigma)
         for s in range(sigma + 1, min(d, kap) + 1):
-            rnk += a[s] * row[kap - s]
+            rnk += a[s] * dim(n, kap - s)
+        n += 1
         yield n, kap, rnk
 
 

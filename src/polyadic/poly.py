@@ -11,8 +11,11 @@ which is all that ranking and curve extraction along that path read;
 ``VertexCone`` holds only the vertices on some path up to one vertex, which
 is all that unranking at that vertex reads.  ``DimTable`` and ``PathColumn``
 build a level from the one below with the one level builder,
-``_next_level``; a cone band is a plain convolution and is built packed into
-one integer instead.
+``_next_level``.  A column builds each level narrow, only as far from the
+path as a prefix walk reads, and widens a kept level sideways, by the same
+row recurrence ``_next_level`` ends its windows with (``_sideways``), the
+first time a reader asks past that.  A cone band is a plain convolution
+and is built packed into one integer instead.
 """
 
 from __future__ import annotations
@@ -82,11 +85,8 @@ def _next_level(a, n, prev_lo, prev, lo, hi) -> list[int]:
     ``prev`` holds C(n-1, k) in k order from ``prev_lo`` on (a window, or the
     whole row), and the zeros past either end of level n - 1 count as held.
     Convolution, C(n, k) = sum_j a_j C(n-1, k-j), gives the entries whose
-    C(n-1, k-j) are held: all of [0, n*d] for a whole row.  The other ends of
-    a window come from the recurrence p y' = n p' y gives for y = p^n,
-        a_0 k C(n, k) = sum_{j=1..d} a_j ((n+1) j - k) C(n, k-j),
-    run forwards at the right end and solved for its j = d term at the left
-    end.  Both divisions are exact.
+    C(n-1, k-j) are held: all of [0, n*d] for a whole row.  ``_sideways``
+    gives the other ends of a window.
     """
     d = len(a) - 1
     lead = d if prev_lo == 0 else 0
@@ -97,7 +97,21 @@ def _next_level(a, n, prev_lo, prev, lo, hi) -> list[int]:
     vals = [a[0] * v for v in padded[i0:i1]]
     for j in range(1, d + 1):
         vals = [u + a[j] * v for u, v in zip(vals, padded[i0 - j:i1 - j])]
-    for k in range(stop + 1, hi + 1):
+    return _sideways(a, n, start, vals, lo, hi)
+
+
+def _sideways(a, n, start, vals, lo, hi) -> list[int]:
+    """C(n, lo..hi) from the run C(n, start..) held in ``vals``, lo <= start.
+
+    The run is widened in place by the recurrence p y' = n p' y gives for
+    y = p^n,
+        a_0 k C(n, k) = sum_{j=1..d} a_j ((n+1) j - k) C(n, k-j),
+    run forwards at the right end and solved for its j = d term at the left
+    end; C(n, k) is zero for k < 0.  The run must hold d entries, or start
+    at 0.  Both divisions are exact.
+    """
+    d = len(a) - 1
+    for k in range(start + len(vals), hi + 1):
         vals.append(sum(a[j] * ((n + 1) * j - k) * vals[k - j - start]
                         for j in range(1, min(k, d) + 1)) // (a[0] * k))
     for k in range(start - 1 + d, lo - 1 + d, -1):
@@ -167,9 +181,11 @@ class PathColumn:
     depth + 1 levels built: a prefix walk reads level n - 1 within d of the
     path, a reader of depth m level n - j within j*d <= m*d.  ``dim`` is zero
     for k outside [0, n*d] as in DimTable, and every other read raises
-    KeyError.  Each window is built from the one below by ``_next_level``,
-    so a walk that reads only near the path costs O(depth d^2) big-integer
-    products per level instead of O(n d^2).
+    KeyError.
+    A level is built narrow, within d of the path, from the level below by
+    ``_next_level``: 2d + 1 entries and O(d^2) big-integer products a level
+    at any depth.  The first read past that, by ``row`` or by ``dim``,
+    widens the level to w by ``_sideways``; a prefix walk never does.
     """
 
     def __init__(self, poly: GenPolynomial, steps, depth: int = 0):
@@ -180,31 +196,48 @@ class PathColumn:
         self._reach = max(depth, 1) * poly.degree
         self._keep = depth + 1
         self._rows: dict[int, dict[int, int]] = {0: {0: 1}}
+        self._kaps: dict[int, int] = {0: 0}
         self._n = 0
-        self._kap = 0
 
     def row(self, n: int) -> dict[int, int]:
         """Level n's window {k: C(n, k)}, building the column up to n first."""
         while self._n < n:
             self._grow()
-        return self._rows[n]
+        return self._widen(n)
 
     def dim(self, n: int, k: int) -> int:
         """C(n, k); zero for k outside [0, n*d]."""
-        row = self.row(n)
-        return row[k] if 0 <= k <= n * self.poly.degree else 0
+        while self._n < n:
+            self._grow()
+        row = self._rows[n]
+        if k in row:
+            return row[k]
+        if not 0 <= k <= n * self.poly.degree:
+            return 0
+        return self._widen(n)[k]
 
     def _grow(self) -> None:
-        """Build level n = newest + 1 from level n - 1's window."""
+        """Build level n = newest + 1 narrow, from level n - 1's window."""
         a, d = self.poly.coeffs, self.poly.degree
         n = self._n + 1
-        prev_lo = max(self._kap - self._reach, 0)
-        self._kap += next(self._steps)
-        lo, hi = max(self._kap - self._reach, 0), min(self._kap + self._reach, n * d)
-        vals = _next_level(a, n, prev_lo, self._rows[n - 1].values(), lo, hi)
+        prev = self._rows[n - 1]
+        kap = self._kaps[n - 1] + next(self._steps)
+        lo, hi = max(kap - d, 0), min(kap + d, n * d)
+        vals = _next_level(a, n, next(iter(prev)), prev.values(), lo, hi)
         self._rows[n] = dict(zip(range(lo, hi + 1), vals))
+        self._kaps[n] = kap
         self._rows.pop(n - self._keep, None)
+        self._kaps.pop(n - self._keep, None)
         self._n = n
+
+    def _widen(self, n: int) -> dict[int, int]:
+        """Level n's window to w either side of the path, widened once."""
+        row, kap = self._rows[n], self._kaps[n]
+        lo, hi = max(kap - self._reach, 0), min(kap + self._reach, n * self.poly.degree)
+        if len(row) <= hi - lo:
+            vals = _sideways(self.poly.coeffs, n, next(iter(row)), [*row.values()], lo, hi)
+            row = self._rows[n] = dict(zip(range(lo, hi + 1), vals))
+        return row
 
 
 def _table_entries(d: int, n: int) -> int:

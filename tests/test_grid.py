@@ -202,3 +202,28 @@ def test_sup_distance_matches_reference_on_the_union_grid():
         assert sup_distance(a, b) == max(
             abs(reference_curve_value(a.xs, a.ys, x) - reference_curve_value(b.xs, b.ys, x))
             for x in grid)
+
+
+def test_sup_distance_on_shared_nodes_matches_reference():
+    # Curves sharing all, some or none of their interior nodes take the merge
+    # through its equal-x branch as well as through each curve's own nodes.
+    rng = random.Random(19)
+    for _ in range(200):
+        base = sorted(rng.random() for _ in range(rng.randint(1, 12)))
+        keep = rng.choice((1.0, 0.5, 0.0))
+        shared = [x for x in base if rng.random() < keep]
+        other = sorted(shared + [rng.random() for _ in range(rng.randint(0, 8))])
+        # the second curve spans [0, 1] or lies inside the first one's span
+        lo, hi = (0.0, 1.0) if rng.random() < 0.7 else (0.05, 0.95)
+        other = [x for x in other if lo < x < hi]
+        if other and rng.random() < 0.3:
+            i = rng.randrange(len(other))
+            other.insert(i, other[i])               # repeated node
+        curves = [PolygonalCurve(tuple(xs), tuple(rng.uniform(-1, 1) for _ in xs),
+                                 1.0, 0, 0, 0)
+                  for xs in ([0.0, *base, 1.0], [lo, *other, hi])]
+        for c1, c2 in (curves, curves[::-1]):
+            grid = sorted(set(c1.xs) | set(c2.xs))
+            assert sup_distance(c1, c2) == max(
+                abs(reference_curve_value(c1.xs, c1.ys, x)
+                    - reference_curve_value(c2.xs, c2.ys, x)) for x in grid)

@@ -1,13 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly_power_row
-from polyadic import CapacityError, DimTable, GenPolynomial
+from polyadic import CapacityError, DimTable, GenPolynomial, poly
 from polyadic.poly import (_CONE_BIT_BUDGET, PathColumn, VertexCone, _cone_bits,
                            _cone_entries, _table_entries)
 
@@ -277,6 +278,53 @@ def test_path_column_windows_equal_the_dense_table(coeffs, depth, data):
         if n - depth - 1 >= 0:
             with pytest.raises(KeyError):
                 column.row(n - depth - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       depth=st.integers(0, 4), data=st.data())
+def test_path_column_widens_only_the_levels_read_wide(coeffs, depth, data):
+    gp = GenPolynomial(tuple(coeffs))
+    d = gp.degree
+    steps = data.draw(st.lists(st.integers(0, d), min_size=1, max_size=40))
+    rows = [poly_power_row(coeffs, n) for n in range(len(steps) + 1)]
+    kaps = [0]
+    for step in steps:
+        kaps.append(kaps[-1] + step)
+    reach = max(depth, 1) * d
+    sizes, wide = {}, set()
+    sideways = poly._sideways
+
+    def counted(a, n, start, vals, lo, hi):
+        out = sideways(a, n, start, vals, lo, hi)
+        sizes[n] = len(out)         # every entry of level n built so far
+        return out
+
+    with mock.patch.object(poly, "_sideways", counted):
+        column = PathColumn(gp, steps, depth)
+        for n in range(1, len(steps) + 1):
+            kap = kaps[n]
+            # the reads of a prefix walk and of the level tests, all narrow
+            for k in range(kaps[n - 1] - d, kaps[n - 1] + 1):
+                assert column.dim(n - 1, k) == (rows[n - 1][k] if k >= 0 else 0)
+            assert column.dim(n, kap) == rows[n][kap]
+            # wide reads at random kept levels, as a depth-m curve makes them
+            for _ in range(data.draw(st.integers(0, 2))):
+                L = data.draw(st.integers(max(n - depth, 0), n))
+                lo, hi = max(kaps[L] - reach, 0), min(kaps[L] + reach, L * d)
+                if data.draw(st.booleans()):
+                    assert column.row(L) == {k: rows[L][k] for k in range(lo, hi + 1)}
+                    wide.add(L)
+                else:
+                    k = data.draw(st.integers(lo, hi))
+                    assert column.dim(L, k) == rows[L][k]
+                    if abs(k - kaps[L]) > d:
+                        wide.add(L)
+    for n in range(1, len(steps) + 1):
+        if n not in wide:
+            assert sizes[n] <= 2 * d + 1
+        else:
+            assert sizes[n] <= 2 * reach + 1
 
 
 def test_path_column_rejects_negative_depth():
