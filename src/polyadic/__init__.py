@@ -6,6 +6,8 @@ measures, ergodic partial-sum fluctuation curves, and the generalized Takagi
 functions describing their limits.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (CapacityError, DegenerateCurve, DivisionByZeroJet,
                      HorizonExhausted, MaximalPath, MinimalPath, NoConvergence,
                      NoRoot, PolyadicError, PrefixExhausted, RankOutOfRange)
@@ -25,6 +27,8 @@ from .takagi import (MIRROR_SIGN, Jet, coding_map, jet_const, jet_var,
                      parabola_profile, self_affinity_residual, t_jet,
                      takagi_function)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules they come from
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

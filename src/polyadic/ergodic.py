@@ -146,11 +146,11 @@ def tower_total(h: HCoeffs, n: int, kap: int, table: DimTable) -> float:
 def _top_blocks(n: int, kap: int, m: int, table: DimTable | PathColumn):
     """Valid top-m letter blocks of the tower at (n, kap), in rank order.
 
-    Returns a (bottom_kappa, rank) pair per block: the rank is that of the
-    block's minimal completion, 1 plus the sizes C(n-m, kb) of the blocks
-    before it, so it is a prefix sum read from level n - m alone, one read
-    per distinct kb.  The blocks are built level by level, each block's kids
-    in letter order.
+    Returns the (bottom_kappa, rank) pair of each block and the sizes
+    {kb: C(n-m, kb)}.  A block's rank is that of its minimal completion, 1
+    plus the sizes of the blocks before it, so it is a prefix sum read from
+    level n - m alone, one read per distinct kb.  The blocks are built level
+    by level, each block's kids in letter order.
     """
     poly = table.poly
     r, d = poly.alphabet_size, poly.degree
@@ -161,7 +161,7 @@ def _top_blocks(n: int, kap: int, m: int, table: DimTable | PathColumn):
     for level in range(n - 1, n - m - 1, -1):
         kbs = [k - s for k in kbs for s in ks if 0 <= k - s <= level * d]
     size = {kb: table.dim(n - m, kb) for kb in set(kbs)}
-    return list(zip(kbs, accumulate(map(size.__getitem__, kbs), initial=1)))
+    return list(zip(kbs, accumulate(map(size.__getitem__, kbs), initial=1))), size
 
 
 def node_grid(n: int, kap: int, m: int, table: DimTable):
@@ -174,8 +174,8 @@ def node_grid(n: int, kap: int, m: int, table: DimTable):
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     # the word of rank L is its block's minimal completion
-    return [(w[n - m:], L, w) for _, L in _top_blocks(n, kap, m, table)
-            for w in [unrank(n, kap, L, table)]]
+    blocks, _ = _top_blocks(n, kap, m, table)
+    return [(w[n - m:], L, w) for _, L in blocks for w in [unrank(n, kap, L, table)]]
 
 
 @dataclass(frozen=True)
@@ -210,11 +210,11 @@ def _grid_numerators(g: CylFunction, n: int, kap: int, m: int,
     s = _dyadic_bits(g.values.values())
     h = [(l, _scaled(v, s)) for l, v in enumerate(h_coeffs(g, poly).values) if v]
     FH = sum(hl * table.dim(n - N, kap - l) for l, hl in h)
-    blocks = _top_blocks(n, kap, m, table)
+    blocks, size = _top_blocks(n, kap, m, table)
     step, own = {}, {}
-    for kb in {kb for kb, _ in blocks}:
+    for kb, C in size.items():
         phi = sum(hl * table.dim(n - m - N, kb - l) for l, hl in h)  # 2^s sum of g
-        step[kb] = H * phi - FH * table.dim(n - m, kb)
+        step[kb] = H * phi - FH * C
         own[kb] = H * _scaled(g(minimal_word(n - m, kb, poly)), s) - FH
     acc, nodes = 0, []
     for kb, L in blocks:

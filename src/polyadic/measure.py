@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, product, repeat
 
 from .errors import CapacityError, NoRoot
 from .paths import letter_table
@@ -174,14 +174,13 @@ def decode_digits(mp: MeasureParams, x: float, m: int) -> tuple[int, ...]:
 
 
 def stationary_points(mp: MeasureParams, m: int) -> list[float]:
-    """Sorted left endpoints of all coding intervals of rank m, as encode_theta's."""
+    """Sorted left endpoints of the rank-m coding intervals: encode_theta of each word."""
+    if m < 0:
+        raise ValueError(f"depth {m} is negative")
     r = len(mp.weights)
     if r ** m > _STATIONARY_BUDGET:
         raise CapacityError(f"{r}^{m} stationary points exceed budget")
-    values = [mp.lows[0]]           # encode's K = 0 step, over all r^m words at once
-    for _ in range(m):
-        values = [mp.lows[c] + mp.weights[c] * v for c in range(r) for v in values]
-    return sorted(set(values))
+    return sorted({encode_theta(mp, w) for w in product(range(r), repeat=m)})
 
 
 # -- the digit coder ----------------------------------------------------------
@@ -202,7 +201,6 @@ def encode(wcols, lcols, digits):
     left end of the digits' interval.  The step acc = l_c + w_c acc is
     linear in acc, so pass i is that Horner in coefficient i plus the offset
     sum_{j=1..i} w_j[c] a_{i-j}, read from the earlier passes.
-    ``stationary_points`` runs the K = 0 step over all words at once.
     """
     seq = digits[::-1]
     zero, w0, last = lcols[0][0], wcols[0], len(lcols) - 1

@@ -183,11 +183,16 @@ class PathPrefix:
         return tuple(self._letters)
 
     def prefix(self, n: int) -> tuple[int, ...]:
+        """The letters of levels 1..n, extending the prefix if allowed."""
+        if n < 0:
+            raise ValueError(f"level {n} is negative")
         self._ensure(n)
         return tuple(self._letters[:n])
 
     def letter(self, n: int) -> int:
         """1-based letter at level n, extending the prefix if allowed."""
+        if n < 1:
+            raise ValueError(f"level {n} is below 1")
         self._ensure(n)
         return self._letters[n - 1]
 

@@ -5,23 +5,23 @@ The coefficient table holds ``C(n, k)``, the coefficient of ``x^k`` in
 ``(n, k)`` counts the paths from the root to vertex ``(n, k)`` of the graded
 graph generated by ``p``, so everything downstream (ranking, measures, curve
 extraction) leans on these integers being exact.  Three row sources share
-one read surface (``poly``, ``row(n)``, ``dim(n, k)``): ``DimTable`` holds
-dense rows; ``PathColumn`` holds only the entries near one path's vertices,
-which is all that ranking and curve extraction along that path read;
-``VertexCone`` holds only the vertices on some path up to one vertex, which
-is all that unranking at that vertex reads.  ``DimTable`` and ``PathColumn``
-build a level from the one below with the one level builder,
-``_next_level``.  A column builds each level narrow, only as far from the
-path as a prefix walk reads, and widens a kept level sideways, by the same
-row recurrence ``_next_level`` ends its windows with (``_sideways``), the
-first time a reader asks past that.  A cone band is a plain convolution
-and is built packed into one integer instead.
+one read surface (``poly``, ``dim(n, k)``), and only ``DimTable`` also
+returns whole rows (``row(n)``): ``DimTable`` holds dense rows;
+``PathColumn`` holds only the entries near one path's vertices, which is
+all that ranking and curve extraction along that path read; ``VertexCone``
+holds only the vertices on some path up to one vertex, which is all that
+unranking at that vertex reads.  ``DimTable`` and ``PathColumn`` build a
+level from the one below with the one level builder, ``_next_level``.  A
+column builds each level narrow, only as far from the path as a prefix
+walk reads, and widens a kept level sideways, by the same row recurrence
+``_next_level`` ends its windows with (``_sideways``), on the first
+``dim`` read past that.  A cone band is a plain convolution and is built
+packed into one integer instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 from .errors import CapacityError
 
@@ -175,17 +175,16 @@ class PathColumn:
     """Exact C(n, k) near one path's vertices: a read-only stand-in for DimTable.
 
     ``steps`` yields the vertex step of the path's letters 1, 2, ...; level n
-    is built the first time ``row`` or ``dim`` asks for it and pulls the n-th
-    step.  ``row(n)[k]`` and ``dim(n, k)`` hold for |k - kappa_n| <= w,
-    w = max(depth, 1)*d and kappa_n the path's vertex at level n, on the last
-    depth + 1 levels built: a prefix walk reads level n - 1 within d of the
-    path, a reader of depth m level n - j within j*d <= m*d.  ``dim`` is zero
-    for k outside [0, n*d] as in DimTable, and every other read raises
-    KeyError.
+    is built the first time ``dim`` asks for it and pulls the n-th step.
+    ``dim(n, k)`` holds for |k - kappa_n| <= w, w = max(depth, 1)*d and
+    kappa_n the path's vertex at level n, on the last depth + 1 levels
+    built: a prefix walk reads level n - 1 within d of the path, a reader of
+    depth m level n - j within j*d <= m*d.  ``dim`` is zero for k outside
+    [0, n*d] as in DimTable, and every other read raises KeyError.
     A level is built narrow, within d of the path, from the level below by
     ``_next_level``: 2d + 1 entries and O(d^2) big-integer products a level
-    at any depth.  The first read past that, by ``row`` or by ``dim``,
-    widens the level to w by ``_sideways``; a prefix walk never does.
+    at any depth.  The first ``dim`` read past that widens the level to w by
+    ``_sideways``; a prefix walk never does.
     """
 
     def __init__(self, poly: GenPolynomial, steps, depth: int = 0):
@@ -199,12 +198,6 @@ class PathColumn:
         self._kaps: dict[int, int] = {0: 0}
         self._n = 0
 
-    def row(self, n: int) -> dict[int, int]:
-        """Level n's window {k: C(n, k)}, building the column up to n first."""
-        while self._n < n:
-            self._grow()
-        return self._widen(n)
-
     def dim(self, n: int, k: int) -> int:
         """C(n, k); zero for k outside [0, n*d]."""
         while self._n < n:
@@ -212,9 +205,17 @@ class PathColumn:
         row = self._rows[n]
         if k in row:
             return row[k]
-        if not 0 <= k <= n * self.poly.degree:
+        top = n * self.poly.degree
+        if not 0 <= k <= top:
             return 0
-        return self._widen(n)[k]
+        kap = self._kaps[n]
+        lo, hi = max(kap - self._reach, 0), min(kap + self._reach, top)
+        if not lo <= k <= hi:
+            raise KeyError((n, k))
+        # k is within reach but not held: the level is still narrow
+        vals = _sideways(self.poly.coeffs, n, next(iter(row)), [*row.values()], lo, hi)
+        self._rows[n] = dict(zip(range(lo, hi + 1), vals))
+        return vals[k - lo]
 
     def _grow(self) -> None:
         """Build level n = newest + 1 narrow, from level n - 1's window."""
@@ -229,15 +230,6 @@ class PathColumn:
         self._rows.pop(n - self._keep, None)
         self._kaps.pop(n - self._keep, None)
         self._n = n
-
-    def _widen(self, n: int) -> dict[int, int]:
-        """Level n's window to w either side of the path, widened once."""
-        row, kap = self._rows[n], self._kaps[n]
-        lo, hi = max(kap - self._reach, 0), min(kap + self._reach, n * self.poly.degree)
-        if len(row) <= hi - lo:
-            vals = _sideways(self.poly.coeffs, n, next(iter(row)), [*row.values()], lo, hi)
-            row = self._rows[n] = dict(zip(range(lo, hi + 1), vals))
-        return row
 
 
 def _table_entries(d: int, n: int) -> int:
@@ -279,10 +271,9 @@ class VertexCone:
 
     Level L holds the band max(0, kap - (n-L)*d) <= k <= min(L*d, kap) of
     the vertices that have a path up to (n, kap); each band is the plain
-    convolution of the band below.  ``row(L)`` is the band as {k: C(L, k)}
-    for 0 <= L <= n, ``dim(L, k)`` is zero for k outside [0, L*d] as in
-    DimTable, and every other read raises KeyError.  For kap outside
-    [0, n*d] the cone is empty.
+    convolution of the band below.  ``dim(L, k)`` reads the band for
+    0 <= L <= n, is zero for k outside [0, L*d] as in DimTable, and every
+    other read raises KeyError.  For kap outside [0, n*d] the cone is empty.
     Before any entry is built, the entries are counted against the entry
     budget.  Above the highest level whose dense table fits that budget, the
     bits are bounded too: there the cone's entries grow long enough that
@@ -340,14 +331,6 @@ class VertexCone:
                 conv &= (1 << ((his[L] - los[L] + 1) * w)) - 1
             self._bands.append(conv)
             self._entry_bits.append(w)
-
-    def row(self, n: int) -> dict[int, int]:
-        """Level n's band {k: C(n, k)}."""
-        if not 0 <= n < len(self._bands):
-            raise KeyError(n)
-        width = self._his[n] - self._los[n] + 1
-        return dict(zip(count(self._los[n]), _unpack(self._bands[n], width,
-                                                      self._entry_bits[n])))
 
     def dim(self, n: int, k: int) -> int:
         """C(n, k); zero for k outside [0, n*d]."""

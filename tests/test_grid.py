@@ -1,14 +1,16 @@
 """The level-by-level integer grid against the enumerate-all-blocks oracle in conftest."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (reference_curve_value, reference_grid,
-                      reference_node_grid)
+                      reference_node_grid, reference_top_blocks)
 from polyadic import (CylFunction, DegenerateCurve, DimTable, GenPolynomial,
                       PathPrefix, PolygonalCurve,
                       cohomology_verdict, curve_value, extract_limiting_curve,
@@ -16,6 +18,7 @@ from polyadic import (CylFunction, DegenerateCurve, DimTable, GenPolynomial,
                       measure_params, node_grid, sup_distance)
 from polyadic.ergodic import _dyadic_bits, _grid_numerators
 from polyadic.paths import path_column
+from polyadic.poly import PathColumn
 
 
 def assert_grid_matches(g, n, kap, m, table):
@@ -149,6 +152,36 @@ def test_column_grids_match_dense_grids_along_a_path(coeffs, data):
         kap = kappa(x[:n], poly)
         assert _grid_numerators(g, n, kap, m, column) == \
             _grid_numerators(g, n, kap, m, table)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 2), (2, 1, 1, 1)])
+def test_grid_numerators_read_each_block_size_once(coeffs):
+    # N = 1 < m: the other reads, H at level n, F(H) at n - 1 and the block
+    # sums at n - m - 1, stay off level n - m, where only block sizes are read
+    poly = GenPolynomial(coeffs)
+    r = poly.alphabet_size
+    rng = random.Random(20)
+    x = tuple(rng.randrange(r) for _ in range(24))
+    g = CylFunction(1, {(0,): 1.0, (r - 1,): -0.5})
+    table = DimTable(poly, len(x))
+    reads = Counter()
+    dim = PathColumn.dim
+
+    def counted(self, n, k):
+        reads[n, k] += 1
+        return dim(self, n, k)
+
+    for m in (2, 3, 4):
+        column = path_column(x, poly, m + g.N)
+        for n in range(m + g.N, len(x) + 1):
+            kap = kappa(x[:n], poly)
+            reads.clear()
+            with mock.patch.object(PathColumn, "dim", counted):
+                _grid_numerators(g, n, kap, m, column)
+            kbs = {kb for _, kb, _, _ in reference_top_blocks(n, kap, m, table)}
+            assert kbs
+            assert {k: c for (L, k), c in reads.items() if L == n - m} == \
+                dict.fromkeys(kbs, 1)
 
 
 def test_cohomology_series_is_the_exact_ratio_rounded_once():

@@ -5,8 +5,13 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, islice, product
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyadic import measure
 from polyadic import (CapacityError, DimTable, GenPolynomial, NoRoot,
                       cylinder_measure, decode_digits, encode_theta, kappa,
                       letter_stream, letter_table, measure_params, sample_word,
@@ -235,3 +240,35 @@ def test_stationary_points_are_the_encoded_words(coeffs, q, m):
     mp = measure_params(GenPolynomial(coeffs), q)
     words = product(range(len(mp.weights)), repeat=m)
     assert stationary_points(mp, m) == sorted({encode_theta(mp, w) for w in words})
+
+
+def vectorized_stationary_points(mp, m):
+    """encode's K = 0 step run over all r^m words at once, one list a letter."""
+    r = len(mp.weights)
+    values = [mp.lows[0]]
+    for _ in range(m):
+        values = [mp.lows[c] + mp.weights[c] * v for c in range(r) for v in values]
+    return sorted(set(values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+       frac=st.floats(0.05, 0.95), data=st.data())
+def test_stationary_points_match_the_vectorized_recursion(coeffs, frac, data):
+    # bit for bit, against a recursion over word lists that shares no code
+    # with encode
+    mp = measure_params(GenPolynomial(tuple(coeffs)), frac / coeffs[0])
+    r = len(mp.weights)
+    m = data.draw(st.integers(0, 6).filter(lambda m: r ** m <= 2000))
+    got = stationary_points(mp, m)
+    assert [x.hex() for x in got] == [x.hex() for x in vectorized_stationary_points(mp, m)]
+
+
+def test_stationary_points_refuse_a_negative_depth():
+    mp = measure_params(P11, 0.3)
+    with mock.patch.object(measure, "product") as words:
+        for m in (-1, -5):
+            with pytest.raises(ValueError, match=f"depth {m} is negative"):
+                stationary_points(mp, m)
+    assert not words.called
+    assert stationary_points(mp, 0) == [0.0]

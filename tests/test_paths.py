@@ -284,6 +284,18 @@ def test_prefix_extension_policies():
         y.letter(4)
 
 
+def test_prefix_refuses_levels_below_the_first():
+    x = PathPrefix((3, 1, 4))
+    for n in (0, -1, -3):
+        with pytest.raises(ValueError, match=f"level {n} is below 1"):
+            x.letter(n)
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match=f"level {n} is negative"):
+            x.prefix(n)
+    assert x.prefix(0) == () and x.prefix(2) == (3, 1)
+    assert (x.letter(1), x.letter(3)) == (3, 4)
+
+
 def test_successor_hands_over_stream():
     # the pivot lies above the known letters: the successor pulls level 4
     # from x's stream, and its later reads continue that same stream

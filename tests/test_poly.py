@@ -13,6 +13,24 @@ from polyadic.poly import (_CONE_BIT_BUDGET, PathColumn, VertexCone, _cone_bits,
                            _cone_entries, _table_entries)
 
 
+def read_run(source, n, k):
+    """{k': C(n, k')} over the run of level n that ``source.dim`` answers around k.
+
+    The run is read outwards from k, which must be held, and stops at a
+    KeyError or at an end of the row [0, n*d]; so its extent is the held
+    window's, shown by the values inside and the KeyError just outside.
+    """
+    top = n * source.poly.degree
+    run = {k: source.dim(n, k)}
+    for outwards in (range(k - 1, -1, -1), range(k + 1, top + 1)):
+        for j in outwards:
+            try:
+                run[j] = source.dim(n, j)
+            except KeyError:
+                break
+    return run
+
+
 def test_parse_and_validation():
     assert GenPolynomial.parse("1, 1,3").coeffs == (1, 1, 3)
     assert GenPolynomial((2,)).degree == 0
@@ -259,12 +277,12 @@ def test_path_column_windows_equal_the_dense_table(coeffs, depth, data):
     # builds its rows with the column's own level builder.
     rows = [poly_power_row(coeffs, n) for n in range(len(steps) + 1)]
     reach = max(depth, 1) * d
-    kap = 0
+    kaps = [0]
     for n, step in enumerate(steps, 1):
-        kap += step
+        kap = kaps[-1] + step
+        kaps.append(kap)
         lo, hi = max(kap - reach, 0), min(kap + reach, n * d)
-        row = column.row(n)
-        assert sorted(row) == list(range(lo, hi + 1))
+        assert read_run(column, n, kap) == {k: rows[n][k] for k in range(lo, hi + 1)}
         for k in range(-1, n * d + 2):
             if lo <= k <= hi or not 0 <= k <= n * d:
                 assert column.dim(n, k) == (rows[n][k] if 0 <= k <= n * d else 0)
@@ -274,10 +292,10 @@ def test_path_column_windows_equal_the_dense_table(coeffs, depth, data):
         # the last depth + 1 levels stay readable, older ones are gone
         for back in range(1, depth + 1):
             if n - back >= 0:
-                assert column.row(n - back)
+                assert column.dim(n - back, kaps[n - back]) == rows[n - back][kaps[n - back]]
         if n - depth - 1 >= 0:
             with pytest.raises(KeyError):
-                column.row(n - depth - 1)
+                column.dim(n - depth - 1, kaps[n - depth - 1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -313,7 +331,8 @@ def test_path_column_widens_only_the_levels_read_wide(coeffs, depth, data):
                 L = data.draw(st.integers(max(n - depth, 0), n))
                 lo, hi = max(kaps[L] - reach, 0), min(kaps[L] + reach, L * d)
                 if data.draw(st.booleans()):
-                    assert column.row(L) == {k: rows[L][k] for k in range(lo, hi + 1)}
+                    run = read_run(column, L, kaps[L])
+                    assert run == {k: rows[L][k] for k in range(lo, hi + 1)}
                     wide.add(L)
                 else:
                     k = data.draw(st.integers(lo, hi))
@@ -342,23 +361,32 @@ def test_vertex_cone_bands_equal_dense_rows(coeffs):
             cone = VertexCone(GenPolynomial(coeffs), n, kap)
             if not 0 <= kap <= n * d:       # empty cone, empty tower
                 assert cone.dim(n, kap) == 0
-                with pytest.raises(KeyError):
-                    cone.row(n)
+                for L in range(n + 1):
+                    for k in range(L * d + 1):
+                        with pytest.raises(KeyError):
+                            cone.dim(L, k)
                 continue
+            widths = []
             for L in range(n + 1):
                 lo, hi = max(0, kap - (n - L) * d), min(L * d, kap)
-                assert cone.row(L) == {k: rows[L][k] for k in range(lo, hi + 1)}
+                run = read_run(cone, L, hi)
+                assert run == {k: rows[L][k] for k in range(lo, hi + 1)}
+                widths.append(len(run))
                 for k in range(-1, L * d + 2):
                     if lo <= k <= hi or not 0 <= k <= L * d:
                         assert cone.dim(L, k) == (rows[L][k] if 0 <= k <= L * d else 0)
                     else:
                         with pytest.raises(KeyError):
                             cone.dim(L, k)
-            assert _cone_entries(d, n, kap) == sum(
-                len(cone.row(L)) for L in range(n + 1))
+            assert _cone_entries(d, n, kap) == sum(widths)
+            # levels outside 0..n hold nothing; dim is still zero off the row
             for L in (-1, n + 1):
-                with pytest.raises(KeyError):
-                    cone.row(L)
+                for k in range(-1, max(L, 0) * d + 2):
+                    if 0 <= k <= L * d:
+                        with pytest.raises(KeyError):
+                            cone.dim(L, k)
+                    else:
+                        assert cone.dim(L, k) == 0
 
 
 @pytest.mark.parametrize("coeffs", [(3,), (1, 1), (1, 2, 1), (1, 1, 3), (1000, 1000),
@@ -374,8 +402,7 @@ def test_vertex_cone_bands_stay_exact_across_repacks(coeffs):
         for L in range(n + 1):
             lo, hi = max(0, kap - (n - L) * d), min(L * d, kap)
             band = {k: rows[L][k] for k in range(lo, hi + 1)}
-            assert cone.row(L) == band
-            assert [cone.dim(L, k) for k in band] == list(band.values())
+            assert read_run(cone, L, hi) == band
 
 
 def test_vertex_cone_checks_level_and_budget_before_building():
@@ -418,7 +445,7 @@ def test_vertex_cone_near_the_tower_edge_stays_narrow():
     # (1999, 10) on 1,1,3: the dense table to level 1999 needs about 4 million
     # entries; the cone holds at most kap + 1 = 11 per level
     cone = VertexCone(GenPolynomial((1, 1, 3)), 1999, 10)
-    widths = [len(cone.row(L)) for L in range(2000)]
+    widths = [len(read_run(cone, L, min(2 * L, 10))) for L in range(2000)]
     assert max(widths) == 11 and sum(widths) == _cone_entries(2, 1999, 10) == 21940
     # p = 1 + x + 3x^2: j squares, 10 - 2j linear terms, the rest constants
     assert cone.dim(1999, 10) == sum(

@@ -1,6 +1,9 @@
 import re
 import shlex
 from pathlib import Path
+from types import ModuleType
+
+import polyadic
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +32,31 @@ def test_cli_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert main(shlex.split(line)) == 0, (line, capsys.readouterr().err)
+
+
+# every name the package exported before its submodules were left out
+EXPORTS = {
+    "CapacityError", "CylFunction", "DegenerateCurve", "DimTable", "DivisionByZeroJet",
+    "GenPolynomial", "HCoeffs", "HorizonExhausted", "Jet", "LetterTable", "MIRROR_SIGN",
+    "MaximalPath", "MeasureParams", "MinimalPath", "NoConvergence", "NoRoot",
+    "PathPrefix", "PolyadicError", "PolygonalCurve", "PrefixExhausted",
+    "RankOutOfRange", "central_vertex", "coding_map", "cohomology_verdict",
+    "curve_value", "cylinder_measure", "decode_digits", "encode_theta",
+    "extract_limiting_curve", "fluctuation_curve", "h_coeffs", "iter_tower",
+    "jet_const", "jet_var", "jump", "kappa", "letter_stream", "letter_table",
+    "maximal_word", "measure_params", "measure_ray", "minimal_word", "node_grid",
+    "parabola_profile", "predecessor", "prefix_walk", "rank", "sample_word",
+    "self_affinity_residual", "solve_t", "stationary_points", "successor",
+    "sup_distance", "t_jet", "takagi_function", "tower_total", "unrank",
+    "weight_residual", "word_from_string", "word_to_string"}
+
+
+def test_star_import_leaves_the_callers_names_alone():
+    # the sketch starts with a star import; submodules are not exported, so
+    # a caller's own `poly` or `paths` survives it
+    assert not [n for n in polyadic.__all__ if isinstance(getattr(polyadic, n), ModuleType)]
+    assert set(polyadic.__all__) == EXPORTS
+    ns = {"poly": "mine", "paths": "mine"}
+    exec("from polyadic import *", ns)
+    assert ns["poly"] == ns["paths"] == "mine"
+    assert ns["rank"] is polyadic.rank
