@@ -46,10 +46,11 @@ def _field(text: str) -> str:
     return text
 
 
-def _emit(args, header, rows, meta=None) -> None:
-    """Write CSV rows to --out or stdout as they come; ``rows`` may be lazy."""
+def _emit(args, header, lines, meta=None) -> None:
+    """Write the header row, then the \\n-ended CSV ``lines`` as they come, to --out or stdout."""
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-        fh.writelines(map(_line, chain((header,), rows)))
+        fh.write(_line(header))
+        fh.writelines(lines)
     if meta is None:
         return
     if args.out:
@@ -76,9 +77,9 @@ def _cmd_dims(args, parser) -> int:
     # Built up front: the rows are the output, and a request past the entry
     # budget fails before any row is built.
     table = DimTable(args.poly, _level(args.nmax, "--nmax"))
-    rows = ((n, k, dim) for n in range(args.nmax + 1)
-            for k, dim in enumerate(table.row(n)))
-    _emit(args, ("n", "k", "dim"), rows)
+    lines = (f"{n},{k},{v}\n" for n in range(args.nmax + 1)
+             for k, v in enumerate(table.row(n)))
+    _emit(args, ("n", "k", "dim"), lines)
     return 0
 
 
@@ -89,7 +90,7 @@ def _cmd_tq(args, parser) -> int:
             ("residual", repr(weight_residual(args.poly, mp.q, mp.t)))]
     rows += [(f"letter{c}", f"kstep={lt.kstep[c]}", repr(w))
              for c, w in enumerate(mp.weights)]
-    _emit(args, ("field", "value"), rows)
+    _emit(args, ("field", "value"), map(_line, rows))
     return 0
 
 
@@ -109,8 +110,8 @@ def _cmd_rank(args, parser) -> int:
         n, kap, rnk = unrank_args
         source = VertexCone(args.poly, n, kap)
         word = unrank(n, kap, rnk, source)
-    _emit(args, ("word", "n", "kappa", "rank", "dim"),
-          [(word_to_string(word, args.poly), n, kap, str(rnk), str(source.dim(n, kap)))])
+    row = (word_to_string(word, args.poly), n, kap, str(rnk), str(source.dim(n, kap)))
+    _emit(args, ("word", "n", "kappa", "rank", "dim"), [_line(row)])
     return 0
 
 
@@ -141,7 +142,7 @@ def _cmd_orbit(args, parser) -> int:
     walk = chain((x,), islice(_steps(x, args.poly, 1), steps))
     rows = [(step, repr(encode_theta(mp, y.known())),
              word_to_string(y.known(), args.poly)) for step, y in enumerate(walk)]
-    _emit(args, ("step", "theta", "word"), rows,
+    _emit(args, ("step", "theta", "word"), map(_line, rows),
           meta={"poly": list(args.poly.coeffs), "q": args.q, "seed": args.seed})
     return 0
 
@@ -162,7 +163,7 @@ def _cmd_curve(args, parser) -> int:
             "poly": list(args.poly.coeffs), "levels": diag["levels"],
             "distances": diag["distances"],
             "converged_at": diag.get("converged_at")}
-    _emit(args, ("x", "y"), rows, meta)
+    _emit(args, ("x", "y"), map(_line, rows), meta)
     return 0
 
 
@@ -171,7 +172,7 @@ def _cmd_cohom(args, parser) -> int:
     m = _level(args.m, "--m")
     g = _load_g(args.g, args.poly)
     verdict, series = cohomology_verdict(g, DimTable(args.poly), nmax, m)
-    _emit(args, ("n", "R"), series,
+    _emit(args, ("n", "R"), map(_line, series),
           meta={"verdict": verdict, "poly": list(args.poly.coeffs),
                 "nmax": args.nmax, "m": args.m})
     sys.stderr.write(f"verdict: {verdict}\n")
@@ -185,7 +186,7 @@ def _cmd_takagi(args, parser) -> int:
     for i in range(args.grid + 1):
         x = i / args.grid
         rows.append((x, takagi_function(args.poly, args.q, args.k, x, args.depth)))
-    _emit(args, ("x", "value"), rows,
+    _emit(args, ("x", "value"), map(_line, rows),
           meta={"poly": list(args.poly.coeffs), "q": args.q, "k": args.k,
                 "depth": args.depth})
     return 0
@@ -193,7 +194,7 @@ def _cmd_takagi(args, parser) -> int:
 
 def _cmd_parabola(args, parser) -> int:
     rows = parabola_profile(args.d, args.grid, args.depth)
-    _emit(args, ("x", "value", "parabola", "deviation"), rows,
+    _emit(args, ("x", "value", "parabola", "deviation"), map(_line, rows),
           meta={"d": args.d, "grid": args.grid, "depth": args.depth})
     return 0
 

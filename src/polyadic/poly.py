@@ -10,13 +10,14 @@ returns whole rows (``row(n)``): ``DimTable`` holds dense rows;
 ``PathColumn`` holds only the entries near one path's vertices, which is
 all that ranking and curve extraction along that path read; ``VertexCone``
 holds only the vertices on some path up to one vertex, which is all that
-unranking at that vertex reads.  ``DimTable`` and ``PathColumn`` build a
+unranking at that vertex reads.  Each ``dim`` raises ValueError at a
+negative level, is zero for k outside [0, n*d], and in a stand-in raises
+KeyError where no entry is held.  ``DimTable`` and ``PathColumn`` build a
 level from the one below with the one level builder, ``_next_level``.  A
-column builds each level narrow, only as far from the path as a prefix
-walk reads, and widens a kept level sideways, by the same row recurrence
-``_next_level`` ends its windows with (``_sideways``), on the first
-``dim`` read past that.  A cone band is a plain convolution and is built
-packed into one integer instead.
+column keeps a level as a ``(lo, list)`` run, built narrow, only as far
+from the path as a prefix walk reads, and widened sideways by the row
+recurrence ``_next_level`` ends its windows with (``_sideways``) on the
+first read past that.  A cone band is a packed one-integer convolution.
 """
 
 from __future__ import annotations
@@ -83,20 +84,21 @@ def _next_level(a, n, prev_lo, prev, lo, hi) -> list[int]:
     """C(n, lo..hi) for coefficients ``a``, from level n - 1's ``prev``.
 
     ``prev`` holds C(n-1, k) in k order from ``prev_lo`` on (a window, or the
-    whole row), and the zeros past either end of level n - 1 count as held.
-    Convolution, C(n, k) = sum_j a_j C(n-1, k-j), gives the entries whose
-    C(n-1, k-j) are held: all of [0, n*d] for a whole row.  ``_sideways``
-    gives the other ends of a window.
+    whole row).  Convolution, C(n, k) = sum_j a_j C(n-1, k-j), gives the
+    entries whose C(n-1, k-j) are held.  The zeros past an end of level n - 1
+    count as held, padded on only where ``prev`` reaches that end: a whole
+    row gives all of [0, n*d].  ``_sideways`` gives the other ends.
     """
     d = len(a) - 1
     lead = d if prev_lo == 0 else 0
     tail = d if prev_lo + len(prev) - 1 == (n - 1) * d else 0
-    padded, prev_lo = [*(0,) * lead, *prev, *(0,) * tail], prev_lo - lead
-    start, stop = max(lo, prev_lo + d), min(hi, prev_lo + len(padded) - 1)
+    if lead or tail:
+        prev, prev_lo = [*(0,) * lead, *prev, *(0,) * tail], prev_lo - lead
+    start, stop = max(lo, prev_lo + d), min(hi, prev_lo + len(prev) - 1)
     i0, i1 = start - prev_lo, stop - prev_lo + 1
-    vals = [a[0] * v for v in padded[i0:i1]]
+    vals = [a[0] * v for v in prev[i0:i1]]
     for j in range(1, d + 1):
-        vals = [u + a[j] * v for u, v in zip(vals, padded[i0 - j:i1 - j])]
+        vals = [u + a[j] * v for u, v in zip(vals, prev[i0 - j:i1 - j])]
     return _sideways(a, n, start, vals, lo, hi)
 
 
@@ -110,15 +112,18 @@ def _sideways(a, n, start, vals, lo, hi) -> list[int]:
     end; C(n, k) is zero for k < 0.  The run must hold d entries, or start
     at 0.  Both divisions are exact.
     """
-    d = len(a) - 1
+    d, n1 = len(a) - 1, n + 1
     for k in range(start + len(vals), hi + 1):
-        vals.append(sum(a[j] * ((n + 1) * j - k) * vals[k - j - start]
-                        for j in range(1, min(k, d) + 1)) // (a[0] * k))
+        num, i = 0, k - start
+        for j in range(1, min(k, d) + 1):
+            num += a[j] * (n1 * j - k) * vals[i - j]
+        vals.append(num // (a[0] * k))
     for k in range(start - 1 + d, lo - 1 + d, -1):
         # vals[0] is C(n, start); solve for C(n, k - d) and put it first
-        num = a[0] * k * vals[k - start] - sum(
-            a[j] * ((n + 1) * j - k) * vals[k - j - start] for j in range(1, d))
-        vals.insert(0, num // (a[d] * ((n + 1) * d - k)))
+        num, i = a[0] * k * vals[k - start], k - start
+        for j in range(1, d):
+            num -= a[j] * (n1 * j - k) * vals[i - j]
+        vals.insert(0, num // (a[d] * (n1 * d - k)))
         start -= 1
     return vals
 
@@ -180,11 +185,12 @@ class PathColumn:
     kappa_n the path's vertex at level n, on the last depth + 1 levels
     built: a prefix walk reads level n - 1 within d of the path, a reader of
     depth m level n - j within j*d <= m*d.  ``dim`` is zero for k outside
-    [0, n*d] as in DimTable, and every other read raises KeyError.
-    A level is built narrow, within d of the path, from the level below by
+    [0, n*d] and refuses a negative level as in DimTable, and every other
+    read raises KeyError.  A level is a run ``(lo, vals)`` from C(n, lo) on,
+    built narrow, within d of the path, from the level below by
     ``_next_level``: 2d + 1 entries and O(d^2) big-integer products a level
     at any depth.  The first ``dim`` read past that widens the level to w by
-    ``_sideways``; a prefix walk never does.
+    ``_sideways``, which replaces the run; a prefix walk never does.
     """
 
     def __init__(self, poly: GenPolynomial, steps, depth: int = 0):
@@ -194,7 +200,7 @@ class PathColumn:
         self._steps = iter(steps)
         self._reach = max(depth, 1) * poly.degree
         self._keep = depth + 1
-        self._rows: dict[int, dict[int, int]] = {0: {0: 1}}
+        self._rows: dict[int, tuple[int, list[int]]] = {0: (0, [1])}
         self._kaps: dict[int, int] = {0: 0}
         self._n = 0
 
@@ -202,30 +208,33 @@ class PathColumn:
         """C(n, k); zero for k outside [0, n*d]."""
         while self._n < n:
             self._grow()
-        row = self._rows[n]
-        if k in row:
-            return row[k]
-        top = n * self.poly.degree
+        try:
+            lo, vals = self._rows[n]
+        except KeyError:
+            if n < 0:
+                raise ValueError(f"level {n} is negative") from None
+            raise
+        if lo <= k < lo + len(vals):
+            return vals[k - lo]
+        kap, top = self._kaps[n], n * self.poly.degree
         if not 0 <= k <= top:
             return 0
-        kap = self._kaps[n]
-        lo, hi = max(kap - self._reach, 0), min(kap + self._reach, top)
-        if not lo <= k <= hi:
+        lo_w, hi_w = max(kap - self._reach, 0), min(kap + self._reach, top)
+        if not lo_w <= k <= hi_w:
             raise KeyError((n, k))
         # k is within reach but not held: the level is still narrow
-        vals = _sideways(self.poly.coeffs, n, next(iter(row)), [*row.values()], lo, hi)
-        self._rows[n] = dict(zip(range(lo, hi + 1), vals))
-        return vals[k - lo]
+        vals = _sideways(self.poly.coeffs, n, lo, vals, lo_w, hi_w)
+        self._rows[n] = lo_w, vals
+        return vals[k - lo_w]
 
     def _grow(self) -> None:
-        """Build level n = newest + 1 narrow, from level n - 1's window."""
+        """Build level n = newest + 1 narrow, from level n - 1's run."""
         a, d = self.poly.coeffs, self.poly.degree
         n = self._n + 1
-        prev = self._rows[n - 1]
+        prev_lo, prev = self._rows[n - 1]
         kap = self._kaps[n - 1] + next(self._steps)
         lo, hi = max(kap - d, 0), min(kap + d, n * d)
-        vals = _next_level(a, n, next(iter(prev)), prev.values(), lo, hi)
-        self._rows[n] = dict(zip(range(lo, hi + 1), vals))
+        self._rows[n] = lo, _next_level(a, n, prev_lo, prev, lo, hi)
         self._kaps[n] = kap
         self._rows.pop(n - self._keep, None)
         self._kaps.pop(n - self._keep, None)
@@ -334,9 +343,11 @@ class VertexCone:
 
     def dim(self, n: int, k: int) -> int:
         """C(n, k); zero for k outside [0, n*d]."""
+        if n < 0:
+            raise ValueError(f"level {n} is negative")
         if not 0 <= k <= n * self.poly.degree:
             return 0
-        if not (0 <= n < len(self._bands) and self._los[n] <= k <= self._his[n]):
+        if not (n < len(self._bands) and self._los[n] <= k <= self._his[n]):
             raise KeyError((n, k))
         w = self._entry_bits[n]
         return (self._bands[n] >> ((k - self._los[n]) * w)) & ((1 << w) - 1)

@@ -51,15 +51,22 @@ def tower_words_comparison_sorted(poly: GenPolynomial, n: int, kap: int):
     return out
 
 
-def poly_power_row(coeffs, n):
-    """Coefficients of (sum_j a_j x^j)^n by repeated convolution."""
+def poly_power_rows(coeffs, n_max):
+    """Coefficients of (sum_j a_j x^j)^n for n = 0..n_max, by repeated convolution."""
     row = [1]
-    for _ in range(n):
+    yield row
+    for _ in range(n_max):
         nxt = [0] * (len(row) + len(coeffs) - 1)
         for i, v in enumerate(row):
             for j, a in enumerate(coeffs):
                 nxt[i + j] += v * a
         row = nxt
+        yield row
+
+
+def poly_power_row(coeffs, n):
+    """Coefficients of (sum_j a_j x^j)^n by repeated convolution."""
+    *_, row = poly_power_rows(coeffs, n)
     return row
 
 

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_power_row
+from conftest import poly_power_row, poly_power_rows
 from polyadic import (CylFunction, DimTable, GenPolynomial, PathPrefix,
                       extract_limiting_curve, letter_stream, maximal_word,
                       measure_params, minimal_word, predecessor, successor,
                       unrank, word_to_string)
 from polyadic import cli, paths
-from polyadic.cli import _emit, main
+from polyadic.cli import _emit, _line, main
 from polyadic.poly import DEFAULT_ENTRY_BUDGET
 
 
@@ -37,6 +37,31 @@ def test_dims(capsys):
     row2 = [line.split(",")[2] for line in out.strip().splitlines()
             if line.startswith("2,")]
     assert row2 == ["1", "2", "7", "6", "9"]
+
+
+@pytest.mark.parametrize("coeffs", [(1,), (3,), (1, 1, 3), (2, 1, 1, 2)])
+def test_dims_bytes_equal_an_independent_csv_writer(coeffs, capsys, tmp_path):
+    # the oracle writes every row through csv.writer, from the test's own
+    # convolution; dims preformats its lines
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("n", "k", "dim"))
+    ends = []                   # where each level's lines end
+    for n, row in enumerate(poly_power_rows(coeffs, 200)):
+        writer.writerows((n, k, v) for k, v in enumerate(row))
+        ends.append(buf.tell())
+    expected = buf.getvalue()
+    poly = ",".join(map(str, coeffs))
+    for nmax in range(61):
+        code, out, err = run(capsys, "dims", "--poly", poly, "--nmax", str(nmax))
+        assert (code, out, err) == (0, expected[:ends[nmax]], "")
+    code, out, err = run(capsys, "dims", "--poly", poly, "--nmax", "200")
+    assert (code, out, err) == (0, expected, "")
+    path = tmp_path / "dims.csv"
+    code, out, err = run(capsys, "dims", "--poly", poly, "--nmax", "200", "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.read_text() == expected
+    assert [f.name for f in tmp_path.iterdir()] == ["dims.csv"]
 
 
 def test_dims_usage_error(capsys):
@@ -102,7 +127,7 @@ def test_emit_writes_the_bytes_of_csv_writer(rows):
     try:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            _emit(argparse.Namespace(out=None), rows[0], rows[1:])
+            _emit(argparse.Namespace(out=None), rows[0], map(_line, rows[1:]))
         assert buf.getvalue() == _csv_writer_lines(rows)
     finally:
         if limit is not None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_power_row
+from conftest import poly_power_row, poly_power_rows
 from polyadic import CapacityError, DimTable, GenPolynomial, poly
 from polyadic.poly import (_CONE_BIT_BUDGET, PathColumn, VertexCone, _cone_bits,
                            _cone_entries, _table_entries)
@@ -351,6 +351,61 @@ def test_path_column_rejects_negative_depth():
         PathColumn(GenPolynomial((1, 1)), [], -1)
 
 
+@settings(max_examples=120, deadline=None)
+@given(coeffs=st.sampled_from([(1, 1), (1, 2, 1), (1, 1, 3), (2, 1, 1, 2)]),
+       depth=st.sampled_from([0, 1, 7]), top_first=st.booleans(),
+       runs=st.lists(st.integers(1, 8), min_size=1, max_size=6))
+def test_path_column_windows_along_the_row_ends(coeffs, depth, top_first, runs):
+    gp = GenPolynomial(coeffs)
+    d = gp.degree
+    # A run of step 0 keeps kappa, the distance to k = 0, and a run of step d
+    # keeps n*d - kappa: the path hugs one end, leaves it for the other, and
+    # comes back, as close as the runs before left it.  Short runs keep even
+    # the narrow windows on the ends; depth 7 is a curve column's m + N.
+    steps = []
+    for i, run in enumerate(runs):
+        steps += [d if (i % 2 == 0) == top_first else 0] * run
+    rows = list(poly_power_rows(coeffs, len(steps)))
+    reach = max(depth, 1) * d
+    # one column only walks, the other is read wide at every level, so its
+    # levels are built from wide levels below
+    narrow, wide = PathColumn(gp, steps, depth), PathColumn(gp, steps, depth)
+    kap = 0
+    for n, step in enumerate(steps, 1):
+        kap += step
+        top = n * d
+        lo, hi = max(kap - d, 0), min(kap + d, top)
+        for column in (narrow, wide):
+            assert column.dim(n, kap) == rows[n][kap]
+            assert column._rows[n] == (lo, rows[n][lo:hi + 1])
+        lo, hi = max(kap - reach, 0), min(kap + reach, top)
+        assert read_run(wide, n, kap) == {k: rows[n][k] for k in range(lo, hi + 1)}
+        assert wide._rows[n] == (lo, rows[n][lo:hi + 1])
+        for k in (lo - 1, hi + 1):
+            if 0 <= k <= top:
+                with pytest.raises(KeyError):
+                    wide.dim(n, k)
+            else:
+                assert wide.dim(n, k) == 0
+
+
+@pytest.mark.parametrize("coeffs", [(3,), (1, 1), (1, 1, 3)])
+@pytest.mark.parametrize("source", ["table", "column", "cone"])
+def test_every_row_source_refuses_a_negative_level(source, coeffs):
+    gp = GenPolynomial(coeffs)
+    d = gp.degree
+    rows = {"table": lambda: DimTable(gp, 3),
+            "column": lambda: PathColumn(gp, [d, 0, d], 1),
+            "cone": lambda: VertexCone(gp, 3, 2 * d)}[source]()
+    for _ in range(2):
+        for n in (-1, -4):
+            for k in (-1, 0, 1, 5):
+                with pytest.raises(ValueError, match=f"level {n} is negative"):
+                    rows.dim(n, k)
+        # and again once the source holds levels 0..3
+        assert rows.dim(3, 2 * d) == poly_power_row(coeffs, 3)[2 * d]
+
+
 @pytest.mark.parametrize("coeffs", [(1,), (3,), (1, 1), (1, 2, 1), (1, 1, 3),
                                     (1, 3, 3, 1), (2, 1, 1, 2)])
 def test_vertex_cone_bands_equal_dense_rows(coeffs):
@@ -379,10 +434,14 @@ def test_vertex_cone_bands_equal_dense_rows(coeffs):
                         with pytest.raises(KeyError):
                             cone.dim(L, k)
             assert _cone_entries(d, n, kap) == sum(widths)
-            # levels outside 0..n hold nothing; dim is still zero off the row
+            # levels outside 0..n hold nothing; dim is still zero off the row,
+            # and a negative level is refused whatever k, as in DimTable
             for L in (-1, n + 1):
                 for k in range(-1, max(L, 0) * d + 2):
-                    if 0 <= k <= L * d:
+                    if L < 0:
+                        with pytest.raises(ValueError, match="level -1 is negative"):
+                            cone.dim(L, k)
+                    elif 0 <= k <= L * d:
                         with pytest.raises(KeyError):
                             cone.dim(L, k)
                     else:
