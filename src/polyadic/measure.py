@@ -1,10 +1,10 @@
 """Invariant Bernoulli measures, path sampling, and the interval coding.
 
-For a parameter q the letter weights are ``t^s / q^(s-1)`` where ``s`` is the
-letter's vertex step and ``t`` solves
-``a_0 q^d + a_1 q^(d-1) t + ... + a_d t^d = q^(d-1)`` in (0, 1).  The product
-measure built from these weights is invariant for the adic map because a
-cylinder's mass then depends only on its end vertex.
+For a parameter q in (0, 1/a_0) a letter of vertex step s weighs
+``q u^s`` with ``u = t/q``, where ``t`` solves ``q p(t/q) = 1`` in (0, 1):
+the weights sum to one.  The product measure built from these weights is
+invariant for the adic map because a cylinder's mass then depends only on its
+end vertex.
 
 The coding of [0, 1] subdivides nested intervals in letter-label order, first
 letter most significant; stationary numbers are the points with a finite
@@ -28,10 +28,9 @@ from itertools import accumulate, islice, product, repeat
 
 from .errors import CapacityError, NoRoot
 from .paths import letter_table
-from .poly import GenPolynomial
+from .poly import _CONE_BIT_BUDGET, GenPolynomial
 
 _STATIONARY_BUDGET = 2_000_000
-_ROOT_TOL = 1e-14               # largest weight-equation residual solve_t accepts
 
 # Fractional bits of the fixed-point coder (50 decimal digits are 166 bits).
 # After k letters the decoder's remainder is off by about 2^-PREC over the
@@ -42,28 +41,36 @@ PREC = 192
 _ONE = 1 << PREC
 
 
-def _weight_poly_coeffs(poly: GenPolynomial, q):
-    """Coefficients of t -> sum_j a_j q^(d-j) t^j - q^(d-1), and of its t-derivative.
+def _weights(poly: GenPolynomial, q, t, steps=()):
+    """Weight of the stepping letters, its t-slope and the step weights at (q, t).
 
-    q may be a float, a ``Fraction`` or a jet; the coefficients live in its ring.
+    q and t may be floats, ``Fraction``s or jets.  With u = t/q, step s
+    weighs w_0 = q, w_1 = t and w_s = t u^(s-1); the weights sum to one,
+    q p(u) = 1, where sum_{s>=1} a_s w_s = 1 - a_0 q.  Returns that sum and
+    its t-derivative a_1 + sum_{s>=2} s a_s u^(s-1), by Horner in u, and the
+    weights of ``steps``, each the one before times u.  q divides only steps
+    s >= 2, so a t polynomial in q (Pascal's 1 - q) keeps every weight one.
     """
-    d = poly.degree
-    coeffs = [a * q ** (d - j) for j, a in enumerate(poly.coeffs)]
-    coeffs[0] -= q ** (d - 1)
-    return coeffs, [j * c for j, c in enumerate(coeffs)][1:]
-
-
-def _horner(coeffs, t):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * t + c
-    return acc
+    a, d = poly.coeffs, poly.degree
+    u = t / q if d >= 2 else None
+    h, dh = (a[d], d * a[d]) if d else (0, 0)
+    for s in range(d - 1, 0, -1):
+        h = h * u + a[s]
+        dh = dh * u + s * a[s]
+    by_step = [q, t]
+    for _ in range(2, max(steps, default=0) + 1):
+        by_step.append(by_step[-1] * u)
+    return t * h, dh, {s: by_step[s] for s in steps}
 
 
 def solve_t(poly: GenPolynomial, q: float) -> float:
-    """Root t in (0, 1) of the weight equation; bisection then Newton polish.
+    """Root t in (0, 1) of the weight equation q p(t/q) = 1, by Newton from above.
 
-    The degenerate degree-0 case has no free parameter: the equation forces
+    The weight sum is increasing and convex in t and equals a_0 q < 1 at
+    t = 0, so Newton started where the top step alone weighs 1 falls
+    monotonically to the root; it stops where a step no longer shrinks the
+    residual, and one step in ``Fraction``s rounds the root once.  The
+    degenerate degree-0 case has no free parameter: the equation forces
     q = 1/a_0, and t never enters the weights, so it is returned as q.
     """
     if not math.isfinite(q):
@@ -76,39 +83,28 @@ def solve_t(poly: GenPolynomial, q: float) -> float:
         return q
     if not 0.0 < q < 1.0 / a0:
         raise NoRoot(f"q={q} outside (0, 1/{a0})")
-    coeffs, deriv = _weight_poly_coeffs(poly, q)
-    lo, hi = 0.0, 1.0
-    flo = _horner(coeffs, lo)
-    if flo >= 0.0 or _horner(coeffs, hi) <= 0.0:
-        raise NoRoot(f"no sign change on (0,1) for q={q}")
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if _horner(coeffs, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(60):
-        f = _horner(coeffs, t)
-        fp = _horner(deriv, t)
-        if fp == 0.0:
+    rest = float(1 - a0 * Fraction(q))      # what the stepping letters share
+    t = nxt = q ** (1.0 - 1.0 / d) / poly.coeffs[d] ** (1.0 / d)   # a_d w_d = 1
+    smallest = math.inf
+    while True:
+        total, slope, _ = _weights(poly, q, nxt)
+        if not abs(total - rest) < smallest:
             break
-        nxt = t - f / fp
-        if not 0.0 < nxt < 1.0:
-            nxt = min(max(nxt, 1e-300), 1.0 - 1e-16)
-        if nxt == t:
-            break
-        t = nxt
-    if abs(_horner(coeffs, t)) > _ROOT_TOL:
-        raise NoRoot(f"Newton polish left residual above {_ROOT_TOL} for q={q}")
-    return t
+        t, smallest = nxt, abs(total - rest)
+        nxt = t - (total - rest) / slope
+    # one exact step from a t this close lands well inside its ulp
+    return float(_exact_step(poly, Fraction(q), Fraction(t)))
+
+
+def _exact_step(poly: GenPolynomial, q: Fraction, t: Fraction) -> Fraction:
+    """One Newton step on the weight equation in exact arithmetic."""
+    total, slope, _ = _weights(poly, q, t)
+    return t - (total - 1 + poly.coeffs[0] * q) / slope
 
 
 def weight_residual(poly: GenPolynomial, q: float, t: float) -> float:
-    """Defining-equation residual at (q, t)."""
-    if poly.degree == 0:
-        return poly.coeffs[0] - 1.0 / q
-    return _horner(_weight_poly_coeffs(poly, q)[0], t)
+    """Weight-equation residual q p(t/q) - 1 at (q, t): the weight sum less one."""
+    return _weights(poly, q, t)[0] - float(1 - poly.coeffs[0] * Fraction(q))
 
 
 @dataclass(frozen=True)
@@ -126,12 +122,11 @@ class MeasureParams:
 def measure_params(poly: GenPolynomial, q: float) -> MeasureParams:
     t = solve_t(poly, q)
     ks = letter_table(poly).kstep
-    try:
-        weights = tuple(q * (t / q) ** s for s in ks)
-        total = sum(weights)
-    except OverflowError:       # t/q past float range: t is no root at this q
-        total = math.inf
-    if abs(total - 1.0) > 1e-9:
+    # each weight is formed exactly at the float root and rounded once
+    by_step = _weights(poly, Fraction(q), Fraction(t), set(ks))[2]
+    weights = tuple(float(by_step[s]) for s in ks)
+    total = sum(weights)
+    if not abs(total - 1.0) <= 1e-9:
         raise NoRoot(f"weights sum to {total}, not 1; degenerate parameters")
     return MeasureParams(poly, q, t, weights, low_sums(weights, 0.0))
 
@@ -162,12 +157,7 @@ def encode_theta(mp: MeasureParams, word) -> float:
 
 
 def decode_digits(mp: MeasureParams, x: float, m: int) -> tuple[int, ...]:
-    """First m letters of the coding of x; half-open intervals, 1 maps high.
-
-    Points on an interval boundary take the right-hand letter, so a
-    stationary number decodes to its finite word padded with the lowest
-    letter; x = 1 takes the top letter at every depth.
-    """
+    """First m letters of the coding of x in [0, 1], as ``decode`` reads them."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
     return decode(mp.poly, mp.q, x, m)
@@ -225,36 +215,48 @@ def encode(wcols, lcols, digits):
 def _exact_t(poly: GenPolynomial, q: Fraction, t0: float) -> Fraction:
     """Root of the weight equation by Fraction Newton from the float root t0.
 
-    Each iterate is kept on the grid of 2^-(2 PREC) so that its size stays
+    Each iterate is kept to 2 PREC significant bits so that its size stays
     bounded; the root is then correct far below the coder's resolution.
     """
     if poly.degree == 0:
         return q
-    coeffs, deriv = _weight_poly_coeffs(poly, q)
+    scale = 1 << (2 * PREC - math.frexp(t0)[1])
     t = Fraction(t0)
-    scale = 1 << (2 * PREC)
     for _ in range(16):
-        nxt = Fraction(round((t - _horner(coeffs, t) / _horner(deriv, t)) * scale),
-                       scale)
+        nxt = Fraction(round(_exact_step(poly, q, t) * scale), scale)
         if abs(nxt - t) * scale <= 1:
             return nxt
         t = nxt
     raise NoRoot(f"exact Newton for t did not settle at q={float(q)}")
 
 
+def _check_coder_budget(degree: int) -> None:
+    """Refuse a degree whose exact coder weights pass the cone's bit budget:
+    with t kept to 2 PREC bits, the weight of step s has a numerator of about
+    2 PREC s bits, and the Newton that finds t runs Horner sums as large."""
+    bits = PREC * degree * (degree + 1)
+    if bits > _CONE_BIT_BUDGET:
+        raise CapacityError(f"exact coder weights of degree {degree} need about "
+                            f"{bits} bits, budget is {_CONE_BIT_BUDGET} bits")
+
+
 @lru_cache(maxsize=512)
 def fixed_coder(poly: GenPolynomial, q: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Letter weights and low sums in units of 2^-PREC.
 
-    Each weight q (t/q)^s is rounded once from the exact root; the top
+    Each weight t u^(s-1) is rounded once from the exact root; the top
     letter takes the remainder, so the rank-1 intervals tile [0, 1] exactly.
     """
+    _check_coder_budget(poly.degree)
     q_exact = Fraction(q)
     t = _exact_t(poly, q_exact, measure_params(poly, q).t)
     ks = letter_table(poly).kstep
-    by_step = {s: round(q_exact ** (1 - s) * t ** s * _ONE) for s in set(ks)}
+    by_step = {s: round(w * _ONE) for s, w in _weights(poly, q_exact, t, set(ks))[2].items()}
     weights = [by_step[s] for s in ks]
     weights[-1] = _ONE - sum(weights[:-1])
+    if min(weights) <= 0:
+        raise CapacityError(f"a letter weight at q={q} is below 2^-{PREC}, "
+                            f"the coder's resolution")
     return tuple(weights), low_sums(weights, 0)
 
 

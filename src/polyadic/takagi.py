@@ -18,12 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import CapacityError, DivisionByZeroJet, NoRoot
-from .measure import (_horner, _weight_poly_coeffs, cylinder, cylinder_measure,
+from .measure import (_weights, _check_coder_budget, cylinder, cylinder_measure,
                       decode, encode, low_sums, measure_params, solve_t)
 from .paths import letter_table
-from .poly import DEFAULT_ENTRY_BUDGET, GenPolynomial
+from .poly import GenPolynomial
 
 # The coding subdivides intervals in letter-label order, which runs through
 # [0, 1] opposite to the step-ordered subdivision that the classical
@@ -81,33 +82,25 @@ class Jet:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet":
-        c0 = self.coeffs[0]
-        if c0 == 0.0:
-            raise DivisionByZeroJet("constant term is zero")
-        k = len(self.coeffs)
-        out = [0.0] * k
-        out[0] = 1.0 / c0
-        for i in range(1, k):
-            out[i] = -sum(self.coeffs[j] * out[i - j] for j in range(1, i + 1)) / c0
-        return Jet(tuple(out))
+        return jet_const(1.0, self.order) / self
 
     def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return self * (1.0 / other)
+        # long division: a quotient in float range needs no 1/other in range
+        if not isinstance(other, Jet):
+            return self * (1.0 / other)
+        self._check(other)
+        b = other.coeffs
+        if b[0] == 0.0:
+            raise DivisionByZeroJet("constant term is zero")
+        out = []
+        for i, a in enumerate(self.coeffs):
+            out.append((a - sum(b[j] * out[i - j] for j in range(1, i + 1))) / b[0])
+        return Jet(tuple(out))
 
     def __pow__(self, exponent: int) -> "Jet":
         if exponent < 0:
             return (self ** (-exponent)).reciprocal()
-        out = jet_const(1.0, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return math.prod(repeat(self, exponent), start=jet_const(1.0, self.order))
 
 
 def jet_const(value: float, order: int) -> Jet:
@@ -116,9 +109,7 @@ def jet_const(value: float, order: int) -> Jet:
 
 def jet_var(value: float, order: int) -> Jet:
     """The perturbation variable itself: value + epsilon."""
-    if order == 0:
-        return Jet((float(value),))
-    return Jet((float(value), 1.0) + (0.0,) * (order - 1))
+    return Jet(((float(value), 1.0) + (0.0,) * order)[:order + 1])
 
 
 def t_jet(poly: GenPolynomial, q: float, order: int) -> Jet:
@@ -128,11 +119,13 @@ def t_jet(poly: GenPolynomial, q: float, order: int) -> Jet:
     t0 = solve_t(poly, q)
     if order == 0:
         return Jet((t0,))
-    coeffs, deriv = _weight_poly_coeffs(poly, jet_var(q, order))
+    q2 = jet_var(q, order)
+    rest = 1.0 - poly.coeffs[0] * q2
     t = jet_const(t0, order)
     # Each Newton step doubles the number of correct coefficients.
     for _ in range(order.bit_length() + 2):
-        step = _horner(coeffs, t) * _horner(deriv, t).reciprocal()
+        total, slope, _ = _weights(poly, q2, t)
+        step = (total - rest) / slope
         t = t - step
         if max(abs(c) for c in step.coeffs) <= 1e-15 * max(
                 1.0, max(abs(c) for c in t.coeffs)):
@@ -144,16 +137,20 @@ def t_jet(poly: GenPolynomial, q: float, order: int) -> Jet:
 def _letter_jets(poly: GenPolynomial, q: float, order: int):
     """Taylor columns of the letter weights and low sums at q2 = q.
 
-    Column i holds the i-th coefficient of every letter's weight
-    t^s q2^(1-s) (resp. low sum).  q2 is inverted only for steps s >= 2: when
-    t is a polynomial in q2, as for (1, 1), so is every weight, and the
-    derivatives past the degree of the re-encoding come out exactly zero.
+    Column i holds the i-th coefficient of every letter's weight (resp. low
+    sum), formed as ``measure._weights`` forms it: when t is a polynomial in
+    q2, as for (1, 1), so is every weight, and the derivatives past the
+    degree of the re-encoding come out exactly zero.
     """
-    q2 = jet_var(q, order)
-    t = t_jet(poly, q, order)
     ks = letter_table(poly).kstep
-    by_step = {s: t ** s * q2 ** (1 - s) for s in set(ks)}
+    by_step = _weights(poly, jet_var(q, order), t_jet(poly, q, order), set(ks))[2]
     wcols = tuple(zip(*(by_step[s].coeffs for s in ks)))
+    # The weights sum to 1 at every q2, so each higher column sums to 0; at
+    # small q their coefficients are differences of terms ~1/q apart.
+    for i, col in enumerate(wcols[1:], 1):
+        if not abs(math.fsum(col)) <= 1e-9 * math.fsum(map(abs, col)):
+            raise CapacityError(f"Taylor coefficient {i} of the letter weights lost "
+                                f"its precision at q={q}: they do not sum to 1")
     return wcols, tuple(low_sums(col, 0.0) for col in wcols)
 
 
@@ -188,7 +185,8 @@ def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
     _check_depth(depth)
     if k == 0:
         return float(x)
-    c_k = encode(*_letter_jets(poly, q, k), decode(poly, q, x, depth))
+    digits = decode(poly, q, x, depth)
+    c_k = encode(*_letter_jets(poly, q, k), digits)
     try:        # k! c_k formed exactly and rounded once: k! leaves float range at 171
         num, den = c_k.as_integer_ratio()
         return math.factorial(k) * num / den
@@ -228,9 +226,7 @@ def parabola_profile(d: int, grid: int, depth: int = 60):
         raise ValueError("degree must be >= 1")
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    if d + 1 > DEFAULT_ENTRY_BUDGET:
-        raise CapacityError(f"degree {d} needs {d + 1} coefficients, "
-                            f"budget is {DEFAULT_ENTRY_BUDGET}")
+    _check_coder_budget(d)
     poly = GenPolynomial((1,) * (d + 1))
     q = 1.0 / (d + 1)
     rows = []

@@ -8,7 +8,7 @@ from itertools import accumulate, islice, product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyadic import measure
@@ -52,6 +52,30 @@ def test_residual_small_across_grid():
             t = solve_t(poly, q)
             assert 0 < t < 1
             assert abs(weight_residual(poly, q, t)) <= 1e-14
+
+
+def _exact_weight_sum_minus_one(coeffs, q: Fraction, t: Fraction) -> Fraction:
+    """sum_s a_s t^s / q^(s-1) - 1 in exact arithmetic, increasing in t."""
+    return sum(a * t ** s / q ** (s - 1) for s, a in enumerate(coeffs)) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.integers(1, 8).flatmap(
+           lambda d: st.lists(st.integers(1, 9), min_size=d + 1, max_size=d + 1)),
+       frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       x=st.floats(0.0, 320.0))
+def test_measure_params_root_within_8_ulp_at_any_q(coeffs, frac, x):
+    # every q in (0, 1/a_0) down to the subnormals has a measure: the weights
+    # sum to one and t is within 8 ulp of the exact root, which lies where
+    # the exact weight sum crosses one
+    q = frac / coeffs[0] * 10.0 ** -x
+    assume(0.0 < q < 1.0 / coeffs[0])
+    mp = measure_params(GenPolynomial(tuple(coeffs)), q)
+    assert abs(math.fsum(mp.weights) - 1.0) <= 1e-15
+    reach = 8 * math.ulp(mp.t)
+    q_exact = Fraction(q)
+    assert _exact_weight_sum_minus_one(coeffs, q_exact, Fraction(mp.t - reach)) <= 0
+    assert _exact_weight_sum_minus_one(coeffs, q_exact, Fraction(mp.t + reach)) >= 0
 
 
 def test_letter_weights_examples():

@@ -10,7 +10,7 @@ from polyadic import (CapacityError, DivisionByZeroJet, GenPolynomial, Jet,
                       encode_theta, jet_const, jet_var, letter_table,
                       measure_params, parabola_profile, self_affinity_residual,
                       t_jet, takagi_function)
-from polyadic.measure import _horner, _weight_poly_coeffs
+from polyadic.measure import _weights
 
 P11 = GenPolynomial((1, 1))
 P111 = GenPolynomial((1, 1, 1))
@@ -89,11 +89,11 @@ def test_t_jet_newton_steps_grow_with_the_bit_length_of_the_order(monkeypatch):
     # never falls below its stop threshold
     calls = []
 
-    def counted(coeffs, t):
+    def counted(*args):
         calls.append(1)
-        return _horner(coeffs, t)
+        return _weights(*args)
 
-    monkeypatch.setattr(polyadic.takagi, "_horner", counted)
+    monkeypatch.setattr(polyadic.takagi, "_weights", counted)
     systems = [((3, 1, 2), 0.2), ((1, 1, 1, 1), 0.2), ((1, 1, 2), 0.25),
                ((2, 1, 1), 0.31), ((1, 2, 1), 0.2)]
     for coeffs, q in systems:
@@ -101,14 +101,18 @@ def test_t_jet_newton_steps_grow_with_the_bit_length_of_the_order(monkeypatch):
         for order in (1, 2, 3, 8, 50, 200):
             calls.clear()
             t = t_jet(poly, q, order)
-            assert len(calls) <= 2 * (order.bit_length() + 2)
+            assert len(calls) <= order.bit_length() + 2
             assert t.coeffs[1] == pytest.approx(t_prime_closed_form(poly, q), rel=1e-12)
-            # the weight equation holds to every order, relative to the same
-            # polynomial over magnitudes, which bounds every term
-            eq, _ = _weight_poly_coeffs(poly, jet_var(q, order))
-            residual = _horner(eq, t).coeffs
-            scale = _horner([_magnitude(c) for c in eq], _magnitude(t)).coeffs
-            assert all(abs(r) <= 1e-12 * s for r, s in zip(residual, scale))
+            # the weight equation sum_s a_s w_s - 1 holds to every order,
+            # relative to the sum of its terms' magnitudes
+            q2 = jet_var(q, order)
+            stepping, _, by_step = _weights(poly, q2, t, range(len(coeffs)))
+            residual = stepping - (1.0 - coeffs[0] * q2)
+            scale = jet_const(1.0, order)
+            for s, a in enumerate(coeffs):
+                scale = scale + a * _magnitude(by_step[s])
+            assert all(abs(r) <= 1e-12 * m
+                       for r, m in zip(residual.coeffs, scale.coeffs))
 
 
 def _magnitude(jet):
@@ -289,6 +293,28 @@ def test_derivative_orders_past_171_factorial():
     # for (1,1,2) the value itself leaves float range: an error, not inf
     with pytest.raises(CapacityError, match="order 171"):
         takagi_function(P112, 0.25, 171, 0.3)
+
+
+def test_jet_quotient_is_long_division():
+    # 1/b leaves float range (its order-1 coefficient is -1/1e-400), the
+    # quotient does not
+    b = Jet((1e-200, 1.0))
+    assert (b / b).coeffs == (1.0, 0.0)
+    assert not math.isfinite((b * b.reciprocal()).coeffs[1])
+
+
+def test_takagi_at_tiny_q_is_refused_with_its_cause():
+    # t/q2 is formed by long division, so the root's jet stays finite where
+    # 1/q2^2 does not
+    assert all(math.isfinite(c) for c in t_jet(P112, 1e-200, 1).coeffs)
+    # the weights of the re-encoding are differences of terms ~1/q apart
+    with pytest.raises(CapacityError, match="lost its precision"):
+        takagi_function(P112, 1e-40, 1, 0.5)
+    # the step-0 weight q rounds to zero in the fixed-point coder
+    with pytest.raises(CapacityError, match="resolution"):
+        takagi_function(P112, 1e-200, 1, 0.5)
+    # where both hold, the derivative answers
+    assert math.isfinite(takagi_function(P112, 1e-10, 1, 0.5))
 
 
 def test_high_orders_of_a_polynomial_reencoding_vanish():
