@@ -109,6 +109,7 @@ class HCoeffs:
 
 
 def h_coeffs(g: CylFunction, poly: GenPolynomial) -> HCoeffs:
+    g.validate_for(poly)
     out = [Fraction(0)] * (g.N * poly.degree + 1)
     for word, val in g.values.items():
         out[kappa(word, poly)] += Fraction(val)
@@ -180,7 +181,13 @@ def node_grid(n: int, kap: int, m: int, table: DimTable):
 
 @dataclass(frozen=True)
 class PolygonalCurve:
-    """Normalized fluctuation curve: sorted nodes with max |y| = 1."""
+    """Normalized fluctuation curve: sorted nodes with max |y| = 1.
+
+    Reading rule: at or left of the first node the curve is ys[0]; else, at
+    or past the last node it is ys[-1]; in between it interpolates linearly
+    after the last node <= x.  So a repeated node reads its last y, except
+    at the left end.
+    """
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
@@ -247,7 +254,7 @@ def fluctuation_curve(g: CylFunction, n: int, kap: int, m: int,
 
 
 def curve_value(curve: PolygonalCurve, x: float) -> float:
-    """Piecewise-linear value of the curve at x in [0, 1]."""
+    """Value of the curve at x, by the reading rule of PolygonalCurve."""
     xs, ys = curve.xs, curve.ys
     if math.isnan(x):               # bisect_right would put it past the end
         return math.nan
@@ -261,54 +268,42 @@ def curve_value(curve: PolygonalCurve, x: float) -> float:
     return ys[lo] * (1.0 - w) + ys[hi] * w
 
 
-def sup_distance(c1: PolygonalCurve, c2: PolygonalCurve) -> float:
-    """Sup-metric distance of two polygonal curves on the union of nodes.
+def _gap(a: PolygonalCurve, b: PolygonalCurve) -> float:
+    """Largest |a - b| over a's own nodes, both read by PolygonalCurve's rule.
 
-    One merge walks both node lists upward.  At its own node a curve takes
-    its ys there (a repeated node's last, or its first at the curve's left
-    end, as curve_value reads it); at the other curve's nodes it is
-    interpolated as in curve_value, and held at its end values outside its
-    own span.
+    a is read at its own nodes; b by one forward walk over its nodes.
     """
-    xs1, ys1, xs2, ys2 = c1.xs, c1.ys, c2.xs, c2.ys
-    n1, n2, left1, left2 = len(xs1), len(xs2), xs1[0], xs2[0]
-    ex1, ex2 = xs1 + (math.inf,), xs2 + (math.inf,)
-    i = j = 0                   # the nodes of c1, c2 below the next x
-    sup = 0.0
-    while True:
-        x1, x2 = ex1[i], ex2[j]
-        if x1 < x2:             # c1's node
-            i += 1
-            if ex1[i] == x1:
-                continue
-            v1 = ys1[i - 1] if x1 > left1 else ys1[0]
-            if 0 < j < n2:
-                w = (x1 - xs2[j - 1]) / (xs2[j] - xs2[j - 1])
-                v2 = ys2[j - 1] * (1.0 - w) + ys2[j] * w
-            else:
-                v2 = ys2[-1] if j else ys2[0]
-        elif x2 < x1:           # c2's node
-            j += 1
-            if ex2[j] == x2:
-                continue
-            v2 = ys2[j - 1] if x2 > left2 else ys2[0]
-            if 0 < i < n1:
-                w = (x2 - xs1[i - 1]) / (xs1[i] - xs1[i - 1])
-                v1 = ys1[i - 1] * (1.0 - w) + ys1[i] * w
-            else:
-                v1 = ys1[-1] if i else ys1[0]
-        elif x1 == math.inf:
-            return sup
-        else:                   # a node of both
-            i += 1
-            j += 1
-            if ex1[i] == x1 or ex2[j] == x2:
-                continue
-            v1 = ys1[i - 1] if x1 > left1 else ys1[0]
-            v2 = ys2[j - 1] if x2 > left2 else ys2[0]
-        gap = abs(v1 - v2)
+    axs, ays, bxs, bys = a.xs, a.ys, b.xs, b.ys
+    left, first, last = axs[0], bxs[0], bxs[-1]
+    j, sup = 0, 0.0             # b's last node <= x, once x is inside its span
+    for x, nxt, y in zip(axs, axs[1:] + (math.inf,), ays):
+        if nxt == x:            # a repeated node reads its last y
+            continue
+        if x == left:
+            y = ays[0]
+        if x <= first:
+            v = bys[0]
+        elif x >= last:
+            v = bys[-1]
+        else:
+            while bxs[j + 1] <= x:
+                j += 1
+            w = (x - bxs[j]) / (bxs[j + 1] - bxs[j])
+            v = bys[j] * (1.0 - w) + bys[j + 1] * w
+        gap = abs(y - v)
         if gap > sup:
             sup = gap
+    return sup
+
+
+def sup_distance(c1: PolygonalCurve, c2: PolygonalCurve) -> float:
+    """Sup-metric distance of two polygonal curves on the union of their nodes.
+
+    Every node of the union is a node of one curve or the other, so the
+    larger one-sided gap is the union's sup; each curve is read as
+    PolygonalCurve states.
+    """
+    return max(_gap(c1, c2), _gap(c2, c1))
 
 
 def _stabilizing_levels(x, table: DimTable | PathColumn, eps: float,
@@ -360,6 +355,8 @@ def extract_limiting_curve(g: CylFunction, x, poly: GenPolynomial, *,
     """
     if not tol >= 0:            # NaN fails too
         raise ValueError("need tol >= 0")
+    if mp is not None and mp.poly != poly:
+        raise ValueError(f"measure polynomial {mp.poly} does not match {poly}")
     diagnostics = {"levels": [], "distances": []}
     prev = None
     # A curve at level n reads levels n-m-N..n within (m+N)*d of the path.

@@ -261,3 +261,8 @@ def reference_curve_value(xs, ys, x):
         return ys[lo]
     w = (x - xs[lo]) / span
     return ys[lo] * (1.0 - w) + ys[hi] * w
+
+
+def classical_takagi(x, terms=60):
+    """The classical Takagi function, sum of 2^-n dist(2^n x, Z) over n < terms."""
+    return sum(min(y := (x * 2 ** n) % 1.0, 1 - y) / 2 ** n for n in range(terms))

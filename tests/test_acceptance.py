@@ -14,7 +14,8 @@ from itertools import product
 
 import pytest
 
-from conftest import brute_tower_sums, t_prime_closed_form, tower_words_sorted
+from conftest import (brute_tower_sums, classical_takagi, t_prime_closed_form,
+                      tower_words_sorted)
 from polyadic import (CylFunction, DegenerateCurve, DimTable, GenPolynomial,
                       MIRROR_SIGN, PathPrefix,
                       cohomology_verdict, coding_map, cylinder_measure,
@@ -160,10 +161,6 @@ def test_a5_jet_layer():
 # ---------------------------------------------------------------- A6
 
 
-def _classical_takagi(x, terms=60):
-    return sum(min(y := (x * 2 ** n) % 1.0, 1 - y) / 2 ** n for n in range(terms))
-
-
 def test_a6_takagi_values():
     poly = GenPolynomial((1, 1))
     half = MIRROR_SIGN * 0.5 * takagi_function(poly, 0.5, 1, 0.5)
@@ -174,7 +171,7 @@ def test_a6_takagi_values():
     assert abs(peak - 2 / 3) <= 1e-3
     at_third = ours[grid.index(341 / 1023)]
     assert abs(at_third - 2 / 3) <= 1e-3
-    oracle_peak = max(_classical_takagi(x) for x in grid)
+    oracle_peak = max(classical_takagi(x) for x in grid)
     assert abs(peak - oracle_peak) <= 1e-9
     h = 1e-5
     for coeffs in ((1, 1), (1, 1, 2)):

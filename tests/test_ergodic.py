@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
@@ -358,6 +359,28 @@ def test_extract_limiting_curve_rejects_bad_tol_before_walking(tol):
     x = PathPrefix((), extend=unread(), max_level=100)
     with pytest.raises(ValueError, match="need tol >= 0"):
         extract_limiting_curve(G_FIRST0, x, P11, tol=tol, n_max=100)
+
+
+def test_extract_limiting_curve_refuses_a_measure_of_another_polynomial():
+    mp = measure_params(P112, 0.25)
+    x = PathPrefix((), extend=letter_stream(measure_params(P11, 0.5), 2),
+                   max_level=300)
+    with pytest.raises(ValueError, match="does not match"):
+        extract_limiting_curve(G_FIRST0, x, P11, mp=mp)
+
+
+@pytest.mark.parametrize("word", [(3,), (-1,), (0, 2)])
+def test_letters_outside_the_alphabet_name_the_word(word):
+    g = CylFunction(len(word), {word: 1.0})
+    named = re.escape(f"word {word} outside alphabet of size 2")
+    with pytest.raises(ValueError, match=named):
+        fluctuation_curve(g, 20, 10, 4, T11)
+    with pytest.raises(ValueError, match=named):
+        cohomology_verdict(g, T11, 12)
+    x = PathPrefix((), extend=letter_stream(measure_params(P11, 0.5), 2),
+                   max_level=300)
+    with pytest.raises(ValueError, match=named):
+        extract_limiting_curve(g, x, P11)
 
 
 def test_central_vertex_and_measure_ray():

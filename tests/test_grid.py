@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from unittest import mock
 
 import pytest
@@ -238,9 +239,12 @@ def test_sup_distance_matches_reference_on_the_union_grid():
 
 
 def test_sup_distance_on_shared_nodes_matches_reference():
-    # Curves sharing all, some or none of their interior nodes take the merge
-    # through its equal-x branch as well as through each curve's own nodes.
+    # Curves sharing all, some or none of their interior nodes, and curves
+    # whose nodes all sit at one x, read at shared nodes and at each curve's own.
     rng = random.Random(19)
+    # both read at 0 as their first y: distance 0
+    pairs = [(PolygonalCurve((0.0, 0.0), (-2.0, -1.0), 1.0, 0, 0, 0),
+              PolygonalCurve((0.0, 0.0, 0.0), (-2.0, -1.0, -1.0), 1.0, 0, 0, 0))]
     for _ in range(200):
         base = sorted(rng.random() for _ in range(rng.randint(1, 12)))
         keep = rng.choice((1.0, 0.5, 0.0))
@@ -255,8 +259,16 @@ def test_sup_distance_on_shared_nodes_matches_reference():
         curves = [PolygonalCurve(tuple(xs), tuple(rng.uniform(-1, 1) for _ in xs),
                                  1.0, 0, 0, 0)
                   for xs in ([0.0, *base, 1.0], [lo, *other, hi])]
-        for c1, c2 in (curves, curves[::-1]):
-            grid = sorted(set(c1.xs) | set(c2.xs))
-            assert sup_distance(c1, c2) == max(
-                abs(reference_curve_value(c1.xs, c1.ys, x)
-                    - reference_curve_value(c2.xs, c2.ys, x)) for x in grid)
+        # two zero-width curves, every node at 0, at 1 or at one of the first
+        # curve's x; their repeats may end before or after each other's
+        at = rng.choice((0.0, 1.0, rng.choice(curves[0].xs)))
+        for width in (rng.randint(1, 3), rng.randint(1, 3)):
+            curves.append(PolygonalCurve((at,) * width,
+                                         tuple(rng.uniform(-1, 1) for _ in range(width)),
+                                         1.0, 0, 0, 0))
+        pairs += permutations(curves, 2)
+    for c1, c2 in pairs:
+        grid = sorted(set(c1.xs) | set(c2.xs))
+        assert sup_distance(c1, c2) == max(
+            abs(reference_curve_value(c1.xs, c1.ys, x)
+                - reference_curve_value(c2.xs, c2.ys, x)) for x in grid)

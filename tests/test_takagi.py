@@ -4,7 +4,7 @@ import random
 import pytest
 
 import polyadic.takagi
-from conftest import t_prime_closed_form
+from conftest import classical_takagi, t_prime_closed_form
 from polyadic import (CapacityError, DivisionByZeroJet, GenPolynomial, Jet,
                       MIRROR_SIGN, NoRoot, coding_map, cylinder_measure,
                       encode_theta, jet_const, jet_var, letter_table,
@@ -15,10 +15,6 @@ from polyadic.measure import _weights
 P11 = GenPolynomial((1, 1))
 P111 = GenPolynomial((1, 1, 1))
 P112 = GenPolynomial((1, 1, 2))
-
-
-def classical_takagi(x, terms=60):
-    return sum(min(y := (x * 2 ** n) % 1.0, 1 - y) / 2 ** n for n in range(terms))
 
 
 def test_jet_square():
