@@ -225,7 +225,7 @@ def test_curve_value_matches_reference_bisection():
 def test_sup_distance_matches_reference_on_the_union_grid():
     rng = random.Random(6)
     curves = list(_random_curves(rng, 120))
-    # curves on a sub-interval take the merge through both outer branches
+    # curves on a sub-interval are read left of their first node and past their last
     curves += [PolygonalCurve(tuple(0.2 + 0.6 * x for x in c.xs), c.ys, 1.0, 0, 0, 0)
                for c in curves[:40]]
     table = DimTable(GenPolynomial((1, 1, 2)), 90)
