@@ -20,7 +20,7 @@ from .measure import (encode_theta, letter_stream, measure_params,
                       weight_residual)
 from .paths import (PathPrefix, _steps, jump, letter_table, path_column,
                     prefix_walk, unrank, word_from_string, word_to_string)
-from .poly import DimTable, GenPolynomial, VertexCone
+from .poly import DimTable, GenPolynomial, vertex_source
 from .takagi import parabola_profile, takagi_function
 
 
@@ -108,7 +108,7 @@ def _cmd_rank(args, parser) -> int:
         parser.error("rank needs --word, or --level/--kappa/--index")
     else:
         n, kap, rnk = unrank_args
-        source = VertexCone(args.poly, n, kap)
+        source = vertex_source(args.poly, n, kap)
         word = unrank(n, kap, rnk, source)
     row = (word_to_string(word, args.poly), n, kap, str(rnk), str(source.dim(n, kap)))
     _emit(args, ("word", "n", "kappa", "rank", "dim"), [_line(row)])

@@ -24,7 +24,7 @@ from itertools import accumulate, count, islice
 from .errors import (CapacityError, HorizonExhausted, MaximalPath, MinimalPath,
                      PrefixExhausted, RankOutOfRange)
 from .poly import (DEFAULT_ENTRY_BUDGET, DimTable, GenPolynomial, PathColumn, VertexCone,
-                   _cone_entries)
+                   VertexDescent, _vertex_plan, vertex_source)
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,16 @@ def rank(word, poly: GenPolynomial) -> int:
 
 
 def unrank(n: int, kap: int, index: int,
-           table: DimTable | VertexCone) -> tuple[int, ...]:
+           table: DimTable | VertexCone | VertexDescent) -> tuple[int, ...]:
     """Word of length n at vertex index kap whose rank equals index.
 
     Step group s holds a_s blocks of C(level-1, kap-s) words; the walk reads
     them group by group, from step d down, only up to the index's group.  It
     reads ``dim`` only at vertices on the word's path down from (n, kap), all
-    in the cone ``VertexCone(poly, n, kap)``; the source must hold levels 0
-    to n, which a ``PathColumn`` (its last few levels only) does not.
+    in the cone ``VertexCone(poly, n, kap)``, and level by level from n down,
+    at most d left of the walk's vertex, which ``VertexDescent(poly, n, kap)``
+    holds; the source must hold levels 0 to n, which a ``PathColumn`` (its
+    last few levels only) does not.
     """
     lt = letter_table(table.poly)
     a, d = lt.poly.coeffs, lt.poly.degree
@@ -327,23 +329,24 @@ def _jump(word: tuple[int, ...], poly: GenPolynomial, steps: int, direction: int
     of rank r_n + steps (r_n - steps, for -1) at (n, kappa_n), followed by
     the word's letters above n, for the lowest level n where that rank lies
     in [1, C(n, kappa_n)].  The rank walk reads the word's path column, up
-    to 2d + 1 entries a level, and the unrank the cone below (n, kappa_n).
-    Before a level is built, those entries up to it and its cone are
-    counted against ``budget``; cones only grow along a path, so once the
-    count passes the budget it passes it at every level above.
+    to 2d + 1 entries a level, and the unrank the source ``vertex_source``
+    picks at (n, kappa_n).  Before a level is built, those entries up to it
+    and the source's are counted against ``budget``; that count only grows
+    along a path, so once it passes the budget it passes it at every level
+    above.
     """
     d = poly.degree
     column = path_column(word, poly)
     for n, kap, rnk in prefix_walk(word, column):
-        if (2 * d + 1) * n + _cone_entries(d, n, kap) > budget:
+        if (2 * d + 1) * n + _vertex_plan(poly, n, kap)[1] > budget:
             return None
         target = rnk + direction * steps
         if 1 <= target <= column.dim(n, kap):
             try:
-                cone = VertexCone(poly, n, kap)
+                source = vertex_source(poly, n, kap)
             except CapacityError:
                 return None
-            return unrank(n, kap, target, cone) + word[n:]
+            return unrank(n, kap, target, source) + word[n:]
     raise _no_neighbour(direction, len(word))
 
 

@@ -4,25 +4,31 @@ The coefficient table holds ``C(n, k)``, the coefficient of ``x^k`` in
 ``p(x)^n``, for a polynomial ``p`` with positive integer coefficients.  Entry
 ``(n, k)`` counts the paths from the root to vertex ``(n, k)`` of the graded
 graph generated by ``p``, so everything downstream (ranking, measures, curve
-extraction) leans on these integers being exact.  Three row sources share
+extraction) leans on these integers being exact.  Four row sources share
 one read surface (``poly``, ``dim(n, k)``), and only ``DimTable`` also
 returns whole rows (``row(n)``): ``DimTable`` holds dense rows;
 ``PathColumn`` holds only the entries near one path's vertices, which is
-all that ranking and curve extraction along that path read; ``VertexCone``
-holds only the vertices on some path up to one vertex, which is all that
-unranking at that vertex reads.  Each ``dim`` raises ValueError at a
-negative level, is zero for k outside [0, n*d], and in a stand-in raises
-KeyError where no entry is held.  ``DimTable`` and ``PathColumn`` build a
-level from the one below with the one level builder, ``_next_level``.  A
-column keeps a level as a ``(lo, list)`` run, built narrow, only as far
-from the path as a prefix walk reads, and widened sideways by the row
-recurrence ``_next_level`` ends its windows with (``_sideways``) on the
-first read past that.  A cone band is a packed one-integer convolution.
+all that ranking and curve extraction along that path read; for
+unranking at one vertex, ``VertexCone`` holds the vertices on some path up
+to it, and ``VertexDescent`` a few entries a level along the walk down
+from it, and ``vertex_source`` picks the one that builds fewer entries.
+Each ``dim`` raises ValueError at a negative level, is zero for k outside
+[0, n*d], and in a stand-in raises KeyError where no entry is held.
+``DimTable`` and ``PathColumn`` build a level from the one below with the
+one level builder, ``_next_level``.  A column keeps a level as a
+``(lo, list)`` run, built narrow, only as far from the path as a prefix
+walk reads, and widened sideways by the row recurrence ``_next_level`` ends
+its windows with (``_sideways``) on the first read past that.  A cone band
+is a packed one-integer convolution.  A descent builds a level from the one
+above by a Bezout identity of p and p', solved once per polynomial, and
+widens it by ``_sideways``; p must have no repeated root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CapacityError
 
@@ -351,6 +357,203 @@ class VertexCone:
             raise KeyError((n, k))
         w = self._entry_bits[n]
         return (self._bands[n] >> ((k - self._los[n]) * w)) & ((1 << w) - 1)
+
+
+def _descent_entries(d: int, n: int, kap: int) -> int:
+    """Entries the descent from (n, kap) builds, for 0 <= kap <= n*d.
+
+    At most 3d + 1 a level, and at level n the run to the nearer row end
+    besides.
+    """
+    return min(kap, n * d - kap) + (3 * d + 1) * (n + 1)
+
+
+def _descent_bits(poly: GenPolynomial, n: int, kap: int) -> int:
+    """Bound on the bits of the descent's entries, charged as in ``_cone_bits``."""
+    d, b = poly.degree, poly.alphabet_size.bit_length()
+    # the sum of L*b + 1 over the levels 0..n is (n + 1)(n*b + 2)/2
+    return min(kap, n * d - kap) * (n * b + 1) + (3 * d + 1) * ((n + 1) * (n * b + 2) // 2)
+
+
+@lru_cache(maxsize=None)
+def _bezout(a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """Integers U, V and D > 0 with U p + V p' = D, or None where gcd(p, p') != 1.
+
+    deg U <= d - 2 and deg V <= d - 1: the 2d - 1 equations on the
+    coefficients of x^0..x^(2d-2) (the Sylvester system of p and p') are
+    solved fraction-free, by Bareiss elimination, whose last pivot is the
+    determinant, and back substitution, exact in the integers.  The system
+    is singular exactly where p and p' share a root.  A constant p has U = 1,
+    D = a_0 and no V.
+    """
+    d = len(a) - 1
+    if not d:
+        return (1,), (), a[0]
+    size = 2 * d - 1
+    rows = [[0] * (size + 1) for _ in range(size)]
+    for i in range(d - 1):              # column i: x^i p
+        for j, c in enumerate(a):
+            rows[i + j][i] = c
+    for i in range(d):                  # column d - 1 + i: x^i p'
+        for j in range(1, d + 1):
+            rows[i + j - 1][d - 1 + i] = j * a[j]
+    rows[0][size] = 1
+    prev = 1
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if rows[r][k]), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top, pk = rows[k], rows[k][k]
+        for r in range(k + 1, size):
+            row, f = rows[r], rows[r][k]
+            row[k:] = [(pk * x - f * y) // prev for x, y in zip(row[k:], top[k:])]
+        prev = pk
+    y = [0] * size
+    for i in range(size - 1, -1, -1):
+        row = rows[i]
+        y[i] = (prev * row[size] - sum(row[j] * y[j] for j in range(i + 1, size))) // row[i]
+    g = math.gcd(prev, *y) * (1 if prev > 0 else -1)
+    return tuple(u // g for u in y[:d - 1]), tuple(v // g for v in y[d - 1:]), prev // g
+
+
+class VertexDescent:
+    """Exact C(L, k) along the walk down from one vertex: a read-only stand-in for DimTable.
+
+    Where gcd(p, p') = 1, ``_bezout`` gives U p + V p' = D, so
+    p^(L-1) = (U p^L + (V/L) (p^L)') / D, which reads
+        D L C(L-1, k) = L sum_i U_i C(L, k-i) + sum_i V_i (k-i+1) C(L, k-i+1):
+    level L - 1 from level L on [k-d+2, k+1] alone, the division exact.
+    Level n is built first, by ``_sideways`` from its nearer row end (the top
+    end through the reversed coefficients, C_p(n, k) = C_rev(p)(n, n*d - k)).
+    Each level below is built on its first read in the row, where the walk
+    enters it: d seeds by the identity at the entry point of the level above,
+    widened by ``_sideways`` to [e-d+2, e+d] about its own entry point e,
+    which holds the walk's reads there and the next level's seeds' reads.
+    Level n is entered at kap.  A level answers reads within d of where it
+    was entered, and the level below it may be entered within d to its
+    left: unranking reads C(L-1, kap_L - s) for s = d..0, entering level
+    L - 1 at max(0, kap_L - d), kap_L one of level L's reads.  Only level n
+    and the newest level are held, each at most 3d + 1 entries besides level
+    n's run to its row end.  ``dim`` is zero for k outside [0, L*d] and
+    refuses a negative level as in DimTable, and every other read raises
+    KeyError.  For kap outside [0, n*d] the descent is empty.  Its entries,
+    and above the dense table's reach their bits, are counted before any is
+    built, as in VertexCone.  A p with a repeated root has no descent:
+    ValueError.
+    """
+
+    def __init__(self, poly: GenPolynomial, n: int, kap: int):
+        if n < 0:
+            raise ValueError(f"level {n} is negative")
+        self.poly = poly
+        identity = _bezout(poly.coeffs)
+        if identity is None:
+            raise ValueError(f"{poly} has a repeated root: no descent")
+        U, V, self._D = identity
+        # the identity as D L C(L-1, k) = sum_r (L u_r + (k-r) v_r) C(L, k-r),
+        # u_r = U_r and v_r = V_(r+1)
+        self._stencil = [(r, U[r] if 0 <= r < len(U) else 0, V[r + 1] if r + 1 < len(V) else 0)
+                         for r in range(-1 if V else 0, max(len(U), len(V) - 1))]
+        self._n = self._low = n
+        self._rows: dict[int, tuple[int, list[int]]] = {}
+        self._entered = {n: kap}
+        a, d = self._a, self._d = poly.coeffs, poly.degree
+        top = n * d
+        if not 0 <= kap <= top:
+            return
+        entries = _descent_entries(d, n, kap)
+        if entries > DEFAULT_ENTRY_BUDGET:
+            raise CapacityError(
+                f"descent from vertex ({n}, {kap}) needs {entries} entries, "
+                f"budget is {DEFAULT_ENTRY_BUDGET}")
+        if _table_entries(d, n) > DEFAULT_ENTRY_BUDGET:
+            bits = _descent_bits(poly, n, kap)
+            if bits > _CONE_BIT_BUDGET:
+                raise CapacityError(
+                    f"descent from vertex ({n}, {kap}) needs up to {bits} bits, "
+                    f"budget is {_CONE_BIT_BUDGET} bits")
+        if kap <= top - kap:
+            self._rows[n] = 0, _sideways(a, n, 0, [a[0] ** n], 0, min(kap + d, top))
+        else:
+            lo = max(kap - d, 0)
+            self._rows[n] = lo, _sideways(a[::-1], n, 0, [a[d] ** n], 0, top - lo)[::-1]
+
+    def dim(self, n: int, k: int) -> int:
+        """C(n, k); zero for k outside [0, n*d]."""
+        if n < 0:
+            raise ValueError(f"level {n} is negative")
+        d = self._d
+        if not 0 <= k <= n * d:
+            return 0
+        if n == self._low - 1:
+            self._enter(n, k)
+        lo, vals = self._rows[n]
+        if abs(k - self._entered[n]) > d:
+            raise KeyError((n, k))
+        if not lo <= k < lo + len(vals):
+            lo, vals = self._cover(n, k, k)
+        return vals[k - lo]
+
+    def _enter(self, m: int, e: int) -> None:
+        """Build level m, one below the newest, entered at e."""
+        a, d = self._a, self._d
+        L, top = m + 1, m * d
+        above = self._entered[L]
+        if not 0 <= above - e <= d:
+            raise KeyError((m, e))
+        # d seeds from s on in the row (one where d = 0), as near the entry
+        # point above as that allows; they read level L on [s-d+2, s+d]
+        s = max(0, min(above, top + 1 - max(d, 1)))
+        count = min(max(d, 1), top + 1 - s)
+        lo, vals = self._rows[L]
+        if s - d + 2 < lo or s + count >= lo + len(vals):
+            lo, vals = self._cover(L, s - d + 2, s + count)
+        seeds, DL, row_end = [], self._D * L, L * d
+        for k in range(s, s + count):
+            num = 0
+            for r, u, v in self._stencil:
+                if 0 <= k - r <= row_end:
+                    num += (L * u + (k - r) * v) * vals[k - r - lo]
+            seeds.append(num // DL)
+        lo = min(s, max(e - d + 2, 0))
+        self._rows[m] = lo, _sideways(a, m, s, seeds, lo, min(e + d, top))
+        self._entered[m] = e
+        if L != self._n:
+            del self._rows[L], self._entered[L]
+        self._low = m
+
+    def _cover(self, n: int, lo: int, hi: int) -> tuple[int, list[int]]:
+        """Level n's run, widened by ``_sideways`` to hold [lo, hi] within the row."""
+        start, vals = self._rows[n]
+        lo, hi = max(lo, 0), min(hi, n * self._d)
+        if lo < start or hi >= start + len(vals):
+            vals = _sideways(self._a, n, start, vals, min(lo, start), hi)
+            start = min(lo, start)
+            self._rows[n] = start, vals
+        return start, vals
+
+
+def _vertex_plan(poly: GenPolynomial, n: int, kap: int) -> tuple[type, int]:
+    """The row source unranking at (n, kap) reads, and the entries it builds.
+
+    The descent needs gcd(p, p') = 1, and is taken where its entries and the
+    solve behind them, charged (2d - 1)^3 entries, are fewer than the cone's;
+    the solve runs only then, once per polynomial.  Along a path both counts
+    only grow, and so does the smaller.
+    """
+    d = poly.degree
+    cone = _cone_entries(d, n, kap)
+    if 0 <= kap <= n * d:
+        descent = _descent_entries(d, n, kap) + (2 * d - 1) ** 3
+        if descent < cone and _bezout(poly.coeffs) is not None:
+            return VertexDescent, descent
+    return VertexCone, cone
+
+
+def vertex_source(poly: GenPolynomial, n: int, kap: int) -> VertexDescent | VertexCone:
+    """The row source unranking at (n, kap) reads: the descent, or the cone."""
+    return _vertex_plan(poly, n, kap)[0](poly, n, kap)
 
 
 def _unpack(band: int, width: int, w: int) -> list[int]:

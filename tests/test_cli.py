@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import random
 import sys
 import time
 
@@ -18,7 +19,7 @@ from polyadic import (CylFunction, DimTable, GenPolynomial, PathPrefix,
                       unrank, word_to_string)
 from polyadic import cli, paths
 from polyadic.cli import _emit, _line, main
-from polyadic.poly import DEFAULT_ENTRY_BUDGET
+from polyadic.poly import DEFAULT_ENTRY_BUDGET, VertexCone, _bezout, vertex_source
 
 
 def run(capsys, *argv):
@@ -224,9 +225,10 @@ def test_succ_past_the_entry_budget_is_refused_without_stepping(capsys, monkeypa
 
     monkeypatch.setattr(paths, "_steps", no_steps)
     poly = GenPolynomial((1, 1, 3))
-    # the pivot's cone at level 3000 (4,503,000 entries) is over the budget
-    for word, pred in ((maximal_word(2999, 2999, poly) + (0,), ()),
-                       (minimal_word(2999, 2999, poly) + (4,), ("--pred",))):
+    # the pivot at level 5000 has no source: its cone (12,505,000 entries) is
+    # over the entry budget and its descent (337,577,506 bits) over the bits'
+    for word, pred in ((maximal_word(4999, 4999, poly) + (0,), ()),
+                       (minimal_word(4999, 4999, poly) + (4,), ("--pred",))):
         for steps in (10 ** 30, DEFAULT_ENTRY_BUDGET + 1):
             code, out, err = run(capsys, "succ", "--poly", "1,1,3", "--word",
                                  word_to_string(word, poly), "--steps", str(steps), *pred)
@@ -573,6 +575,39 @@ def test_unrank_past_the_dense_table_budget(capsys):
     code, out, err = run(capsys, "rank", "--poly", "1,1,3", "--word", word)
     assert code == 0, err
     assert out.splitlines()[1].split(",") == [word, "3000", "5997", "7", dim]
+
+
+def test_unrank_descends_where_the_cone_is_over_the_budget(capsys):
+    # the cone below (3000, 3000) holds 4,503,001 entries; the descent from
+    # there about 24,000
+    code, out, err = run(capsys, "rank", "--poly", "1,1,3", "--level", "3000",
+                         "--kappa", "3000", "--index", "1")
+    assert code == 0, err
+    word, n, kap, rnk, dim = out.splitlines()[1].split(",")
+    assert word == word_to_string(minimal_word(3000, 3000, GenPolynomial((1, 1, 3))),
+                                  GenPolynomial((1, 1, 3)))
+    code, out, err = run(capsys, "rank", "--poly", "1,1,3", "--word", word)
+    assert code == 0, err
+    assert out.splitlines()[1].split(",") == [word, "3000", "3000", "1", dim]
+
+
+def test_unrank_keeps_small_vertices_of_high_degree_on_the_cone(capsys):
+    # the identity behind the descent at degree 60 is a 119 x 119 integer
+    # solve, far dearer than the cone at (3, 5): the unrank does not wait for it
+    rng = random.Random(60)
+    coeffs = tuple(rng.randint(1, 9) for _ in range(61))
+    text = ",".join(map(str, coeffs))
+    _bezout.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rank", "--poly", text, "--level", "3", "--kappa", "5",
+                         "--index", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    poly = GenPolynomial(coeffs)
+    word = next(csv.reader(out.splitlines()[1:]))[0]
+    assert word == word_to_string(minimal_word(3, 5, poly), poly)
+    assert type(vertex_source(poly, 3, 5)) is VertexCone
+    assert _bezout(coeffs) is not None          # no repeated root: the cost chose the cone
 
 
 def test_unrank_counts_its_entries_before_building(capsys):

@@ -17,7 +17,7 @@ from polyadic import (CapacityError, DimTable, GenPolynomial, HorizonExhausted, 
                       unrank, word_from_string, word_to_string)
 from polyadic import paths
 from polyadic.paths import _jump, _steps, path_column
-from polyadic.poly import VertexCone
+from polyadic.poly import VertexCone, VertexDescent, _bezout, vertex_source
 
 P11 = GenPolynomial((1, 1))
 P113 = GenPolynomial((1, 1, 3))
@@ -249,18 +249,20 @@ def test_jump_equals_stepping_on_every_short_word(coeffs):
 
 def test_jump_leaves_costly_cones_to_stepping(monkeypatch):
     # the pivot cone at (3000, 3001) holds 4,503,000 entries, past the entry
-    # budget: even with no budget of its own the rank jump gives up
+    # budget, but the descent from there about 24,000: with no budget of its
+    # own the rank jump answers, as stepping does
     word = maximal_word(2999, 2999, P113) + (0,)
-    assert _jump(word, P113, 3, 1, math.inf) is None
+    stepped = list(islice(_steps(word, P113, 1), 3))[-1].known()
+    assert _jump(word, P113, 3, 1, math.inf) == stepped
     assert jump(word, P113, 1) == successor(PathPrefix(word), P113).known()
-    # the cone at (1000, 1001) fits the entry budget, but its 501,000 entries
-    # cost far more than three steps: jump steps without building it
-    def no_cone(*args):
-        raise AssertionError("cone built")
+    # at (1000, 1001) the descent's 8,000 entries and the cone's 501,000 both
+    # cost far more than three steps: jump steps without building either
+    def no_source(*args):
+        raise AssertionError("source built")
 
     word = maximal_word(999, 999, P113) + (0,)
     stepped = list(islice(_steps(word, P113, 1), 3))[-1].known()
-    monkeypatch.setattr(paths, "VertexCone", no_cone)
+    monkeypatch.setattr(paths, "vertex_source", no_source)
     assert jump(word, P113, 3) == stepped
 
 
@@ -452,17 +454,52 @@ def test_rank_and_neighbour_round_trips_on_drawn_words(poly, data):
 @settings(max_examples=150, deadline=None)
 @given(poly=_POLYS, n=st.integers(0, 60), data=st.data())
 def test_unrank_on_the_vertex_cone_equals_unrank_on_dense_rows(poly, n, data):
+    # the descent, where p has no repeated root, reads the same words
     table = DimTable(poly)
     kap = data.draw(st.integers(-1, n * poly.degree + 1))
     total = table.dim(n, kap)
-    cone = VertexCone(poly, n, kap)
-    assert cone.dim(n, kap) == total
-    if total == 0:                  # kappa outside [0, n*d]: the same error
-        with pytest.raises(RankOutOfRange, match=r"outside \[1, 0\]"):
-            unrank(n, kap, 1, cone)
-        return
-    index = data.draw(st.integers(1, total))
-    assert unrank(n, kap, index, cone) == unrank(n, kap, index, table)
+    sources = [VertexCone]
+    if _bezout(poly.coeffs) is not None:
+        sources.append(VertexDescent)
+    index = data.draw(st.integers(1, total)) if total else 1
+    for source in sources:
+        rows = source(poly, n, kap)
+        assert rows.dim(n, kap) == total
+        if total == 0:              # kappa outside [0, n*d]: the same error
+            with pytest.raises(RankOutOfRange, match=r"outside \[1, 0\]"):
+                unrank(n, kap, 1, rows)
+            continue
+        assert unrank(n, kap, index, rows) == unrank(n, kap, index, table)
+
+
+@pytest.mark.parametrize("coeffs", [(3,), (2, 3), (1, 1, 3), (2, 1, 1, 2), (5, 1, 1, 1, 9)])
+def test_unrank_on_the_descent_equals_unrank_on_dense_rows_at_every_short_vertex(coeffs):
+    # degrees 0 to 4; each unrank walks a descent of its own
+    poly = GenPolynomial(coeffs)
+    table = DimTable(poly)
+    for n in range(9):
+        for kap in range(n * poly.degree + 1):
+            total = table.dim(n, kap)
+            for index in {1, (total + 1) // 2, total}:
+                assert unrank(n, kap, index, VertexDescent(poly, n, kap)) == \
+                    unrank(n, kap, index, table)
+
+
+def test_repeated_roots_keep_the_cone():
+    # the descent needs gcd(p, p') = 1: (1 + x)^2, (1 + x)^3 and (2 + x)^2
+    # share a root with p', and p = 1 + x + 3x^2 does not
+    for coeffs in ((1, 2, 1), (1, 3, 3, 1), (4, 4, 1)):
+        poly = GenPolynomial(coeffs)
+        assert _bezout(coeffs) is None
+        with pytest.raises(ValueError, match="repeated root"):
+            VertexDescent(poly, 5, 3)
+        assert type(vertex_source(poly, 300, 300)) is VertexCone
+        # and where the cone is over the budget, nothing answers in its place
+        with pytest.raises(CapacityError, match="cone below vertex"):
+            vertex_source(poly, 3000, 3000)
+    assert type(vertex_source(P113, 300, 300)) is VertexDescent
+    # at a row end the cone is the smaller: n + 1 entries
+    assert type(vertex_source(P113, 300, 0)) is VertexCone
 
 
 def _walk_by_letter(w, poly, table):
@@ -493,3 +530,4 @@ def test_group_counts_rank_and_unrank_every_short_word(coeffs):
                 cones[n, kap] = VertexCone(poly, n, kap)
             assert unrank(n, kap, rnk, table) == w
             assert unrank(n, kap, rnk, cones[n, kap]) == w
+            assert unrank(n, kap, rnk, VertexDescent(poly, n, kap)) == w

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import poly_power_row, poly_power_rows
 from polyadic import CapacityError, DimTable, GenPolynomial, poly
-from polyadic.poly import (_CONE_BIT_BUDGET, PathColumn, VertexCone, _cone_bits,
-                           _cone_entries, _table_entries)
+from polyadic.poly import (_CONE_BIT_BUDGET, PathColumn, VertexCone, VertexDescent,
+                           _cone_bits, _cone_entries, _descent_entries, _table_entries)
 
 
 def read_run(source, n, k):
@@ -390,13 +390,14 @@ def test_path_column_windows_along_the_row_ends(coeffs, depth, top_first, runs):
 
 
 @pytest.mark.parametrize("coeffs", [(3,), (1, 1), (1, 1, 3)])
-@pytest.mark.parametrize("source", ["table", "column", "cone"])
+@pytest.mark.parametrize("source", ["table", "column", "cone", "descent"])
 def test_every_row_source_refuses_a_negative_level(source, coeffs):
     gp = GenPolynomial(coeffs)
     d = gp.degree
     rows = {"table": lambda: DimTable(gp, 3),
             "column": lambda: PathColumn(gp, [d, 0, d], 1),
-            "cone": lambda: VertexCone(gp, 3, 2 * d)}[source]()
+            "cone": lambda: VertexCone(gp, 3, 2 * d),
+            "descent": lambda: VertexDescent(gp, 3, 2 * d)}[source]()
     for _ in range(2):
         for n in (-1, -4):
             for k in (-1, 0, 1, 5):
@@ -509,3 +510,71 @@ def test_vertex_cone_near_the_tower_edge_stays_narrow():
     # p = 1 + x + 3x^2: j squares, 10 - 2j linear terms, the rest constants
     assert cone.dim(1999, 10) == sum(
         math.comb(1999, j) * math.comb(1999 - j, 10 - 2 * j) * 3 ** j for j in range(6))
+
+
+@pytest.mark.parametrize("coeffs", [(3,), (1, 1), (2, 3), (1, 1, 3), (2, 1, 1, 2),
+                                    (5, 1, 1, 1, 9)])
+def test_vertex_descent_answers_the_walk_and_refuses_the_rest(coeffs):
+    # each level below n is entered within d left of where the level above
+    # was, at the lowest read of unranking's walk, and answers within d of
+    # that; here along a path through the middle of each level's reads
+    d = len(coeffs) - 1
+    gp = GenPolynomial(coeffs)
+    rows = [poly_power_row(coeffs, L) for L in range(11)]
+
+    def expect(source, L, e):
+        assert source.dim(L, e) == rows[L][e]       # the first read enters the level
+        for k in range(e - d - 1, e + d + 2):
+            if abs(k - e) <= d or not 0 <= k <= L * d:
+                assert source.dim(L, k) == (rows[L][k] if 0 <= k <= L * d else 0)
+            else:
+                with pytest.raises(KeyError):
+                    source.dim(L, k)
+
+    for n in range(11):
+        for kap in range(n * d + 1):
+            for stray in (kap - d - 1, kap + 1):      # entered too far left, or right
+                if 0 <= stray <= (n - 1) * d:
+                    with pytest.raises(KeyError):
+                        VertexDescent(gp, n, kap).dim(n - 1, stray)
+            descent = VertexDescent(gp, n, kap)
+            expect(descent, n, kap)
+            built, vertex = 0, kap
+            for L in range(n - 1, -1, -1):
+                e = max(0, vertex - d)
+                expect(descent, L, e)
+                held = len(descent._rows[L][1])
+                assert held <= 3 * d + 1
+                built += held
+                # the level above is dropped, unless it is level n, and no
+                # level below the newest but the next is built
+                for gone in (L + 1, L - 2):
+                    if 0 <= gone < n and 0 <= e <= gone * d:
+                        with pytest.raises(KeyError):
+                            descent.dim(gone, e)
+                vertex = (e + min(vertex, L * d)) // 2    # one of this level's reads
+            assert descent.dim(n, kap) == rows[n][kap]
+            # level n, kept to the end, with its run to the nearer row end
+            assert built + len(descent._rows[n][1]) <= _descent_entries(d, n, kap)
+
+
+def test_vertex_descent_checks_its_polynomial_and_budget_before_building():
+    with pytest.raises(ValueError, match="level -1 is negative"):
+        VertexDescent(GenPolynomial((1, 1, 3)), -1, 0)
+    with pytest.raises(ValueError, match="repeated root"):
+        VertexDescent(GenPolynomial((1, 2, 1)), 3, 2)
+    with pytest.raises(CapacityError, match=r"vertex \(1000000000, 5\) needs "
+                                            r"4000000009 entries, budget is 4000000"):
+        VertexDescent(GenPolynomial((1, 1)), 10 ** 9, 5)
+    p113 = GenPolynomial((1, 1, 3))
+    # 2.1 million entries, of up to 3^L each: the bits are bounded as the cone's
+    with pytest.raises(CapacityError, match=r"vertex \(300000, 599997\) needs up to "
+                                            r"\d+ bits, budget is 256000000 bits"):
+        VertexDescent(p113, 300000, 599997)
+    # an empty descent costs nothing at any height
+    assert VertexDescent(GenPolynomial((1, 1)), 10 ** 9, -1).dim(10 ** 9, -1) == 0
+    # where the cone held 4,503,001 entries, the descent holds about 24,000
+    assert _cone_entries(2, 3000, 3000) > 4_000_000
+    top = VertexDescent(p113, 3000, 3000).dim(3000, 3000)
+    assert top == sum(math.comb(3000, j) * math.comb(3000 - j, 3000 - 2 * j) * 3 ** j
+                      for j in range(1501))
