@@ -104,13 +104,15 @@ def _cmd_rank(args, parser) -> int:
         n, kap, rnk = 0, 0, 1               # the empty word
         for n, kap, rnk in prefix_walk(word, source):
             pass
+        total = source.dim(n, kap)
     elif None in unrank_args:
         parser.error("rank needs --word, or --level/--kappa/--index")
     else:
         n, kap, rnk = unrank_args
         source = vertex_source(args.poly, n, kap)
+        total = source.dim(n, kap)          # the descent drops level n as it walks
         word = unrank(n, kap, rnk, source)
-    row = (word_to_string(word, args.poly), n, kap, str(rnk), str(source.dim(n, kap)))
+    row = (word_to_string(word, args.poly), n, kap, str(rnk), str(total))
     _emit(args, ("word", "n", "kappa", "rank", "dim"), [_line(row)])
     return 0
 
@@ -130,11 +132,11 @@ def _cmd_succ(args, parser) -> int:
 def _cmd_orbit(args, parser) -> int:
     if args.word is not None and args.n is not None:
         parser.error("orbit takes --word or --n, not both")
+    if args.word is None and args.n is None:
+        parser.error("orbit needs --word or --n")
     horizon = _level(args.horizon, "--horizon")
     steps = _level(args.steps, "--steps")
     mp = measure_params(args.poly, args.q)
-    if args.word is None and args.n is None:
-        parser.error("orbit needs --word or --n")
     word = () if args.word is None else word_from_string(args.word, args.poly)
     x = PathPrefix(word, extend=letter_stream(mp, args.seed), max_level=horizon)
     if args.n is not None:

@@ -28,7 +28,7 @@ from itertools import accumulate, islice, product, repeat
 
 from .errors import CapacityError, NoRoot
 from .paths import letter_table
-from .poly import _CONE_BIT_BUDGET, GenPolynomial
+from .poly import _BIT_BUDGET, GenPolynomial
 
 _STATIONARY_BUDGET = 2_000_000
 
@@ -231,13 +231,13 @@ def _exact_t(poly: GenPolynomial, q: Fraction, t0: float) -> Fraction:
 
 
 def _check_coder_budget(degree: int) -> None:
-    """Refuse a degree whose exact coder weights pass the cone's bit budget:
+    """Refuse a degree whose exact coder weights pass the bit budget:
     with t kept to 2 PREC bits, the weight of step s has a numerator of about
     2 PREC s bits, and the Newton that finds t runs Horner sums as large."""
     bits = PREC * degree * (degree + 1)
-    if bits > _CONE_BIT_BUDGET:
+    if bits > _BIT_BUDGET:
         raise CapacityError(f"exact coder weights of degree {degree} need about "
-                            f"{bits} bits, budget is {_CONE_BIT_BUDGET} bits")
+                            f"{bits} bits, budget is {_BIT_BUDGET} bits")
 
 
 @lru_cache(maxsize=512)

@@ -24,7 +24,7 @@ from itertools import accumulate, count, islice
 from .errors import (CapacityError, HorizonExhausted, MaximalPath, MinimalPath,
                      PrefixExhausted, RankOutOfRange)
 from .poly import (DEFAULT_ENTRY_BUDGET, DimTable, GenPolynomial, PathColumn, VertexCone,
-                   VertexDescent, _vertex_plan, vertex_source)
+                   VertexDescent, _admit, _vertex_plan, vertex_source)
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,7 @@ class LetterTable:
 @lru_cache(maxsize=None)
 def letter_table(poly: GenPolynomial) -> LetterTable:
     """Label groups in decreasing step order: sizes (a_d, ..., a_0)."""
-    if poly.alphabet_size > DEFAULT_ENTRY_BUDGET:
-        raise CapacityError(f"alphabet needs {poly.alphabet_size} letters, "
-                            f"budget is {DEFAULT_ENTRY_BUDGET}")
+    _admit("alphabet", poly.alphabet_size, "letters")
     a, d = poly.coeffs, poly.degree
     kstep = tuple(s for s in range(d, -1, -1) for _ in range(a[s]))
     first = tuple(accumulate(a[:0:-1], initial=0))[::-1]

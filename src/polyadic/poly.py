@@ -21,7 +21,9 @@ walk reads, and widened sideways by the row recurrence ``_next_level`` ends
 its windows with (``_sideways``) on the first read past that.  A cone band
 is a packed one-integer convolution.  A descent builds a level from the one
 above by a Bezout identity of p and p', solved once per polynomial, and
-widens it by ``_sideways``; p must have no repeated root.
+widens it by ``_sideways``; p must have no repeated root.  Every build is
+counted before it starts, and refused past the budgets, by one gate,
+``_admit``.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from functools import lru_cache
 from .errors import CapacityError
 
 DEFAULT_ENTRY_BUDGET = 4_000_000
-# Bits a cone above the dense table's reach may hold: an entry at level L has
+# Bits a build above the dense table's reach may hold: an entry at level L has
 # up to L*log2(p(1)) bits, so counting entries alone does not bound memory.
-_CONE_BIT_BUDGET = 64 * DEFAULT_ENTRY_BUDGET
+_BIT_BUDGET = 64 * DEFAULT_ENTRY_BUDGET
 # Levels a packed cone band may grow before its entries are measured and
 # repacked: a level's entries, and every partial sum of its convolution, have
 # at most bitlen(p(1)) bits more than the largest entry of the level below.
@@ -138,18 +140,16 @@ class DimTable:
     """Dense per-level rows of exact vertex dimensions C(n, k).
 
     The table grows on demand: asking :meth:`row` or :meth:`dim` for a level
-    above ``n_max`` first builds the missing levels, within ``entry_budget``,
+    above ``n_max`` first builds the missing levels, as ``_admit`` allows,
     each by ``_next_level`` over the whole window [0, n*d].
     Rows are append-only tuples: existing entries never change, so concurrent
     readers are safe once a level is built.
     """
 
-    def __init__(self, poly: GenPolynomial, n_max: int = 0,
-                 entry_budget: int = DEFAULT_ENTRY_BUDGET):
+    def __init__(self, poly: GenPolynomial, n_max: int = 0):
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         self.poly = poly
-        self.entry_budget = entry_budget
         self._rows: list[tuple[int, ...]] = [(1,)]
         self.extend(n_max)
 
@@ -160,11 +160,7 @@ class DimTable:
     def extend(self, n_max: int) -> None:
         """Grow the table so that all levels up to ``n_max`` are present."""
         a, d = self.poly.coeffs, self.poly.degree
-        entries = _table_entries(d, n_max)
-        if entries > self.entry_budget:
-            raise CapacityError(
-                f"table with n_max={n_max}, degree={d} needs {entries} entries, "
-                f"budget is {self.entry_budget}")
+        _admit(f"table with n_max={n_max}, degree={d}", _table_entries(d, n_max))
         for n in range(len(self._rows), n_max + 1):
             self._rows.append(tuple(_next_level(a, n, 0, self._rows[-1], 0, n * d)))
 
@@ -252,6 +248,26 @@ def _table_entries(d: int, n: int) -> int:
     return (n + 1) + d * n * (n + 1) // 2
 
 
+def _admit(what: str, amount: int, unit: str = "entries", n: int = 0, d: int = 0,
+           bits=None) -> None:
+    """Refuse, with a CapacityError, a build of ``amount`` ``unit`` past the entry budget.
+
+    A build up to level n of degree d within the dense table's reach is part
+    of a table the entry budget admits, so it answers wherever that table
+    did.  Above it, entries grow long enough that their count no longer
+    bounds memory: ``bits()`` bounds the build's bits, with the level the
+    bound stopped at or None, and the build is refused past the bit budget.
+    """
+    if amount > DEFAULT_ENTRY_BUDGET:
+        raise CapacityError(f"{what} needs {amount} {unit}, budget is {DEFAULT_ENTRY_BUDGET}")
+    if bits is not None and _table_entries(d, n) > DEFAULT_ENTRY_BUDGET:
+        count, level = bits()
+        if count > _BIT_BUDGET:
+            where = "" if level is None else f" by level {level}"
+            raise CapacityError(f"{what} needs up to {count} bits{where}, "
+                                f"budget is {_BIT_BUDGET} bits")
+
+
 def _cone_entries(d: int, n: int, kap: int) -> int:
     """Entries of the cone below (n, kap), for 0 <= kap <= n*d.
 
@@ -263,20 +279,20 @@ def _cone_entries(d: int, n: int, kap: int) -> int:
     return d * m * (m + 1) + kap * (n - 2 * m - 1) + n + 1
 
 
-def _cone_bits(poly: GenPolynomial, n: int, kap: int, stop: int) -> tuple[int, int]:
+def _cone_bits(poly: GenPolynomial, n: int, kap: int) -> tuple[int, int]:
     """Bound on the bits of the cone below (n, kap) up to level L, and that L.
 
     C(L, k) <= p(1)^L, so an entry at level L is charged L*bitlen(p(1)) + 1
     bits.  The sum runs up the levels and stops at the first level where it
-    passes ``stop``; each level adds at least L bits, so it stops within
-    about sqrt(2*stop) levels at any n.
+    passes the bit budget; each level adds at least L bits, so it stops
+    within about sqrt(2*_BIT_BUDGET) levels at any n.
     """
     d, b = poly.degree, poly.alphabet_size.bit_length()
     bits = 0
     for L in range(n + 1):
         width = min(L * d, kap) - max(0, kap - (n - L) * d) + 1
         bits += width * (L * b + 1)
-        if bits > stop:
+        if bits > _BIT_BUDGET:
             break
     return bits, L
 
@@ -289,11 +305,7 @@ class VertexCone:
     convolution of the band below.  ``dim(L, k)`` reads the band for
     0 <= L <= n, is zero for k outside [0, L*d] as in DimTable, and every
     other read raises KeyError.  For kap outside [0, n*d] the cone is empty.
-    Before any entry is built, the entries are counted against the entry
-    budget.  Above the highest level whose dense table fits that budget, the
-    bits are bounded too: there the cone's entries grow long enough that
-    their count no longer bounds memory.  Up to that level the cone is part
-    of the dense table, so it answers wherever the dense table did.
+    Its entries and bits pass ``_admit`` before any is built.
 
     Each band is one integer: entry k sits in bits (k - lo)*w up to
     (k - lo + 1)*w, w a whole number of bytes that holds every entry of the
@@ -312,17 +324,8 @@ class VertexCone:
         a, d = poly.coeffs, poly.degree
         if not 0 <= kap <= n * d:
             return
-        entries = _cone_entries(d, n, kap)
-        if entries > DEFAULT_ENTRY_BUDGET:
-            raise CapacityError(
-                f"cone below vertex ({n}, {kap}) needs {entries} entries, "
-                f"budget is {DEFAULT_ENTRY_BUDGET}")
-        if _table_entries(d, n) > DEFAULT_ENTRY_BUDGET:
-            bits, top = _cone_bits(poly, n, kap, _CONE_BIT_BUDGET)
-            if bits > _CONE_BIT_BUDGET:
-                raise CapacityError(
-                    f"cone below vertex ({n}, {kap}) needs up to {bits} bits "
-                    f"by level {top}, budget is {_CONE_BIT_BUDGET} bits")
+        _admit(f"cone below vertex ({n}, {kap})", _cone_entries(d, n, kap), n=n, d=d,
+               bits=lambda: _cone_bits(poly, n, kap))
         los = self._los = [max(0, kap - (n - L) * d) for L in range(n + 1)]
         his = self._his = [min(L * d, kap) for L in range(n + 1)]
         grow = poly.alphabet_size.bit_length()
@@ -433,14 +436,14 @@ class VertexDescent:
     Level n is entered at kap.  A level answers reads within d of where it
     was entered, and the level below it may be entered within d to its
     left: unranking reads C(L-1, kap_L - s) for s = d..0, entering level
-    L - 1 at max(0, kap_L - d), kap_L one of level L's reads.  Only level n
-    and the newest level are held, each at most 3d + 1 entries besides level
-    n's run to its row end.  ``dim`` is zero for k outside [0, L*d] and
-    refuses a negative level as in DimTable, and every other read raises
-    KeyError.  For kap outside [0, n*d] the descent is empty.  Its entries,
-    and above the dense table's reach their bits, are counted before any is
-    built, as in VertexCone.  A p with a repeated root has no descent:
-    ValueError.
+    L - 1 at max(0, kap_L - d), kap_L one of level L's reads.  Only the
+    newest level is held: level n, with its run to the nearer row end, and
+    then at most 3d + 1 entries a level, each level dropped once the one
+    below it is built.  ``dim`` is
+    zero for k outside [0, L*d] and refuses a negative level as in DimTable,
+    and every other read raises KeyError.  For kap outside [0, n*d] the
+    descent is empty.  Its entries and bits pass ``_admit`` before any is
+    built.  A p with a repeated root has no descent: ValueError.
     """
 
     def __init__(self, poly: GenPolynomial, n: int, kap: int):
@@ -455,24 +458,15 @@ class VertexDescent:
         # u_r = U_r and v_r = V_(r+1)
         self._stencil = [(r, U[r] if 0 <= r < len(U) else 0, V[r + 1] if r + 1 < len(V) else 0)
                          for r in range(-1 if V else 0, max(len(U), len(V) - 1))]
-        self._n = self._low = n
+        self._low = n
         self._rows: dict[int, tuple[int, list[int]]] = {}
         self._entered = {n: kap}
         a, d = self._a, self._d = poly.coeffs, poly.degree
         top = n * d
         if not 0 <= kap <= top:
             return
-        entries = _descent_entries(d, n, kap)
-        if entries > DEFAULT_ENTRY_BUDGET:
-            raise CapacityError(
-                f"descent from vertex ({n}, {kap}) needs {entries} entries, "
-                f"budget is {DEFAULT_ENTRY_BUDGET}")
-        if _table_entries(d, n) > DEFAULT_ENTRY_BUDGET:
-            bits = _descent_bits(poly, n, kap)
-            if bits > _CONE_BIT_BUDGET:
-                raise CapacityError(
-                    f"descent from vertex ({n}, {kap}) needs up to {bits} bits, "
-                    f"budget is {_CONE_BIT_BUDGET} bits")
+        _admit(f"descent from vertex ({n}, {kap})", _descent_entries(d, n, kap), n=n, d=d,
+               bits=lambda: (_descent_bits(poly, n, kap), None))
         if kap <= top - kap:
             self._rows[n] = 0, _sideways(a, n, 0, [a[0] ** n], 0, min(kap + d, top))
         else:
@@ -519,8 +513,7 @@ class VertexDescent:
         lo = min(s, max(e - d + 2, 0))
         self._rows[m] = lo, _sideways(a, m, s, seeds, lo, min(e + d, top))
         self._entered[m] = e
-        if L != self._n:
-            del self._rows[L], self._entered[L]
+        del self._rows[L], self._entered[L]
         self._low = m
 
     def _cover(self, n: int, lo: int, hi: int) -> tuple[int, list[int]]:

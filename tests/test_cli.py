@@ -291,6 +291,15 @@ def test_conflicting_inputs_are_usage_errors(capsys, argv):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", ["0.5", "5"])
+def test_orbit_without_a_start_is_a_usage_error_before_q_is_read(capsys, q):
+    # as with both starts given, whether q is in range or not
+    with pytest.raises(SystemExit) as err:
+        main(["orbit", "--poly", "1,1", "--q", q])
+    assert err.value.code == 2
+    assert "orbit needs --word or --n" in capsys.readouterr().err
+
+
 def _write_g(tmp_path, poly, g, name="g.json"):
     path = tmp_path / name
     path.write_text(g.to_json(poly))

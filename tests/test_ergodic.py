@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -489,11 +490,12 @@ def test_extract_limiting_curve_reads_no_dense_row(built_tables):
 def test_extract_limiting_curve_past_the_table_budget(built_tables):
     mp = measure_params(P112, 0.25)
     g = CylFunction(1, {(2,): -1.0, (3,): -2.0})
-    tiny = DimTable(P112, 1, entry_budget=10)
-    with pytest.raises(CapacityError):
-        tiny.row(300)
-    x = PathPrefix((), extend=letter_stream(mp, 2), max_level=300)
-    curve, diag = extract_limiting_curve(g, x, P112, m=6, n_max=300, mp=mp)
+    with mock.patch("polyadic.poly.DEFAULT_ENTRY_BUDGET", 10):
+        tiny = DimTable(P112, 1)
+        with pytest.raises(CapacityError):
+            tiny.row(300)
+        x = PathPrefix((), extend=letter_stream(mp, 2), max_level=300)
+        curve, diag = extract_limiting_curve(g, x, P112, m=6, n_max=300, mp=mp)
     assert built_tables == [tiny]       # the walk builds no table of its own
     dense = fluctuation_curve(g, curve.n, curve.kappa, 6, DimTable(P112, curve.n))
     assert curve == dense and diag["converged_at"] == curve.n

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly_power_row, poly_power_rows
-from polyadic import CapacityError, DimTable, GenPolynomial, poly
-from polyadic.poly import (_CONE_BIT_BUDGET, PathColumn, VertexCone, VertexDescent,
-                           _cone_bits, _cone_entries, _descent_entries, _table_entries)
+from polyadic import CapacityError, DimTable, GenPolynomial, letter_table, poly
+from polyadic.measure import fixed_coder
+from polyadic.poly import (_BIT_BUDGET, PathColumn, VertexCone, VertexDescent, _cone_bits,
+                           _cone_entries, _descent_entries, _table_entries)
 
 
 def read_run(source, n, k):
@@ -143,10 +144,11 @@ def test_extend_is_append_only():
     assert table.n_max == 8
 
 
-def test_capacity_budget():
+def test_capacity_budget(monkeypatch):
+    monkeypatch.setattr(poly, "DEFAULT_ENTRY_BUDGET", 50)
     with pytest.raises(CapacityError):
-        DimTable(GenPolynomial((1, 1)), 100, entry_budget=50)
-    table = DimTable(GenPolynomial((1, 1)), 3, entry_budget=50)
+        DimTable(GenPolynomial((1, 1)), 100)
+    table = DimTable(GenPolynomial((1, 1)), 3)
     with pytest.raises(CapacityError):
         table.extend(100)
 
@@ -165,8 +167,9 @@ def test_grown_table_equals_eager_table(coeffs):
     assert grown.n_max == 40
 
 
-def test_growth_on_demand_keeps_the_budget():
-    table = DimTable(GenPolynomial((1, 1)), entry_budget=50)
+def test_growth_on_demand_keeps_the_budget(monkeypatch):
+    monkeypatch.setattr(poly, "DEFAULT_ENTRY_BUDGET", 50)
+    table = DimTable(GenPolynomial((1, 1)))
     assert table.dim(8, 4) == 70        # levels 0..8 hold 45 entries
     with pytest.raises(CapacityError):
         table.dim(9, 0)                 # 55 entries
@@ -490,14 +493,14 @@ def test_vertex_cone_bounds_its_bits_above_the_dense_reach():
     with pytest.raises(CapacityError, match="bits"):
         VertexCone(p113, 2100, 2100)
     # a narrow cone past the dense reach fits
-    assert _cone_bits(p113, 3000, 5997, _CONE_BIT_BUDGET)[0] <= _CONE_BIT_BUDGET
+    assert _cone_bits(p113, 3000, 5997)[0] <= _BIT_BUDGET
     assert VertexCone(p113, 3000, 5997).dim(3000, 5997) == 3000 * 2999 * 2998 // 6 * 3 ** 2997 \
         + 3000 * 2999 * 3 ** 2998
     # where the dense table fits the entry budget the cone, a part of it,
     # answers whatever its bits: unranking refuses nothing it answered before
     big = GenPolynomial((1000, 1000))
     assert _table_entries(1, 600) <= 4_000_000
-    assert _cone_bits(big, 600, 300, _CONE_BIT_BUDGET)[0] > _CONE_BIT_BUDGET
+    assert _cone_bits(big, 600, 300)[0] > _BIT_BUDGET
     assert VertexCone(big, 600, 300).dim(600, 300) == math.comb(600, 300) * 1000 ** 600
 
 
@@ -539,23 +542,22 @@ def test_vertex_descent_answers_the_walk_and_refuses_the_rest(coeffs):
                         VertexDescent(gp, n, kap).dim(n - 1, stray)
             descent = VertexDescent(gp, n, kap)
             expect(descent, n, kap)
-            built, vertex = 0, kap
+            # level n, with its run to the nearer row end
+            built, vertex = len(descent._rows[n][1]), kap
             for L in range(n - 1, -1, -1):
                 e = max(0, vertex - d)
                 expect(descent, L, e)
                 held = len(descent._rows[L][1])
                 assert held <= 3 * d + 1
                 built += held
-                # the level above is dropped, unless it is level n, and no
-                # level below the newest but the next is built
+                # the level above is dropped, and no level below the newest
+                # but the next is built
                 for gone in (L + 1, L - 2):
-                    if 0 <= gone < n and 0 <= e <= gone * d:
+                    if 0 <= gone <= n and 0 <= e <= gone * d:
                         with pytest.raises(KeyError):
                             descent.dim(gone, e)
                 vertex = (e + min(vertex, L * d)) // 2    # one of this level's reads
-            assert descent.dim(n, kap) == rows[n][kap]
-            # level n, kept to the end, with its run to the nearer row end
-            assert built + len(descent._rows[n][1]) <= _descent_entries(d, n, kap)
+            assert built <= _descent_entries(d, n, kap)
 
 
 def test_vertex_descent_checks_its_polynomial_and_budget_before_building():
@@ -578,3 +580,35 @@ def test_vertex_descent_checks_its_polynomial_and_budget_before_building():
     top = VertexDescent(p113, 3000, 3000).dim(3000, 3000)
     assert top == sum(math.comb(3000, j) * math.comb(3000 - j, 3000 - 2 * j) * 3 ** j
                       for j in range(1501))
+
+
+P11, P113 = GenPolynomial((1, 1)), GenPolynomial((1, 1, 3))
+
+
+@pytest.mark.parametrize("build, text", [
+    pytest.param(lambda: DimTable(P11, 3000),
+                 "table with n_max=3000, degree=1 needs 4504501 entries, budget is 4000000",
+                 id="dense-table"),
+    pytest.param(lambda: VertexCone(P11, 10 ** 9, 5),
+                 "cone below vertex (1000000000, 5) needs 5999999976 entries, "
+                 "budget is 4000000", id="cone-entries"),
+    pytest.param(lambda: VertexCone(P113, 300000, 599997),
+                 "cone below vertex (300000, 599997) needs up to 256067461 bits "
+                 "by level 6532, budget is 256000000 bits", id="cone-bits"),
+    pytest.param(lambda: VertexDescent(P11, 10 ** 9, 5),
+                 "descent from vertex (1000000000, 5) needs 4000000009 entries, "
+                 "budget is 4000000", id="descent-entries"),
+    pytest.param(lambda: VertexDescent(P113, 300000, 599997),
+                 "descent from vertex (300000, 599997) needs up to 945007950010 bits, "
+                 "budget is 256000000 bits", id="descent-bits"),
+    pytest.param(lambda: letter_table(GenPolynomial((4000000, 1))),
+                 "alphabet needs 4000001 letters, budget is 4000000", id="alphabet"),
+    pytest.param(lambda: fixed_coder(GenPolynomial((1,) * 1156), 0.5),
+                 "exact coder weights of degree 1155 need about 256354560 bits, "
+                 "budget is 256000000 bits", id="coder-bits"),
+])
+def test_every_refusal_states_its_need_and_the_budget_in_full(build, text):
+    # each is refused before anything is built
+    with pytest.raises(CapacityError) as refused:
+        build()
+    assert str(refused.value) == text
