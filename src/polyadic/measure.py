@@ -64,27 +64,41 @@ def _weights(poly: GenPolynomial, q, t, steps=()):
 
 
 def solve_t(poly: GenPolynomial, q: float) -> float:
-    """Root t in (0, 1) of the weight equation q p(t/q) = 1, by Newton from above.
+    """Root t in (0, 1) of the weight equation q p(t/q) = 1, rounded once from ``_root``."""
+    n, e, _, _ = _root(poly, q)
+    return n / (1 << e)
 
-    The weight sum is increasing and convex in t and equals a_0 q < 1 at
-    t = 0, so Newton started where the top step alone weighs 1 falls
-    monotonically to the root; it stops where a step no longer shrinks the
-    residual, and one step in ``Fraction``s rounds the root once.  The
-    degenerate degree-0 case has no free parameter: the equation forces
-    q = 1/a_0, and t never enters the weights, so it is returned as q.
-    """
+
+def _round_div(a: int, b: int) -> int:
+    """a / b (b > 0) rounded to the nearest integer, ties to even."""
+    quo, rem = divmod(a, b)
+    return quo + (2 * rem > b or 2 * rem == b and quo & 1)
+
+
+@lru_cache(maxsize=512)
+def _root(poly: GenPolynomial, q: float) -> tuple[int, int, int, int]:
+    """Root t of the weight equation as (n, e, c, y): t = n / 2^e to 2 PREC
+    significant bits, rounded to nearest, and u = t/q = n c / y.
+
+    The weight sum is increasing and convex in t and is a_0 q < 1 at t = 0,
+    so float Newton from where the top step alone weighs 1 falls to the root.
+    Integer Newton follows at 106 bits, doubled each pass up to 2 PREC, until
+    a step moves n by at most one: with u = x / y, the weight sum less one
+    times y^d / q is sum_s a_s x^s y^(d-s) - y^d / q, a Horner sum, no gcd.
+    At degree 0 the equation forces q = 1/a_0; t, read by no weight, is q."""
     if not math.isfinite(q):
         raise NoRoot(f"q={q} is not a finite number")
-    d = poly.degree
-    a0 = poly.coeffs[0]
+    a, d = poly.coeffs, poly.degree
     if d == 0:
-        if abs(a0 * q - 1.0) > 1e-9:
-            raise NoRoot(f"degree-0 system requires q = 1/{a0}")
-        return q
-    if not 0.0 < q < 1.0 / a0:
-        raise NoRoot(f"q={q} outside (0, 1/{a0})")
-    rest = float(1 - a0 * Fraction(q))      # what the stepping letters share
-    t = nxt = q ** (1.0 - 1.0 / d) / poly.coeffs[d] ** (1.0 / d)   # a_d w_d = 1
+        if abs(a[0] * q - 1.0) > 1e-9:
+            raise NoRoot(f"degree-0 system requires q = 1/{a[0]}")
+        n, den = q.as_integer_ratio()
+        return n, den.bit_length() - 1, 1, 1
+    if not 0.0 < q < 1.0 / a[0]:
+        raise NoRoot(f"q={q} outside (0, 1/{a[0]})")
+    qn, qd = q.as_integer_ratio()
+    rest = (qd - a[0] * qn) / qd            # what the stepping letters share
+    t = nxt = q ** (1.0 - 1.0 / d) / a[d] ** (1.0 / d)   # a_d w_d = 1
     smallest = math.inf
     while True:
         total, slope, _ = _weights(poly, q, nxt)
@@ -92,19 +106,43 @@ def solve_t(poly: GenPolynomial, q: float) -> float:
             break
         t, smallest = nxt, abs(total - rest)
         nxt = t - (total - rest) / slope
-    # one exact step from a t this close lands well inside its ulp
-    return float(_exact_step(poly, Fraction(q), Fraction(t)))
+    e, bits = None, 106         # the float's 53 bits, doubled by each pass
+    for _ in range(64):
+        if e != (scale := bits - math.frexp(t)[1]):
+            shift = min(qd.bit_length() - 1, scale)     # u's ratio shares no 2
+            c, y = qd >> shift, qn << (scale - shift)
+            n = int(math.ldexp(t, scale)) if e is None else (n << scale) >> e
+            e = scale
+        x = n * c
+        h, dh, yd = a[d], 0, 1
+        for s in range(d - 1, -1, -1):
+            yd *= y
+            dh = dh * x + h
+            h = h * x + a[s] * yd
+        step = _round_div(h - qd * (yd // qn), c * dh)
+        n -= step
+        t = n / (1 << e)
+        if bits == 2 * PREC and abs(step) <= 1 and e == bits - math.frexp(t)[1]:
+            return n, e, c, y
+        bits = min(2 * bits, 2 * PREC)
+    raise NoRoot(f"integer Newton for t did not settle at q={q}")
 
 
-def _exact_step(poly: GenPolynomial, q: Fraction, t: Fraction) -> Fraction:
-    """One Newton step on the weight equation in exact arithmetic."""
-    total, slope, _ = _weights(poly, q, t)
-    return t - (total - 1 + poly.coeffs[0] * q) / slope
+def _root_weights(poly: GenPolynomial, q: float) -> list[tuple[int, int]]:
+    """Step weights at the root as integer ratios: q, t and t u^(s-1) for s >= 2."""
+    n, e, c, y = _root(poly, q)
+    out = [q.as_integer_ratio(), (n, 1 << e)]
+    for _ in range(2, poly.degree + 1):
+        out.append((out[-1][0] * n * c, out[-1][1] * y))
+    return out[:poly.degree + 1]
 
 
 def weight_residual(poly: GenPolynomial, q: float, t: float) -> float:
-    """Weight-equation residual q p(t/q) - 1 at (q, t): the weight sum less one."""
-    return _weights(poly, q, t)[0] - float(1 - poly.coeffs[0] * Fraction(q))
+    """Weight-equation residual q p(t/q) - 1 at (q, t): the letter weights' sum less one.
+
+    Each weight is the one before times u, at most one even at a subnormal t."""
+    by_step = _weights(poly, q, t, range(poly.degree + 1))[2]
+    return math.fsum(a * by_step[s] for s, a in enumerate(poly.coeffs)) - 1.0
 
 
 @dataclass(frozen=True)
@@ -120,14 +158,10 @@ class MeasureParams:
 
 @lru_cache(maxsize=512)
 def measure_params(poly: GenPolynomial, q: float) -> MeasureParams:
+    """The measure at q: t and each letter weight rounded once from the exact root."""
     t = solve_t(poly, q)
-    ks = letter_table(poly).kstep
-    # each weight is formed exactly at the float root and rounded once
-    by_step = _weights(poly, Fraction(q), Fraction(t), set(ks))[2]
-    weights = tuple(float(by_step[s]) for s in ks)
-    total = sum(weights)
-    if not abs(total - 1.0) <= 1e-9:
-        raise NoRoot(f"weights sum to {total}, not 1; degenerate parameters")
+    by_step = [num / den for num, den in _root_weights(poly, q)]
+    weights = tuple(by_step[s] for s in letter_table(poly).kstep)
     return MeasureParams(poly, q, t, weights, low_sums(weights, 0.0))
 
 
@@ -212,28 +246,10 @@ def encode(wcols, lcols, digits):
         passes.append(path)
 
 
-def _exact_t(poly: GenPolynomial, q: Fraction, t0: float) -> Fraction:
-    """Root of the weight equation by Fraction Newton from the float root t0.
-
-    Each iterate is kept to 2 PREC significant bits so that its size stays
-    bounded; the root is then correct far below the coder's resolution.
-    """
-    if poly.degree == 0:
-        return q
-    scale = 1 << (2 * PREC - math.frexp(t0)[1])
-    t = Fraction(t0)
-    for _ in range(16):
-        nxt = Fraction(round(_exact_step(poly, q, t) * scale), scale)
-        if abs(nxt - t) * scale <= 1:
-            return nxt
-        t = nxt
-    raise NoRoot(f"exact Newton for t did not settle at q={float(q)}")
-
-
 def _check_coder_budget(degree: int) -> None:
-    """Refuse a degree whose exact coder weights pass the bit budget:
-    with t kept to 2 PREC bits, the weight of step s has a numerator of about
-    2 PREC s bits, and the Newton that finds t runs Horner sums as large."""
+    """Refuse a degree whose exact coder weights pass the bit budget: with t
+    held to 2 PREC bits by ``_root``, the weight of step s is a ratio of about
+    2 PREC s bits, and the integer Newton that finds t runs Horner sums as large."""
     bits = PREC * degree * (degree + 1)
     if bits > _BIT_BUDGET:
         raise CapacityError(f"exact coder weights of degree {degree} need about "
@@ -248,11 +264,8 @@ def fixed_coder(poly: GenPolynomial, q: float) -> tuple[tuple[int, ...], tuple[i
     letter takes the remainder, so the rank-1 intervals tile [0, 1] exactly.
     """
     _check_coder_budget(poly.degree)
-    q_exact = Fraction(q)
-    t = _exact_t(poly, q_exact, measure_params(poly, q).t)
-    ks = letter_table(poly).kstep
-    by_step = {s: round(w * _ONE) for s, w in _weights(poly, q_exact, t, set(ks))[2].items()}
-    weights = [by_step[s] for s in ks]
+    by_step = [_round_div(num << PREC, den) for num, den in _root_weights(poly, q)]
+    weights = [by_step[s] for s in letter_table(poly).kstep]
     weights[-1] = _ONE - sum(weights[:-1])
     if min(weights) <= 0:
         raise CapacityError(f"a letter weight at q={q} is below 2^-{PREC}, "

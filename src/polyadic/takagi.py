@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 
 from .errors import CapacityError, DivisionByZeroJet, NoRoot
 from .measure import (_weights, _check_coder_budget, cylinder, cylinder_measure,
@@ -38,10 +37,6 @@ class Jet:
     """Truncated Taylor coefficients (c_0, ..., c_K) in one perturbation."""
 
     coeffs: tuple[float, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     def _check(self, other: "Jet") -> None:
         if len(self.coeffs) != len(other.coeffs):
@@ -81,9 +76,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "Jet":
-        return jet_const(1.0, self.order) / self
-
     def __truediv__(self, other):
         # long division: a quotient in float range needs no 1/other in range
         if not isinstance(other, Jet):
@@ -96,11 +88,6 @@ class Jet:
         for i, a in enumerate(self.coeffs):
             out.append((a - sum(b[j] * out[i - j] for j in range(1, i + 1))) / b[0])
         return Jet(tuple(out))
-
-    def __pow__(self, exponent: int) -> "Jet":
-        if exponent < 0:
-            return (self ** (-exponent)).reciprocal()
-        return math.prod(repeat(self, exponent), start=jet_const(1.0, self.order))
 
 
 def jet_const(value: float, order: int) -> Jet:

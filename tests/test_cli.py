@@ -406,13 +406,16 @@ def test_g_file_poly_mismatch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("poly,q", [("1,1,3", "1e-300"), ("1,1,2", "1e-200"),
-                                    ("1,1,3", "5e-324"), ("1,1", "5e-324")])
+                                    ("1,1,3", "5e-324"), ("1,1", "5e-324"),
+                                    (",".join("1" * 31), "5e-324"),
+                                    (",".join("1" * 61), "5e-324")])
 def test_tiny_q_ends_in_error_not_traceback(tmp_path, capsys, poly, q):
     # every q in (0, 1/a_0) has a measure, down to the smallest subnormal:
-    # tq answers with weights summing to one, and the commands that read
-    # more than the weights answer or end in a documented exit code
+    # tq answers with weights summing to one, also where t is subnormal, and
+    # the commands that read more than the weights answer or end in a
+    # documented exit code
     code, out, err = run(capsys, "tq", "--poly", poly, "--q", q)
-    assert code == 0 and err == ""
+    assert code == 0 and err == "" and "inf" not in out
     weights = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()
                if line.startswith("letter")]
     assert abs(math.fsum(weights) - 1.0) <= 1e-15

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import REF_BITS, reference_weights
 from polyadic import measure
 from polyadic import (CapacityError, DimTable, GenPolynomial, NoRoot,
                       cylinder_measure, decode_digits, encode_theta, kappa,
@@ -76,6 +77,34 @@ def test_measure_params_root_within_8_ulp_at_any_q(coeffs, frac, x):
     q_exact = Fraction(q)
     assert _exact_weight_sum_minus_one(coeffs, q_exact, Fraction(mp.t - reach)) <= 0
     assert _exact_weight_sum_minus_one(coeffs, q_exact, Fraction(mp.t + reach)) >= 0
+    # the integer root n / 2^e is the exact root rounded to nearest: the root
+    # lies within half a unit of it
+    n, e = measure._root(GenPolynomial(tuple(coeffs)), q)[:2]
+    assert _exact_weight_sum_minus_one(coeffs, q_exact, Fraction(2 * n - 1, 2 << e)) <= 0
+    assert _exact_weight_sum_minus_one(coeffs, q_exact, Fraction(2 * n + 1, 2 << e)) >= 0
+    assert mp.t == n / (1 << e)
+
+
+def test_coder_integers_are_pinned():
+    # the coder's weights in units of 2^-PREC: a change to the root's scale
+    # or to the rounding of a weight moves them
+    weights, lows = measure.fixed_coder(GenPolynomial((1, 1, 2)), 0.1789)
+    assert weights == (1855346546943139786649241610241667179905462965429952863853,
+                       1855346546943139786649241610241667179905462965429952863853,
+                       1443435141039723980143856906345122971453392808757360542503,
+                       1122973500460677210393449296379209084838036704846768242687)
+    assert lows == (0, *accumulate(weights[:-1]))
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1, 1, 1), (1, 1, 2), (1, 2, 1),
+                                    (3, 1, 2), (1, 2, 1, 1)])
+def test_letter_weights_are_the_reference_weights_rounded_once(coeffs):
+    # each float weight is the exact weight at the exact root, correctly
+    # rounded; the reference solves for t on its own at 1088 bits
+    for frac in (0.05, 0.2, 0.5, 0.8, 0.95):
+        q = frac / coeffs[0]
+        expect = tuple(float(Fraction(w, 1 << REF_BITS)) for w in reference_weights(coeffs, q))
+        assert measure_params(GenPolynomial(coeffs), q).weights == expect
 
 
 def test_letter_weights_examples():

@@ -22,13 +22,6 @@ def test_jet_square():
     assert (jet_var(q, 2) * jet_var(q, 2)).coeffs == pytest.approx((q * q, 2 * q, 1.0))
 
 
-def test_jet_reciprocal():
-    j = Jet((1.5, -0.3, 0.8, 0.1))
-    assert (j * j.reciprocal()).coeffs == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-15)
-    with pytest.raises(DivisionByZeroJet):
-        Jet((0.0, 1.0)).reciprocal()
-
-
 def test_jet_product_rule_matches_finite_differences():
     rng = random.Random(8)
     h = 1e-6
@@ -43,11 +36,10 @@ def test_jet_product_rule_matches_finite_differences():
 
 def test_jet_misc():
     j = Jet((2.0, 1.0, 0.5))
-    assert (j ** 0).coeffs == (1.0, 0.0, 0.0)
-    assert (j ** 3).coeffs == pytest.approx((j * j * j).coeffs)
-    assert (j ** -1).coeffs == pytest.approx(j.reciprocal().coeffs)
     assert (1.0 - j).coeffs == pytest.approx((-1.0, -1.0, -0.5))
     assert (j / 2).coeffs == pytest.approx((1.0, 0.5, 0.25))
+    with pytest.raises(DivisionByZeroJet):
+        jet_const(1.0, 1) / Jet((0.0, 1.0))
     with pytest.raises(ValueError):
         j + Jet((1.0, 1.0))
     assert jet_const(3.0, 0).coeffs == (3.0,)
@@ -206,7 +198,7 @@ def test_two_scale_recursion_first_order():
         for w in mp.weights[:-1]:
             lows.append(lows[-1] + w)
         for c in range(poly.alphabet_size):
-            wj = jet_var(q, 1) * (tj * jet_var(q, 1).reciprocal()) ** ks[c]
+            wj = math.prod([tj / jet_var(q, 1)] * ks[c], start=jet_var(q, 1))
             base = takagi_function(poly, q, 1, lows[c])
             for x in (0.17, 0.5, 0.83):
                 lhs = takagi_function(poly, q, 1, lows[c] + mp.weights[c] * x)
@@ -296,7 +288,7 @@ def test_jet_quotient_is_long_division():
     # quotient does not
     b = Jet((1e-200, 1.0))
     assert (b / b).coeffs == (1.0, 0.0)
-    assert not math.isfinite((b * b.reciprocal()).coeffs[1])
+    assert not math.isfinite((b * (jet_const(1.0, 1) / b)).coeffs[1])
 
 
 def test_takagi_at_tiny_q_is_refused_with_its_cause():
