@@ -260,17 +260,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--m", type=int, default=4)
 
+    depth_help = "most digits a point decodes: each stops at its proven horizon"
     p = command("takagi", _cmd_takagi, "derivative-family curve values on a grid")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--depth", type=int, default=60)
+    p.add_argument("--depth", type=int, default=60, help=depth_help)
 
     p = command("parabola", _cmd_parabola, "large-degree profile against x(1-x)",
                 poly=False)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--depth", type=int, default=60)
+    p.add_argument("--depth", type=int, default=60, help=depth_help)
 
     return parser
 

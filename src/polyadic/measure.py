@@ -128,13 +128,16 @@ def _root(poly: GenPolynomial, q: float) -> tuple[int, int, int, int]:
     raise NoRoot(f"integer Newton for t did not settle at q={q}")
 
 
-def _root_weights(poly: GenPolynomial, q: float) -> list[tuple[int, int]]:
-    """Step weights at the root as integer ratios: q, t and t u^(s-1) for s >= 2."""
+@lru_cache(maxsize=512)
+def _root_weights(poly: GenPolynomial, q: float) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Step weights q, t and t u^(s-1) (s >= 2) at the root, as exact integer ratios
+    rounded once each to floats and to units of 2^-PREC; only the roundings are kept."""
     n, e, c, y = _root(poly, q)
     out = [q.as_integer_ratio(), (n, 1 << e)]
     for _ in range(2, poly.degree + 1):
         out.append((out[-1][0] * n * c, out[-1][1] * y))
-    return out[:poly.degree + 1]
+    out = out[:poly.degree + 1]
+    return tuple(a / b for a, b in out), tuple(_round_div(a << PREC, b) for a, b in out)
 
 
 def weight_residual(poly: GenPolynomial, q: float, t: float) -> float:
@@ -160,7 +163,7 @@ class MeasureParams:
 def measure_params(poly: GenPolynomial, q: float) -> MeasureParams:
     """The measure at q: t and each letter weight rounded once from the exact root."""
     t = solve_t(poly, q)
-    by_step = [num / den for num, den in _root_weights(poly, q)]
+    by_step = _root_weights(poly, q)[0]
     weights = tuple(by_step[s] for s in letter_table(poly).kstep)
     return MeasureParams(poly, q, t, weights, low_sums(weights, 0.0))
 
@@ -190,10 +193,15 @@ def encode_theta(mp: MeasureParams, word) -> float:
     return encode((mp.weights,), (mp.lows,), word)
 
 
-def decode_digits(mp: MeasureParams, x: float, m: int) -> tuple[int, ...]:
-    """First m letters of the coding of x in [0, 1], as ``decode`` reads them."""
+def _check_unit(x) -> None:
+    """Refuse a point outside [0, 1], nan included: the coding's domain."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
+
+
+def decode_digits(mp: MeasureParams, x: float, m: int) -> tuple[int, ...]:
+    """First m letters of the coding of x in [0, 1], as ``decode`` reads them."""
+    _check_unit(x)
     return decode(mp.poly, mp.q, x, m)
 
 
@@ -264,7 +272,7 @@ def fixed_coder(poly: GenPolynomial, q: float) -> tuple[tuple[int, ...], tuple[i
     letter takes the remainder, so the rank-1 intervals tile [0, 1] exactly.
     """
     _check_coder_budget(poly.degree)
-    by_step = [_round_div(num << PREC, den) for num, den in _root_weights(poly, q)]
+    by_step = _root_weights(poly, q)[1]
     weights = [by_step[s] for s in letter_table(poly).kstep]
     weights[-1] = _ONE - sum(weights[:-1])
     if min(weights) <= 0:
@@ -273,22 +281,48 @@ def fixed_coder(poly: GenPolynomial, q: float) -> tuple[tuple[int, ...], tuple[i
     return tuple(weights), low_sums(weights, 0)
 
 
-def decode(poly: GenPolynomial, q: float, x, m: int) -> tuple[int, ...]:
+@lru_cache(maxsize=128)
+def horizon(poly: GenPolynomial, q: float, k: int, depth: int) -> tuple[float, ...]:
+    """``decode``'s width floors for coefficient k at depths D = 1..depth:
+    2^-64 / sum_{i<=k} C(D+i-1, i) (1-w)^i, w the largest letter weight, read
+    from ``fixed_coder`` so that its refusals come first; a sum past float
+    range gives floor 0, which stops no decode."""
+    z, floors = 1.0 - max(fixed_coder(poly, q)[0]) / _ONE, []
+    for d in range(1, depth + 1):
+        terms = accumulate(range(1, k + 1), lambda t, i: t * (d - 1 + i) / i * z, initial=1.0)
+        floors.append(2.0 ** -64 / sum(terms))
+    return tuple(floors)
+
+
+def decode(poly: GenPolynomial, q: float, x, m: int, floors=()) -> tuple[int, ...]:
     """First m letters of the coding of x (a float or a rational).
 
     Points on an interval boundary take the right-hand letter, so a
     stationary number decodes to its finite word padded with the lowest
     letter; x >= 1 takes the top letter at every depth, x <= 0 the lowest.
+
+    With ``horizon``'s floors for coefficient k the word ends at the first
+    depth D where its cylinder's measure P_D is below floor D, or where the
+    remainder is 0: only the lowest letter follows, whose low sums are 0 in
+    every Taylor column.  Past D the digits add at most P_D rho^k sum_{i<=k}
+    C(D+i-1, i) / (1-w)^(k-i+1) to coefficient k, w the largest letter weight
+    and rho the largest |w_j[c] / w_0[c]|^(1/j), 1 <= j <= k, since w_0[c] /
+    (1 - rho e) dominates each weight's series; below the floor that is 2^-64
+    of the bound at D = 0, the scale rho^k / (1-w)^(k+1), so rho cancels.
     """
     weights, lows = fixed_coder(poly, q)
+    float_weights = measure_params(poly, q).weights
     num, den = x.as_integer_ratio()
     y = min(max((num << PREC) // den, 0), _ONE)
-    out = []
-    for _ in range(m):
+    out, width = [], 1.0
+    for floor in floors or repeat(0.0, m):
         c = bisect_right(lows, y) - 1
         out.append(c)
         y = ((y - lows[c]) << PREC) // weights[c]
-    return tuple(out)
+        width *= float_weights[c]
+        if not y or width < floor:
+            break
+    return tuple(out) if floors else tuple(out) + (0,) * (m - len(out))
 
 
 def cylinder(poly: GenPolynomial, q: float, word) -> tuple[Fraction, Fraction]:

@@ -20,8 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapacityError, DivisionByZeroJet, NoRoot
-from .measure import (_weights, _check_coder_budget, cylinder, cylinder_measure,
-                      decode, encode, low_sums, measure_params, solve_t)
+from .measure import (_weights, _check_coder_budget, _check_unit, cylinder,
+                      cylinder_measure, decode, encode, horizon, low_sums,
+                      measure_params, solve_t)
 from .paths import letter_table
 from .poly import GenPolynomial
 
@@ -148,12 +149,14 @@ def _check_depth(depth: int) -> None:
 
 def coding_map(poly: GenPolynomial, q1: float, q2: float, x: float,
                depth: int = 60) -> float:
-    """Decode x to `depth` digits under q1 and re-encode them under q2.
+    """Decode x in [0, 1] to exactly `depth` digits under q1, and re-encode them under q2.
 
     Monotone non-decreasing in x; the identity at q1 = q2 up to the
     truncation tail.  Digits are extracted in fixed point so they stay
-    correct to the full depth.
+    correct to the full depth; no horizon cuts them, so finite differences
+    in q2 check ``takagi_function`` independently.
     """
+    _check_unit(x)
     _check_depth(depth)
     mp2 = measure_params(poly, q2)
     return encode((mp2.weights,), (mp2.lows,), decode(poly, q1, x, depth))
@@ -163,16 +166,16 @@ def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
                     depth: int = 60) -> float:
     """k-th derivative of q2 -> coding_map(q1=q, q2, x) at the diagonal.
 
-    k = 0 is the identity on [0, 1] by convention.
+    k = 0 is the identity on [0, 1] by convention.  `depth` caps the digits:
+    each point stops at its proven horizon (``measure.decode``).
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
+    _check_unit(x)
     _check_depth(depth)
     if k == 0:
         return float(x)
-    digits = decode(poly, q, x, depth)
+    digits = decode(poly, q, x, depth, horizon(poly, q, k, depth))
     c_k = encode(*_letter_jets(poly, q, k), digits)
     try:        # k! c_k formed exactly and rounded once: k! leaves float range at 171
         num, den = c_k.as_integer_ratio()

@@ -1,16 +1,22 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyadic.takagi
 from conftest import classical_takagi, t_prime_closed_form
 from polyadic import (CapacityError, DivisionByZeroJet, GenPolynomial, Jet,
                       MIRROR_SIGN, NoRoot, coding_map, cylinder_measure,
-                      encode_theta, jet_const, jet_var, letter_table,
-                      measure_params, parabola_profile, self_affinity_residual,
-                      t_jet, takagi_function)
-from polyadic.measure import _weights
+                      decode_digits, encode_theta, jet_const, jet_var,
+                      letter_table, measure_params, parabola_profile,
+                      self_affinity_residual, t_jet, takagi_function)
+from polyadic.cli import main
+from polyadic.measure import (_root, _root_weights, _weights, decode, encode,
+                              fixed_coder, horizon)
+from polyadic.takagi import _letter_jets
 
 P11 = GenPolynomial((1, 1))
 P111 = GenPolynomial((1, 1, 1))
@@ -318,3 +324,104 @@ def test_takagi_domain_checks():
         takagi_function(P11, 0.5, -1, 0.5)
     with pytest.raises(ValueError):
         takagi_function(P11, 0.5, 1, 1.5)
+
+
+@pytest.mark.parametrize("x", [1.5, -0.25, math.nan, math.inf])
+def test_every_coding_entry_point_refuses_a_point_outside_the_unit_interval(x):
+    # coding_map once clamped 1.5 to 1.0 and -0.25 to 0.0, and overflowed at inf
+    calls = [lambda: coding_map(P11, 0.5, 0.4, x),
+             lambda: takagi_function(P11, 0.5, 1, x),
+             lambda: decode_digits(measure_params(P11, 0.5), x, 5)]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^x={x} outside \[0, 1\]$"):
+            call()
+
+
+def test_a_cold_takagi_op_forms_the_root_weights_once(capsys):
+    for cached in (_root, _root_weights, measure_params, fixed_coder, horizon,
+                   _letter_jets):
+        cached.cache_clear()
+    assert main(["takagi", "--poly", "1,1,2", "--q", "0.2187", "--grid", "8"]) == 0
+    # read for the coder's integers and for the floats that measure the width
+    assert _root_weights.cache_info()[:2] == (1, 1)       # (hits, misses)
+    assert _root.cache_info().misses == 1
+
+
+# -- the digit horizon ---------------------------------------------------------
+
+
+def _full_depth(poly, q, k, x, depth=60):
+    """k! times coefficient k of the coding of all `depth` digits, as takagi_function rounds it."""
+    num, den = encode(*_letter_jets(poly, q, k), decode(poly, q, x, depth)).as_integer_ratio()
+    return math.factorial(k) * num / den
+
+
+def _tail_bound(poly, q, k, digits):
+    """decode's bound on what the digits past `digits` add to coefficient k, and
+    the coefficient's scale, with the width P_D, rho and w read from the letter
+    weights' Taylor columns."""
+    cols = _letter_jets(poly, q, k)[0]
+    w0 = cols[0]
+    rho = max(abs(cols[j][c] / w0[c]) ** (1 / j)
+              for c in range(len(w0)) for j in range(1, k + 1))
+    w, d = max(w0), len(digits)
+    width = math.prod(w0[c] for c in digits)
+    bound = width * rho ** k * sum(math.comb(d + i - 1, i) / (1 - w) ** (k - i + 1)
+                                   for i in range(k + 1))
+    return bound, rho ** k / (1 - w) ** (k + 1)
+
+
+HORIZON_SYSTEMS = [(1, 1), (1, 1, 2), (2, 1, 1), (1, 1, 3), (1, 1, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.sampled_from(HORIZON_SYSTEMS), frac=st.floats(0.15, 0.85),
+       k=st.integers(1, 3),
+       x=st.one_of(st.floats(0.0, 1.0), st.integers(0, 256).map(lambda i: i / 256)))
+def test_the_horizon_moves_a_value_by_at_most_its_stated_bound(coeffs, frac, k, x):
+    poly = GenPolynomial(coeffs)
+    q = frac / coeffs[0]
+    wcols, lcols = _letter_jets(poly, q, k)
+    full = decode(poly, q, x, 60)
+    short = decode(poly, q, x, 60, horizon(poly, q, k, 60))
+    assert full[:len(short)] == short
+    bound, scale = _tail_bound(poly, q, k, short)
+    # the word ends at the first depth where the bound is 2^-64 of the scale,
+    # or where only the lowest letter follows
+    if len(short) < 60 and any(full[len(short):]):
+        assert bound <= 2.0 ** -64 * scale * (1 + 1e-6)
+    if len(short) > 1:
+        assert _tail_bound(poly, q, k, short[:-1])[0] > 2.0 ** -64 * scale * (1 - 1e-6)
+    # the digits left out, in exact arithmetic on the same columns
+    exact = [tuple(map(Fraction, col)) for col in wcols], [
+        tuple(map(Fraction, col)) for col in lcols]
+    tail = encode(*exact, full) - encode(*exact, short)
+    assert abs(tail) <= bound * (1 + 1e-9)
+    # in floats, beside the passes' rounding: 2^-40 of the Horner over
+    # magnitudes, which bounds every term
+    mags = [tuple(map(abs, col)) for col in wcols], [tuple(map(abs, col)) for col in lcols]
+    slack = 2.0 ** -40 * encode(*mags, full)
+    value = takagi_function(poly, q, k, x)
+    assert abs(value - _full_depth(poly, q, k, x)) <= math.factorial(k) * (bound + slack)
+
+
+def test_the_horizon_keeps_the_classical_grid_and_the_parabola_bit_for_bit():
+    for i in range(257):
+        assert takagi_function(P11, 0.5, 1, i / 256) == _full_depth(P11, 0.5, 1, i / 256)
+    poly = GenPolynomial((1,) * 33)
+    for x, value, _, _ in parabola_profile(32, 264):
+        assert value == MIRROR_SIGN * _full_depth(poly, 1 / 33, 1, x) / 33
+
+
+def test_the_top_point_of_the_two_letter_system_decodes_every_digit():
+    # w = 1/2: the width 2^-D passes the floor only past D = 60
+    assert decode(P11, 0.5, 1.0, 60, horizon(P11, 0.5, 1, 60)) == (1,) * 60
+
+
+def test_a_zero_remainder_ends_the_word_and_moves_no_bit():
+    # every weight of (1,1,2) at q = 1/4 is 1/4: i/256 is a word of 4 letters
+    for k in (1, 3):
+        floors = horizon(P112, 0.25, k, 60)
+        for i in range(256):
+            assert len(decode(P112, 0.25, i / 256, 60, floors)) <= 4
+            assert takagi_function(P112, 0.25, k, i / 256) == _full_depth(P112, 0.25, k, i / 256)
