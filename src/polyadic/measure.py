@@ -282,15 +282,21 @@ def fixed_coder(poly: GenPolynomial, q: float) -> tuple[tuple[int, ...], tuple[i
 
 
 @lru_cache(maxsize=128)
-def horizon(poly: GenPolynomial, q: float, k: int, depth: int) -> tuple[float, ...]:
-    """``decode``'s width floors for coefficient k at depths D = 1..depth:
-    2^-64 / sum_{i<=k} C(D+i-1, i) (1-w)^i, w the largest letter weight, read
-    from ``fixed_coder`` so that its refusals come first; a sum past float
-    range gives floor 0, which stops no decode."""
-    z, floors = 1.0 - max(fixed_coder(poly, q)[0]) / _ONE, []
+def digit_horizon(poly: GenPolynomial, q: float, k: int, depth: int) -> tuple[float, ...]:
+    """``decode``'s width floors for coefficient k at depths D = 1, 2, ...: 2^-64 /
+    sum_{i<=k} C(D+i-1, i) (1-w)^i, w the largest letter weight, up to `depth` or
+    to where w^D, so every word's width, is below the floor (a floor 0, past float
+    range, stops nothing).  ``fixed_coder`` is read first: its refusals come first."""
+    fixed_coder(poly, q)
+    w = max(measure_params(poly, q).weights)
+    floors, top = [], 1.0
     for d in range(1, depth + 1):
-        terms = accumulate(range(1, k + 1), lambda t, i: t * (d - 1 + i) / i * z, initial=1.0)
+        terms = accumulate(range(1, k + 1), lambda t, i: t * (d - 1 + i) / i * (1 - w),
+                           initial=1.0)
         floors.append(2.0 ** -64 / sum(terms))
+        top *= w
+        if top < floors[-1]:
+            break
     return tuple(floors)
 
 
@@ -301,10 +307,10 @@ def decode(poly: GenPolynomial, q: float, x, m: int, floors=()) -> tuple[int, ..
     stationary number decodes to its finite word padded with the lowest
     letter; x >= 1 takes the top letter at every depth, x <= 0 the lowest.
 
-    With ``horizon``'s floors for coefficient k the word ends at the first
-    depth D where its cylinder's measure P_D is below floor D, or where the
-    remainder is 0: only the lowest letter follows, whose low sums are 0 in
-    every Taylor column.  Past D the digits add at most P_D rho^k sum_{i<=k}
+    With ``digit_horizon``'s floors for coefficient k the word ends at the
+    first depth D where its cylinder's measure P_D is below floor D, or where
+    the remainder is 0: only the lowest letter follows, whose low sums are 0
+    in every Taylor column.  Past D the digits add at most P_D rho^k sum_{i<=k}
     C(D+i-1, i) / (1-w)^(k-i+1) to coefficient k, w the largest letter weight
     and rho the largest |w_j[c] / w_0[c]|^(1/j), 1 <= j <= k, since w_0[c] /
     (1 - rho e) dominates each weight's series; below the floor that is 2^-64

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import CapacityError, DivisionByZeroJet, NoRoot
 from .measure import (_weights, _check_coder_budget, _check_unit, cylinder,
-                      cylinder_measure, decode, encode, horizon, low_sums,
+                      cylinder_measure, decode, digit_horizon, encode, low_sums,
                       measure_params, solve_t)
 from .paths import letter_table
 from .poly import GenPolynomial
@@ -175,7 +175,7 @@ def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
     _check_depth(depth)
     if k == 0:
         return float(x)
-    digits = decode(poly, q, x, depth, horizon(poly, q, k, depth))
+    digits = decode(poly, q, x, depth, digit_horizon(poly, q, k, depth))
     c_k = encode(*_letter_jets(poly, q, k), digits)
     try:        # k! c_k formed exactly and rounded once: k! leaves float range at 171
         num, den = c_k.as_integer_ratio()

@@ -15,7 +15,7 @@ from polyadic import (CapacityError, DivisionByZeroJet, GenPolynomial, Jet,
                       self_affinity_residual, t_jet, takagi_function)
 from polyadic.cli import main
 from polyadic.measure import (_root, _root_weights, _weights, decode, encode,
-                              fixed_coder, horizon)
+                              fixed_coder, digit_horizon)
 from polyadic.takagi import _letter_jets
 
 P11 = GenPolynomial((1, 1))
@@ -338,8 +338,8 @@ def test_every_coding_entry_point_refuses_a_point_outside_the_unit_interval(x):
 
 
 def test_a_cold_takagi_op_forms_the_root_weights_once(capsys):
-    for cached in (_root, _root_weights, measure_params, fixed_coder, horizon,
-                   _letter_jets):
+    for cached in (_root, _root_weights, measure_params, fixed_coder,
+                   digit_horizon, _letter_jets):
         cached.cache_clear()
     assert main(["takagi", "--poly", "1,1,2", "--q", "0.2187", "--grid", "8"]) == 0
     # read for the coder's integers and for the floats that measure the width
@@ -351,7 +351,8 @@ def test_a_cold_takagi_op_forms_the_root_weights_once(capsys):
 
 
 def _full_depth(poly, q, k, x, depth=60):
-    """k! times coefficient k of the coding of all `depth` digits, as takagi_function rounds it."""
+    """k! times coefficient k of the coding of all `depth` digits, rounded as
+    takagi_function rounds it."""
     num, den = encode(*_letter_jets(poly, q, k), decode(poly, q, x, depth)).as_integer_ratio()
     return math.factorial(k) * num / den
 
@@ -383,7 +384,7 @@ def test_the_horizon_moves_a_value_by_at_most_its_stated_bound(coeffs, frac, k, 
     q = frac / coeffs[0]
     wcols, lcols = _letter_jets(poly, q, k)
     full = decode(poly, q, x, 60)
-    short = decode(poly, q, x, 60, horizon(poly, q, k, 60))
+    short = decode(poly, q, x, 60, digit_horizon(poly, q, k, 60))
     assert full[:len(short)] == short
     bound, scale = _tail_bound(poly, q, k, short)
     # the word ends at the first depth where the bound is 2^-64 of the scale,
@@ -415,13 +416,13 @@ def test_the_horizon_keeps_the_classical_grid_and_the_parabola_bit_for_bit():
 
 def test_the_top_point_of_the_two_letter_system_decodes_every_digit():
     # w = 1/2: the width 2^-D passes the floor only past D = 60
-    assert decode(P11, 0.5, 1.0, 60, horizon(P11, 0.5, 1, 60)) == (1,) * 60
+    assert decode(P11, 0.5, 1.0, 60, digit_horizon(P11, 0.5, 1, 60)) == (1,) * 60
 
 
 def test_a_zero_remainder_ends_the_word_and_moves_no_bit():
     # every weight of (1,1,2) at q = 1/4 is 1/4: i/256 is a word of 4 letters
     for k in (1, 3):
-        floors = horizon(P112, 0.25, k, 60)
+        floors = digit_horizon(P112, 0.25, k, 60)
         for i in range(256):
             assert len(decode(P112, 0.25, i / 256, 60, floors)) <= 4
             assert takagi_function(P112, 0.25, k, i / 256) == _full_depth(P112, 0.25, k, i / 256)
