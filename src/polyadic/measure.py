@@ -76,9 +76,11 @@ def _round_div(a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=512)
-def _root(poly: GenPolynomial, q: float) -> tuple[int, int, int, int]:
-    """Root t of the weight equation as (n, e, c, y): t = n / 2^e to 2 PREC
-    significant bits, rounded to nearest, and u = t/q = n c / y.
+def _root(poly: GenPolynomial, q: float) -> tuple[int, int, tuple[float, ...], tuple[int, ...]]:
+    """Root t of the weight equation as (n, e, floats, fixed): t = n / 2^e to 2 PREC
+    significant bits, rounded to nearest, and the step weights q, t and t u^(s-1)
+    (s >= 2) there, exact integer ratios rounded once each to floats and to units
+    of 2^-PREC; only the roundings are kept.
 
     The weight sum is increasing and convex in t and is a_0 q < 1 at t = 0,
     so float Newton from where the top step alone weighs 1 falls to the root.
@@ -93,7 +95,7 @@ def _root(poly: GenPolynomial, q: float) -> tuple[int, int, int, int]:
         if abs(a[0] * q - 1.0) > 1e-9:
             raise NoRoot(f"degree-0 system requires q = 1/{a[0]}")
         n, den = q.as_integer_ratio()
-        return n, den.bit_length() - 1, 1, 1
+        return n, den.bit_length() - 1, (q,), (_round_div(n << PREC, den),)
     if not 0.0 < q < 1.0 / a[0]:
         raise NoRoot(f"q={q} outside (0, 1/{a[0]})")
     qn, qd = q.as_integer_ratio()
@@ -123,21 +125,14 @@ def _root(poly: GenPolynomial, q: float) -> tuple[int, int, int, int]:
         n -= step
         t = n / (1 << e)
         if bits == 2 * PREC and abs(step) <= 1 and e == bits - math.frexp(t)[1]:
-            return n, e, c, y
+            break
         bits = min(2 * bits, 2 * PREC)
-    raise NoRoot(f"integer Newton for t did not settle at q={q}")
-
-
-@lru_cache(maxsize=512)
-def _root_weights(poly: GenPolynomial, q: float) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Step weights q, t and t u^(s-1) (s >= 2) at the root, as exact integer ratios
-    rounded once each to floats and to units of 2^-PREC; only the roundings are kept."""
-    n, e, c, y = _root(poly, q)
-    out = [q.as_integer_ratio(), (n, 1 << e)]
-    for _ in range(2, poly.degree + 1):
+    else:
+        raise NoRoot(f"integer Newton for t did not settle at q={q}")
+    out = [(qn, qd), (n, 1 << e)]
+    for _ in range(2, d + 1):
         out.append((out[-1][0] * n * c, out[-1][1] * y))
-    out = out[:poly.degree + 1]
-    return tuple(a / b for a, b in out), tuple(_round_div(a << PREC, b) for a, b in out)
+    return n, e, tuple(x / y for x, y in out), tuple(_round_div(x << PREC, y) for x, y in out)
 
 
 def weight_residual(poly: GenPolynomial, q: float, t: float) -> float:
@@ -163,7 +158,7 @@ class MeasureParams:
 def measure_params(poly: GenPolynomial, q: float) -> MeasureParams:
     """The measure at q: t and each letter weight rounded once from the exact root."""
     t = solve_t(poly, q)
-    by_step = _root_weights(poly, q)[0]
+    by_step = _root(poly, q)[2]
     weights = tuple(by_step[s] for s in letter_table(poly).kstep)
     return MeasureParams(poly, q, t, weights, low_sums(weights, 0.0))
 
@@ -272,7 +267,7 @@ def fixed_coder(poly: GenPolynomial, q: float) -> tuple[tuple[int, ...], tuple[i
     letter takes the remainder, so the rank-1 intervals tile [0, 1] exactly.
     """
     _check_coder_budget(poly.degree)
-    by_step = _root_weights(poly, q)[1]
+    by_step = _root(poly, q)[3]
     weights = [by_step[s] for s in letter_table(poly).kstep]
     weights[-1] = _ONE - sum(weights[:-1])
     if min(weights) <= 0:

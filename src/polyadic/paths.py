@@ -104,11 +104,9 @@ def unrank(n: int, kap: int, index: int,
 
     Step group s holds a_s blocks of C(level-1, kap-s) words; the walk reads
     them group by group, from step d down, only up to the index's group.  It
-    reads ``dim`` only at vertices on the word's path down from (n, kap), all
-    in the cone ``VertexCone(poly, n, kap)``, and level by level from n down,
-    at most d left of the walk's vertex, which ``VertexDescent(poly, n, kap)``
-    holds; the source must hold levels 0 to n, which a ``PathColumn`` (its
-    last few levels only) does not.
+    reads ``dim`` level by level from n down, at most d left of the vertex of
+    the word's path there: the cone or the descent at (n, kap) holds those
+    reads, a ``PathColumn`` (its last few levels only) does not.
     """
     lt = letter_table(table.poly)
     a, d = lt.poly.coeffs, lt.poly.degree

@@ -15,13 +15,14 @@ from it, and ``vertex_source`` picks the one that builds fewer entries.
 Each ``dim`` raises ValueError at a negative level, is zero for k outside
 [0, n*d], and in a stand-in raises KeyError where no entry is held.
 ``DimTable`` and ``PathColumn`` build a level from the one below with the
-one level builder, ``_next_level``.  A column keeps a level as a
-``(lo, list)`` run, built narrow, only as far from the path as a prefix
-walk reads, and widened sideways by the row recurrence ``_next_level`` ends
-its windows with (``_sideways``) on the first read past that.  A cone band
-is a packed one-integer convolution.  A descent builds a level from the one
-above by a Bezout identity of p and p', solved once per polynomial, and
-widens it by ``_sideways``; p must have no repeated root.  Every build is
+one level builder, ``_next_level``; a descent builds it from the one above
+by a Bezout identity of p and p', solved once per polynomial, so p must
+have no repeated root.  Column and descent share one level store,
+``_LevelStore``: a level is a ``(lo, list)`` run anchored at one vertex,
+built narrow, answering reads within a fixed reach of its anchor, and
+widened sideways to that reach by the row recurrence ``_next_level`` ends
+its windows with (``_sideways``) on the first read the run lacks.  A cone
+band is a packed one-integer convolution.  Every build is
 counted before it starts, and refused past the budgets, by one gate,
 ``_admit``.
 """
@@ -178,69 +179,91 @@ class DimTable:
         return row[k] if 0 <= k < len(row) else 0
 
 
-class PathColumn:
+class _LevelStore:
+    """Levels held as runs ``_rows[n] = (lo, vals)``, vals = C(n, lo..), each
+    answering reads within ``_reach`` of its anchor vertex ``_anchor[n]``.
+
+    ``dim`` is zero for k outside [0, n*d] and refuses a negative level as in
+    DimTable.  A level that is not held goes to the subclass's ``_build``,
+    which builds it, anchor and run, or raises KeyError; a read more than
+    ``_reach`` from the anchor raises KeyError; a read within reach that the
+    run lacks widens the run to the whole reach by ``_sideways``.
+    """
+
+    def __init__(self, poly: GenPolynomial, reach: int):
+        self.poly, self._d, self._reach = poly, poly.degree, reach
+        self._rows: dict[int, tuple[int, list[int]]] = {}
+        self._anchor: dict[int, int] = {}
+
+    def dim(self, n: int, k: int) -> int:
+        """C(n, k); zero for k outside [0, n*d]."""
+        if n < 0:
+            raise ValueError(f"level {n} is negative")
+        if not 0 <= k <= n * self._d:
+            return 0
+        run = self._rows.get(n)
+        if run is None:
+            run = self._build(n, k)
+        kap = self._anchor[n]
+        if abs(k - kap) > self._reach:
+            raise KeyError((n, k))
+        lo, vals = run
+        if not lo <= k < lo + len(vals):
+            lo, vals = self._cover(n, kap - self._reach, kap + self._reach)
+        return vals[k - lo]
+
+    def _cover(self, n: int, lo: int, hi: int) -> tuple[int, list[int]]:
+        """Level n's run, widened by ``_sideways`` to hold [lo, hi] within the row."""
+        start, vals = self._rows[n]
+        lo, hi = max(lo, 0), min(hi, n * self._d)
+        if lo < start or hi >= start + len(vals):
+            vals = _sideways(self.poly.coeffs, n, start, vals, min(lo, start), hi)
+            start = min(lo, start)
+            self._rows[n] = start, vals
+        return start, vals
+
+
+class PathColumn(_LevelStore):
     """Exact C(n, k) near one path's vertices: a read-only stand-in for DimTable.
 
     ``steps`` yields the vertex step of the path's letters 1, 2, ...; level n
-    is built the first time ``dim`` asks for it and pulls the n-th step.
-    ``dim(n, k)`` holds for |k - kappa_n| <= w, w = max(depth, 1)*d and
-    kappa_n the path's vertex at level n, on the last depth + 1 levels
-    built: a prefix walk reads level n - 1 within d of the path, a reader of
-    depth m level n - j within j*d <= m*d.  ``dim`` is zero for k outside
-    [0, n*d] and refuses a negative level as in DimTable, and every other
-    read raises KeyError.  A level is a run ``(lo, vals)`` from C(n, lo) on,
-    built narrow, within d of the path, from the level below by
+    is built the first time ``dim`` asks for it and pulls the n-th step, and
+    is anchored at the path's vertex kappa_n.  The reach is w = max(depth, 1)*d,
+    on the last depth + 1 levels built: a prefix walk reads level n - 1
+    within d of the path, a reader of depth m level n - j within j*d <= m*d.
+    A level is built narrow, within d of the path, from the level below by
     ``_next_level``: 2d + 1 entries and O(d^2) big-integer products a level
-    at any depth.  The first ``dim`` read past that widens the level to w by
-    ``_sideways``, which replaces the run; a prefix walk never does.
+    at any depth, which a prefix walk never widens.
     """
 
     def __init__(self, poly: GenPolynomial, steps, depth: int = 0):
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        self.poly = poly
+        super().__init__(poly, max(depth, 1) * poly.degree)
         self._steps = iter(steps)
-        self._reach = max(depth, 1) * poly.degree
         self._keep = depth + 1
-        self._rows: dict[int, tuple[int, list[int]]] = {0: (0, [1])}
-        self._kaps: dict[int, int] = {0: 0}
+        self._rows[0], self._anchor[0] = (0, [1]), 0
         self._n = 0
 
-    def dim(self, n: int, k: int) -> int:
-        """C(n, k); zero for k outside [0, n*d]."""
+    def _build(self, n: int, k: int) -> tuple[int, list[int]]:
+        """Build levels newest + 1 to n narrow, each from the run below it."""
+        a, d = self.poly.coeffs, self._d
+        if n <= self._n:
+            raise KeyError((n, k))          # dropped
         while self._n < n:
-            self._grow()
-        try:
-            lo, vals = self._rows[n]
-        except KeyError:
-            if n < 0:
-                raise ValueError(f"level {n} is negative") from None
-            raise
-        if lo <= k < lo + len(vals):
-            return vals[k - lo]
-        kap, top = self._kaps[n], n * self.poly.degree
-        if not 0 <= k <= top:
-            return 0
-        lo_w, hi_w = max(kap - self._reach, 0), min(kap + self._reach, top)
-        if not lo_w <= k <= hi_w:
-            raise KeyError((n, k))
-        # k is within reach but not held: the level is still narrow
-        vals = _sideways(self.poly.coeffs, n, lo, vals, lo_w, hi_w)
-        self._rows[n] = lo_w, vals
-        return vals[k - lo_w]
-
-    def _grow(self) -> None:
-        """Build level n = newest + 1 narrow, from level n - 1's run."""
-        a, d = self.poly.coeffs, self.poly.degree
-        n = self._n + 1
-        prev_lo, prev = self._rows[n - 1]
-        kap = self._kaps[n - 1] + next(self._steps)
-        lo, hi = max(kap - d, 0), min(kap + d, n * d)
-        self._rows[n] = lo, _next_level(a, n, prev_lo, prev, lo, hi)
-        self._kaps[n] = kap
-        self._rows.pop(n - self._keep, None)
-        self._kaps.pop(n - self._keep, None)
-        self._n = n
+            m = self._n + 1
+            step = next(self._steps, None)
+            if step is None:
+                raise KeyError((n, k))      # the path ends below level n
+            prev_lo, prev = self._rows[m - 1]
+            kap = self._anchor[m - 1] + step
+            lo, hi = max(kap - d, 0), min(kap + d, m * d)
+            self._rows[m] = lo, _next_level(a, m, prev_lo, prev, lo, hi)
+            self._anchor[m] = kap
+            self._rows.pop(m - self._keep, None)
+            self._anchor.pop(m - self._keep, None)
+            self._n = m
+        return self._rows[n]
 
 
 def _table_entries(d: int, n: int) -> int:
@@ -420,7 +443,7 @@ def _bezout(a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int] 
     return tuple(u // g for u in y[:d - 1]), tuple(v // g for v in y[d - 1:]), prev // g
 
 
-class VertexDescent:
+class VertexDescent(_LevelStore):
     """Exact C(L, k) along the walk down from one vertex: a read-only stand-in for DimTable.
 
     Where gcd(p, p') = 1, ``_bezout`` gives U p + V p' = D, so
@@ -428,28 +451,23 @@ class VertexDescent:
         D L C(L-1, k) = L sum_i U_i C(L, k-i) + sum_i V_i (k-i+1) C(L, k-i+1):
     level L - 1 from level L on [k-d+2, k+1] alone, the division exact.
     Level n is built first, by ``_sideways`` from its nearer row end (the top
-    end through the reversed coefficients, C_p(n, k) = C_rev(p)(n, n*d - k)).
-    Each level below is built on its first read in the row, where the walk
-    enters it: d seeds by the identity at the entry point of the level above,
-    widened by ``_sideways`` to [e-d+2, e+d] about its own entry point e,
-    which holds the walk's reads there and the next level's seeds' reads.
-    Level n is entered at kap.  A level answers reads within d of where it
-    was entered, and the level below it may be entered within d to its
-    left: unranking reads C(L-1, kap_L - s) for s = d..0, entering level
-    L - 1 at max(0, kap_L - d), kap_L one of level L's reads.  Only the
-    newest level is held: level n, with its run to the nearer row end, and
-    then at most 3d + 1 entries a level, each level dropped once the one
-    below it is built.  ``dim`` is
-    zero for k outside [0, L*d] and refuses a negative level as in DimTable,
-    and every other read raises KeyError.  For kap outside [0, n*d] the
-    descent is empty.  Its entries and bits pass ``_admit`` before any is
-    built.  A p with a repeated root has no descent: ValueError.
+    end through the reversed coefficients, C_p(n, k) = C_rev(p)(n, n*d - k)),
+    and anchored at kap.  The reach is d.  Level L - 1 is built on its first
+    read e within d left of level L's anchor, and anchored there: d seeds by
+    the identity at level L's anchor, widened to [e-d+2, e+d], which holds
+    the walk's reads there and the next level's seeds' reads.  Unranking
+    reads C(L-1, kap_L - s) for s = d..0, so it enters level L - 1 at
+    max(0, kap_L - d), kap_L one of level L's reads.  Only the newest level
+    is held: level n, with its run to the nearer row end, and then at most
+    3d + 1 entries a level.  For kap outside [0, n*d] the descent is empty.
+    Its entries and bits pass ``_admit`` before any is built.  A p with a
+    repeated root has no descent: ValueError.
     """
 
     def __init__(self, poly: GenPolynomial, n: int, kap: int):
         if n < 0:
             raise ValueError(f"level {n} is negative")
-        self.poly = poly
+        super().__init__(poly, poly.degree)
         identity = _bezout(poly.coeffs)
         if identity is None:
             raise ValueError(f"{poly} has a repeated root: no descent")
@@ -459,9 +477,8 @@ class VertexDescent:
         self._stencil = [(r, U[r] if 0 <= r < len(U) else 0, V[r + 1] if r + 1 < len(V) else 0)
                          for r in range(-1 if V else 0, max(len(U), len(V) - 1))]
         self._low = n
-        self._rows: dict[int, tuple[int, list[int]]] = {}
-        self._entered = {n: kap}
-        a, d = self._a, self._d = poly.coeffs, poly.degree
+        self._anchor[n] = kap
+        a, d = poly.coeffs, poly.degree
         top = n * d
         if not 0 <= kap <= top:
             return
@@ -473,32 +490,15 @@ class VertexDescent:
             lo = max(kap - d, 0)
             self._rows[n] = lo, _sideways(a[::-1], n, 0, [a[d] ** n], 0, top - lo)[::-1]
 
-    def dim(self, n: int, k: int) -> int:
-        """C(n, k); zero for k outside [0, n*d]."""
-        if n < 0:
-            raise ValueError(f"level {n} is negative")
-        d = self._d
-        if not 0 <= k <= n * d:
-            return 0
-        if n == self._low - 1:
-            self._enter(n, k)
-        lo, vals = self._rows[n]
-        if abs(k - self._entered[n]) > d:
-            raise KeyError((n, k))
-        if not lo <= k < lo + len(vals):
-            lo, vals = self._cover(n, k, k)
-        return vals[k - lo]
-
-    def _enter(self, m: int, e: int) -> None:
+    def _build(self, m: int, e: int) -> tuple[int, list[int]]:
         """Build level m, one below the newest, entered at e."""
-        a, d = self._a, self._d
+        a, d = self.poly.coeffs, self._d
         L, top = m + 1, m * d
-        above = self._entered[L]
-        if not 0 <= above - e <= d:
+        if m != self._low - 1 or not 0 <= self._anchor[L] - e <= d:
             raise KeyError((m, e))
         # d seeds from s on in the row (one where d = 0), as near the entry
         # point above as that allows; they read level L on [s-d+2, s+d]
-        s = max(0, min(above, top + 1 - max(d, 1)))
+        s = max(0, min(self._anchor[L], top + 1 - max(d, 1)))
         count = min(max(d, 1), top + 1 - s)
         lo, vals = self._rows[L]
         if s - d + 2 < lo or s + count >= lo + len(vals):
@@ -511,20 +511,11 @@ class VertexDescent:
                     num += (L * u + (k - r) * v) * vals[k - r - lo]
             seeds.append(num // DL)
         lo = min(s, max(e - d + 2, 0))
-        self._rows[m] = lo, _sideways(a, m, s, seeds, lo, min(e + d, top))
-        self._entered[m] = e
-        del self._rows[L], self._entered[L]
+        self._rows[m] = run = lo, _sideways(a, m, s, seeds, lo, min(e + d, top))
+        self._anchor[m] = e
+        del self._rows[L], self._anchor[L]
         self._low = m
-
-    def _cover(self, n: int, lo: int, hi: int) -> tuple[int, list[int]]:
-        """Level n's run, widened by ``_sideways`` to hold [lo, hi] within the row."""
-        start, vals = self._rows[n]
-        lo, hi = max(lo, 0), min(hi, n * self._d)
-        if lo < start or hi >= start + len(vals):
-            vals = _sideways(self._a, n, start, vals, min(lo, start), hi)
-            start = min(lo, start)
-            self._rows[n] = start, vals
-        return start, vals
+        return run
 
 
 def _vertex_plan(poly: GenPolynomial, n: int, kap: int) -> tuple[type, int]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly_power_row, poly_power_rows
-from polyadic import CapacityError, DimTable, GenPolynomial, letter_table, poly
+from polyadic import CapacityError, DimTable, GenPolynomial, letter_table, poly, prefix_walk
 from polyadic.measure import fixed_coder
 from polyadic.poly import (_BIT_BUDGET, PathColumn, VertexCone, VertexDescent, _cone_bits,
                            _cone_entries, _descent_entries, _table_entries)
@@ -352,6 +352,20 @@ def test_path_column_widens_only_the_levels_read_wide(coeffs, depth, data):
 def test_path_column_rejects_negative_depth():
     with pytest.raises(ValueError):
         PathColumn(GenPolynomial((1, 1)), [], -1)
+
+
+def test_a_column_past_the_end_of_its_steps_holds_no_level():
+    # a level above the last step is not held: KeyError, not a StopIteration
+    # that a generator reading the column would turn into a RuntimeError
+    p11 = GenPolynomial((1, 1))
+    with pytest.raises(KeyError) as caught:
+        PathColumn(p11, [0, 1]).dim(5, 0)
+    assert caught.value.args == ((5, 0),)
+    column = PathColumn(p11, [0, 1])
+    with pytest.raises(KeyError) as caught:
+        list(prefix_walk((0, 1, 1, 0), column))
+    assert caught.value.args == ((3, 1),)
+    assert column.dim(2, 1) == 2        # the levels the steps reach stay
 
 
 @settings(max_examples=120, deadline=None)
