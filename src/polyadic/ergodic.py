@@ -25,9 +25,7 @@ from itertools import accumulate, product
 from .errors import CapacityError, DegenerateCurve, NoConvergence
 from .paths import (kappa, letter_table, minimal_word, path_column, prefix_walk,
                     unrank, word_from_string, word_to_string)
-from .poly import DimTable, GenPolynomial, PathColumn
-
-_GRID_BUDGET = 2_000_000
+from .poly import _WORD_BUDGET, DimTable, GenPolynomial, PathColumn
 
 
 class CylFunction:
@@ -68,7 +66,7 @@ class CylFunction:
     def from_table(cls, poly: GenPolynomial, N: int, fn) -> "CylFunction":
         """Tabulate a callable on all words of length N."""
         r = poly.alphabet_size
-        if r ** N > _GRID_BUDGET:
+        if r ** N > _WORD_BUDGET:
             raise CapacityError(f"{r}^{N} words exceed tabulation budget")
         return cls(N, {w: fn(w) for w in product(range(r), repeat=N)})
 
@@ -155,7 +153,7 @@ def _top_blocks(n: int, kap: int, m: int, table: DimTable | PathColumn):
     """
     poly = table.poly
     r, d = poly.alphabet_size, poly.degree
-    if r ** m > _GRID_BUDGET:
+    if r ** m > _WORD_BUDGET:
         raise CapacityError(f"{r}^{m} top words exceed grid budget")
     ks = letter_table(poly).kstep
     kbs = [kap] if 0 <= kap <= n * d else []

@@ -27,10 +27,8 @@ from functools import lru_cache
 from itertools import accumulate, islice, product, repeat
 
 from .errors import CapacityError, NoRoot
-from .paths import letter_table
-from .poly import _BIT_BUDGET, GenPolynomial
-
-_STATIONARY_BUDGET = 2_000_000
+from .paths import _check_letters, letter_table
+from .poly import _BIT_BUDGET, _WORD_BUDGET, GenPolynomial
 
 # Fractional bits of the fixed-point coder (50 decimal digits are 166 bits).
 # After k letters the decoder's remainder is off by about 2^-PREC over the
@@ -165,6 +163,7 @@ def measure_params(poly: GenPolynomial, q: float) -> MeasureParams:
 
 def cylinder_measure(mp: MeasureParams, word) -> float:
     """Product of letter weights: q^n (t/q)^kappa, a function of (n, kappa)."""
+    _check_letters(word, len(mp.weights))
     out = 1.0
     for c in word:
         out *= mp.weights[c]
@@ -185,6 +184,7 @@ def letter_stream(mp: MeasureParams, seed: int):
 
 def encode_theta(mp: MeasureParams, word) -> float:
     """Left endpoint in [0, 1] of the word's nested coding interval."""
+    _check_letters(word, len(mp.weights))
     return encode((mp.weights,), (mp.lows,), word)
 
 
@@ -205,7 +205,7 @@ def stationary_points(mp: MeasureParams, m: int) -> list[float]:
     if m < 0:
         raise ValueError(f"depth {m} is negative")
     r = len(mp.weights)
-    if r ** m > _STATIONARY_BUDGET:
+    if r ** m > _WORD_BUDGET:
         raise CapacityError(f"{r}^{m} stationary points exceed budget")
     return sorted({encode_theta(mp, w) for w in product(range(r), repeat=m)})
 

@@ -48,9 +48,17 @@ def letter_table(poly: GenPolynomial) -> LetterTable:
     return LetterTable(poly, kstep, first, last)
 
 
+def _check_letters(letters, r: int) -> None:
+    """Refuse, with ValueError, a letter outside the alphabet 0..r-1."""
+    if (labels := set(letters)) and (min(labels) < 0 or max(labels) >= r):
+        c = next(c for c in letters if not 0 <= c < r)
+        raise ValueError(f"letter {c} outside the alphabet 0..{r - 1}")
+
+
 def kappa(word, poly: GenPolynomial) -> int:
     """Vertex index reached by the word: sum of letter steps."""
     ks = letter_table(poly).kstep
+    _check_letters(word, len(ks))
     return sum(ks[c] for c in word)
 
 
@@ -226,7 +234,7 @@ def prefix_walk(x, table: DimTable | PathColumn, n_max: int | None = None):
     """
     x = _as_prefix(x)
     lt = letter_table(table.poly)
-    a, d = table.poly.coeffs, table.poly.degree
+    a, d, r = table.poly.coeffs, table.poly.degree, len(lt.kstep)
     dim = table.dim
     kap = 0
     rnk = 1
@@ -236,6 +244,8 @@ def prefix_walk(x, table: DimTable | PathColumn, n_max: int | None = None):
             c = x.letter(n + 1)
         except (PrefixExhausted, HorizonExhausted):
             return
+        if not 0 <= c < r:
+            _check_letters((c,), r)
         sigma = lt.kstep[c]
         kap += sigma
         rnk += (c - lt.first[sigma]) * dim(n, kap - sigma)
@@ -272,6 +282,8 @@ def _steps(x, poly: GenPolynomial, direction: int):
                 c = y.letter(n + 1)
             except PrefixExhausted as exc:
                 raise _no_neighbour(direction, n) from exc
+        if not 0 <= c < r:
+            _check_letters((c,), r)
         kap += ks[c]
         b = c + direction
         while 0 <= b < r and not 0 <= kap - ks[b] <= n * d:
@@ -303,6 +315,7 @@ def jump(word, poly: GenPolynomial, steps: int, direction: int = 1) -> tuple[int
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     word = tuple(word)
+    _check_letters(word, poly.alphabet_size)
     if not steps:
         return word
     moved = _jump(word, poly, steps, direction, steps)

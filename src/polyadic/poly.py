@@ -17,14 +17,14 @@ Each ``dim`` raises ValueError at a negative level, is zero for k outside
 ``DimTable`` and ``PathColumn`` build a level from the one below with the
 one level builder, ``_next_level``; a descent builds it from the one above
 by a Bezout identity of p and p', solved once per polynomial, so p must
-have no repeated root.  Column and descent share one level store,
-``_LevelStore``: a level is a ``(lo, list)`` run anchored at one vertex,
-built narrow, answering reads within a fixed reach of its anchor, and
-widened sideways to that reach by the row recurrence ``_next_level`` ends
-its windows with (``_sideways``) on the first read the run lacks.  A cone
-band is a packed one-integer convolution.  Every build is
-counted before it starts, and refused past the budgets, by one gate,
-``_admit``.
+have no repeated root.  The sparse sources hold one record per level.
+Column and descent share one level store, ``_LevelStore``: a record is a
+run anchored at one vertex, built narrow, answering reads within a fixed
+reach of its anchor, and widened sideways to that reach by the row
+recurrence ``_next_level`` ends its windows with (``_sideways``) on the
+first read the run lacks; a cone's is a band packed into one integer.
+Every build is counted before it starts, and refused past the budgets,
+by one gate, ``_admit``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ _BIT_BUDGET = 64 * DEFAULT_ENTRY_BUDGET
 # repacked: a level's entries, and every partial sum of its convolution, have
 # at most bitlen(p(1)) bits more than the largest entry of the level below.
 _REPACK_LEVELS = 32
+# Words a tabulation, curve grid or sweep may enumerate: r^m for r letters.
+_WORD_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -180,20 +182,19 @@ class DimTable:
 
 
 class _LevelStore:
-    """Levels held as runs ``_rows[n] = (lo, vals)``, vals = C(n, lo..), each
-    answering reads within ``_reach`` of its anchor vertex ``_anchor[n]``.
+    """One record per level, ``_rows[n] = (lo, vals, anchor)``: the run
+    vals = C(n, lo..), answering reads within ``_reach`` of the anchor vertex.
 
     ``dim`` is zero for k outside [0, n*d] and refuses a negative level as in
     DimTable.  A level that is not held goes to the subclass's ``_build``,
-    which builds it, anchor and run, or raises KeyError; a read more than
-    ``_reach`` from the anchor raises KeyError; a read within reach that the
-    run lacks widens the run to the whole reach by ``_sideways``.
+    which builds its record or raises KeyError; a read more than ``_reach``
+    from the anchor raises KeyError; a read within reach that the run lacks
+    widens the run to the whole reach by ``_sideways``.
     """
 
     def __init__(self, poly: GenPolynomial, reach: int):
         self.poly, self._d, self._reach = poly, poly.degree, reach
-        self._rows: dict[int, tuple[int, list[int]]] = {}
-        self._anchor: dict[int, int] = {}
+        self._rows: dict[int, tuple[int, list[int], int]] = {}
 
     def dim(self, n: int, k: int) -> int:
         """C(n, k); zero for k outside [0, n*d]."""
@@ -204,23 +205,20 @@ class _LevelStore:
         run = self._rows.get(n)
         if run is None:
             run = self._build(n, k)
-        kap = self._anchor[n]
+        lo, vals, kap = run
         if abs(k - kap) > self._reach:
             raise KeyError((n, k))
-        lo, vals = run
         if not lo <= k < lo + len(vals):
-            lo, vals = self._cover(n, kap - self._reach, kap + self._reach)
+            lo, vals, _ = self._cover(n, kap - self._reach, kap + self._reach)
         return vals[k - lo]
 
-    def _cover(self, n: int, lo: int, hi: int) -> tuple[int, list[int]]:
-        """Level n's run, widened by ``_sideways`` to hold [lo, hi] within the row."""
-        start, vals = self._rows[n]
-        lo, hi = max(lo, 0), min(hi, n * self._d)
+    def _cover(self, n: int, lo: int, hi: int) -> tuple[int, list[int], int]:
+        """Level n's record, its run widened by ``_sideways`` to hold [lo, hi] in the row."""
+        start, vals, kap = self._rows[n]
+        lo, hi = min(max(lo, 0), start), min(hi, n * self._d)
         if lo < start or hi >= start + len(vals):
-            vals = _sideways(self.poly.coeffs, n, start, vals, min(lo, start), hi)
-            start = min(lo, start)
-            self._rows[n] = start, vals
-        return start, vals
+            self._rows[n] = lo, _sideways(self.poly.coeffs, n, start, vals, lo, hi), kap
+        return self._rows[n]
 
 
 class PathColumn(_LevelStore):
@@ -242,10 +240,10 @@ class PathColumn(_LevelStore):
         super().__init__(poly, max(depth, 1) * poly.degree)
         self._steps = iter(steps)
         self._keep = depth + 1
-        self._rows[0], self._anchor[0] = (0, [1]), 0
+        self._rows[0] = 0, [1], 0
         self._n = 0
 
-    def _build(self, n: int, k: int) -> tuple[int, list[int]]:
+    def _build(self, n: int, k: int) -> tuple[int, list[int], int]:
         """Build levels newest + 1 to n narrow, each from the run below it."""
         a, d = self.poly.coeffs, self._d
         if n <= self._n:
@@ -255,13 +253,11 @@ class PathColumn(_LevelStore):
             step = next(self._steps, None)
             if step is None:
                 raise KeyError((n, k))      # the path ends below level n
-            prev_lo, prev = self._rows[m - 1]
-            kap = self._anchor[m - 1] + step
+            prev_lo, prev, kap = self._rows[m - 1]
+            kap += step
             lo, hi = max(kap - d, 0), min(kap + d, m * d)
-            self._rows[m] = lo, _next_level(a, m, prev_lo, prev, lo, hi)
-            self._anchor[m] = kap
+            self._rows[m] = lo, _next_level(a, m, prev_lo, prev, lo, hi), kap
             self._rows.pop(m - self._keep, None)
-            self._anchor.pop(m - self._keep, None)
             self._n = m
         return self._rows[n]
 
@@ -330,35 +326,32 @@ class VertexCone:
     other read raises KeyError.  For kap outside [0, n*d] the cone is empty.
     Its entries and bits pass ``_admit`` before any is built.
 
-    Each band is one integer: entry k sits in bits (k - lo)*w up to
-    (k - lo + 1)*w, w a whole number of bytes that holds every entry of the
-    level.  Entries never carry into their neighbours, so the convolution of
-    a whole band is d shifts and additions of that one integer, with no
-    Python step per entry.  Every ``_REPACK_LEVELS`` levels the band is
-    unpacked, its largest entry measured, and w reset to hold that many
-    more levels of growth.
+    One record per level, ``(lo, hi, w, band)``: the band is one integer,
+    entry k in bits (k - lo)*w up to (k - lo + 1)*w, w a whole number of
+    bytes that holds every entry of the level.  Entries never carry into
+    their neighbours, so the convolution of a whole band is d shifts and
+    additions of that one integer, with no Python step per entry.  Every
+    ``_REPACK_LEVELS`` levels the band is unpacked, its largest entry
+    measured, and w reset to hold that many more levels of growth.
     """
 
     def __init__(self, poly: GenPolynomial, n: int, kap: int):
         if n < 0:
             raise ValueError(f"level {n} is negative")
         self.poly = poly
-        self._bands: list[int] = []
+        self._levels: list[tuple[int, int, int, int]] = []
         a, d = poly.coeffs, poly.degree
         if not 0 <= kap <= n * d:
             return
         _admit(f"cone below vertex ({n}, {kap})", _cone_entries(d, n, kap), n=n, d=d,
                bits=lambda: _cone_bits(poly, n, kap))
-        los = self._los = [max(0, kap - (n - L) * d) for L in range(n + 1)]
-        his = self._his = [min(L * d, kap) for L in range(n + 1)]
         grow = poly.alphabet_size.bit_length()
-        self._bands.append(1)
-        self._entry_bits = [8]
-        w, room = 8, 0                  # bits an entry, levels before a repack
+        levels = self._levels = [(0, 0, 8, 1)]
+        room = 0                        # levels before a repack
         for L in range(1, n + 1):
-            band = self._bands[-1]
+            prev_lo, prev_hi, w, band = levels[-1]
             if not room:
-                vals = _unpack(band, his[L - 1] - los[L - 1] + 1, w)
+                vals = _unpack(band, prev_hi - prev_lo + 1, w)
                 w = -(-(max(vals).bit_length() + _REPACK_LEVELS * grow) // 8) * 8
                 band, room = _pack(vals, w), _REPACK_LEVELS
             room -= 1
@@ -366,12 +359,12 @@ class VertexCone:
             conv = a[d] * band
             for j in range(d - 1, -1, -1):
                 conv = (conv << w) + (band if a[j] == 1 else a[j] * band)
-            if los[L] > los[L - 1]:
-                conv >>= (los[L] - los[L - 1]) * w
-            if his[L] < his[L - 1] + d:
-                conv &= (1 << ((his[L] - los[L] + 1) * w)) - 1
-            self._bands.append(conv)
-            self._entry_bits.append(w)
+            lo, hi = max(0, kap - (n - L) * d), min(L * d, kap)
+            if lo > prev_lo:
+                conv >>= (lo - prev_lo) * w
+            if hi < prev_hi + d:
+                conv &= (1 << ((hi - lo + 1) * w)) - 1
+            levels.append((lo, hi, w, conv))
 
     def dim(self, n: int, k: int) -> int:
         """C(n, k); zero for k outside [0, n*d]."""
@@ -379,10 +372,10 @@ class VertexCone:
             raise ValueError(f"level {n} is negative")
         if not 0 <= k <= n * self.poly.degree:
             return 0
-        if not (n < len(self._bands) and self._los[n] <= k <= self._his[n]):
+        if not (n < len(self._levels) and self._levels[n][0] <= k <= self._levels[n][1]):
             raise KeyError((n, k))
-        w = self._entry_bits[n]
-        return (self._bands[n] >> ((k - self._los[n]) * w)) & ((1 << w) - 1)
+        lo, _, w, band = self._levels[n]
+        return (band >> ((k - lo) * w)) & ((1 << w) - 1)
 
 
 def _descent_entries(d: int, n: int, kap: int) -> int:
@@ -458,8 +451,8 @@ class VertexDescent(_LevelStore):
     the walk's reads there and the next level's seeds' reads.  Unranking
     reads C(L-1, kap_L - s) for s = d..0, so it enters level L - 1 at
     max(0, kap_L - d), kap_L one of level L's reads.  Only the newest level
-    is held: level n, with its run to the nearer row end, and then at most
-    3d + 1 entries a level.  For kap outside [0, n*d] the descent is empty.
+    is held, and level m is entered only while level m + 1 is: level n with
+    its run to the nearer row end, then at most 3d + 1 entries a level.  For kap outside [0, n*d] the descent is empty.
     Its entries and bits pass ``_admit`` before any is built.  A p with a
     repeated root has no descent: ValueError.
     """
@@ -476,8 +469,6 @@ class VertexDescent(_LevelStore):
         # u_r = U_r and v_r = V_(r+1)
         self._stencil = [(r, U[r] if 0 <= r < len(U) else 0, V[r + 1] if r + 1 < len(V) else 0)
                          for r in range(-1 if V else 0, max(len(U), len(V) - 1))]
-        self._low = n
-        self._anchor[n] = kap
         a, d = poly.coeffs, poly.degree
         top = n * d
         if not 0 <= kap <= top:
@@ -485,24 +476,24 @@ class VertexDescent(_LevelStore):
         _admit(f"descent from vertex ({n}, {kap})", _descent_entries(d, n, kap), n=n, d=d,
                bits=lambda: (_descent_bits(poly, n, kap), None))
         if kap <= top - kap:
-            self._rows[n] = 0, _sideways(a, n, 0, [a[0] ** n], 0, min(kap + d, top))
+            self._rows[n] = 0, _sideways(a, n, 0, [a[0] ** n], 0, min(kap + d, top)), kap
         else:
             lo = max(kap - d, 0)
-            self._rows[n] = lo, _sideways(a[::-1], n, 0, [a[d] ** n], 0, top - lo)[::-1]
+            self._rows[n] = lo, _sideways(a[::-1], n, 0, [a[d] ** n], 0, top - lo)[::-1], kap
 
-    def _build(self, m: int, e: int) -> tuple[int, list[int]]:
-        """Build level m, one below the newest, entered at e."""
+    def _build(self, m: int, e: int) -> tuple[int, list[int], int]:
+        """Build level m, one below the held level, entered at e."""
         a, d = self.poly.coeffs, self._d
         L, top = m + 1, m * d
-        if m != self._low - 1 or not 0 <= self._anchor[L] - e <= d:
+        if L not in self._rows or not 0 <= self._rows[L][2] - e <= d:
             raise KeyError((m, e))
+        lo, vals, kap = self._rows[L]
         # d seeds from s on in the row (one where d = 0), as near the entry
         # point above as that allows; they read level L on [s-d+2, s+d]
-        s = max(0, min(self._anchor[L], top + 1 - max(d, 1)))
+        s = max(0, min(kap, top + 1 - max(d, 1)))
         count = min(max(d, 1), top + 1 - s)
-        lo, vals = self._rows[L]
         if s - d + 2 < lo or s + count >= lo + len(vals):
-            lo, vals = self._cover(L, s - d + 2, s + count)
+            lo, vals, _ = self._cover(L, s - d + 2, s + count)
         seeds, DL, row_end = [], self._D * L, L * d
         for k in range(s, s + count):
             num = 0
@@ -511,10 +502,8 @@ class VertexDescent(_LevelStore):
                     num += (L * u + (k - r) * v) * vals[k - r - lo]
             seeds.append(num // DL)
         lo = min(s, max(e - d + 2, 0))
-        self._rows[m] = run = lo, _sideways(a, m, s, seeds, lo, min(e + d, top))
-        self._anchor[m] = e
-        del self._rows[L], self._anchor[L]
-        self._low = m
+        run = lo, _sideways(a, m, s, seeds, lo, min(e + d, top)), e
+        self._rows = {m: run}
         return run
 
 

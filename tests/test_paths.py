@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import tower_words_comparison_sorted, tower_words_sorted
 from polyadic import (CapacityError, DimTable, GenPolynomial, HorizonExhausted, MaximalPath,
                       MinimalPath, PathPrefix, PrefixExhausted,
-                      RankOutOfRange,
+                      RankOutOfRange, cylinder_measure, encode_theta,
                       iter_tower, jump, kappa, letter_stream, letter_table,
                       maximal_word, measure_params, minimal_word, predecessor,
                       prefix_walk, rank, successor,
@@ -273,6 +273,31 @@ def test_jump_arguments():
         jump((0, 1), P11, 1, 0)
     with pytest.raises(ValueError):
         jump((0, 1), P11, -1)
+
+
+def test_letters_outside_the_alphabet_are_refused_where_they_are_read():
+    # r = 5 on 1,1,3: a letter -1 used to be read as label 4 (rank 10, a
+    # level-1 rank of -4), and a letter 5 or 9 to end in a bare IndexError
+    assert rank((4, 0, 2), P113) == 15
+    mp = measure_params(P113, 0.2)
+    refused = [(-1, lambda: rank((-1, 0, 2), P113)),
+               (5, lambda: rank((5, 0, 2), P113)),
+               (-1, lambda: successor((-1, 0), P113)),
+               (-1, lambda: successor(PathPrefix((4, 4), extend=iter((-1,))), P113)),
+               (-1, lambda: jump((-1, 0, 1), P113, 3)),
+               (9, lambda: jump((9, 0, 1), P113, 3)),
+               (9, lambda: jump((9, 0, 1), P113, 0)),
+               (-1, lambda: kappa((-1,), P113)),
+               (-1, lambda: encode_theta(mp, (-1,))),
+               (5, lambda: cylinder_measure(mp, (0, 5)))]
+    for letter, call in refused:
+        with pytest.raises(ValueError, match=rf"^letter {letter} outside the alphabet 0\.\.4$"):
+            call()
+    # a walk reads letter n + 1 before level n + 1: the levels below answer
+    walk = prefix_walk((0, 0, 5), path_column((0, 0, 5), P113))
+    assert [n for n, _, _ in islice(walk, 2)] == [1, 2]
+    with pytest.raises(ValueError, match="letter 5 outside"):
+        next(walk)
 
 
 def test_prefix_extension_policies():

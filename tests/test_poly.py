@@ -394,10 +394,10 @@ def test_path_column_windows_along_the_row_ends(coeffs, depth, top_first, runs):
         lo, hi = max(kap - d, 0), min(kap + d, top)
         for column in (narrow, wide):
             assert column.dim(n, kap) == rows[n][kap]
-            assert column._rows[n] == (lo, rows[n][lo:hi + 1])
+            assert column._rows[n] == (lo, rows[n][lo:hi + 1], kap)
         lo, hi = max(kap - reach, 0), min(kap + reach, top)
         assert read_run(wide, n, kap) == {k: rows[n][k] for k in range(lo, hi + 1)}
-        assert wide._rows[n] == (lo, rows[n][lo:hi + 1])
+        assert wide._rows[n] == (lo, rows[n][lo:hi + 1], kap)
         for k in (lo - 1, hi + 1):
             if 0 <= k <= top:
                 with pytest.raises(KeyError):
@@ -572,6 +572,18 @@ def test_vertex_descent_answers_the_walk_and_refuses_the_rest(coeffs):
                             descent.dim(gone, e)
                 vertex = (e + min(vertex, L * d)) // 2    # one of this level's reads
             assert built <= _descent_entries(d, n, kap)
+
+
+def test_an_empty_descent_refuses_every_read_in_the_rows_below_its_vertex():
+    # no level is held, so none below the vertex can be entered
+    p113 = GenPolynomial((1, 1, 3))
+    for kap in (-1, 11):
+        descent = VertexDescent(p113, 5, kap)
+        assert descent.dim(5, kap) == 0
+        for L, k in ((4, 0), (4, 3), (4, 8), (0, 0)):
+            with pytest.raises(KeyError) as refused:
+                descent.dim(L, k)
+            assert refused.value.args == ((L, k),)
 
 
 def test_vertex_descent_checks_its_polynomial_and_budget_before_building():
