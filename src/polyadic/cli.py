@@ -16,12 +16,11 @@ from itertools import chain, islice
 
 from .errors import DegenerateCurve, NoConvergence, PolyadicError
 from .ergodic import (CylFunction, cohomology_verdict, extract_limiting_curve)
-from .measure import (encode_theta, letter_stream, measure_params,
-                      weight_residual)
+from .measure import encode, letter_stream, measure_params, weight_residual
 from .paths import (PathPrefix, _steps, jump, letter_table, path_column,
                     prefix_walk, unrank, word_from_string, word_to_string)
 from .poly import DimTable, GenPolynomial, vertex_source
-from .takagi import parabola_profile, takagi_function
+from .takagi import parabola_profile, takagi_grid
 
 
 def _poly_arg(text: str) -> GenPolynomial:
@@ -142,8 +141,10 @@ def _cmd_orbit(args, parser) -> int:
     if args.n is not None:
         x.prefix(_level(args.n, "--n"))
     walk = chain((x,), islice(_steps(x, args.poly, 1), steps))
-    rows = [(step, repr(encode_theta(mp, y.known())),
-             word_to_string(y.known(), args.poly)) for step, y in enumerate(walk)]
+    # the start is checked or drawn in range, and _steps checks every letter it reads
+    coder = (mp.weights,), (mp.lows,)
+    rows = [(step, repr(encode(*coder, word)), word_to_string(word, args.poly))
+            for step, word in enumerate(y.known() for y in walk)]
     _emit(args, ("step", "theta", "word"), map(_line, rows),
           meta={"poly": list(args.poly.coeffs), "q": args.q, "seed": args.seed})
     return 0
@@ -182,12 +183,7 @@ def _cmd_cohom(args, parser) -> int:
 
 
 def _cmd_takagi(args, parser) -> int:
-    if args.grid < 1:
-        raise ValueError("grid must be >= 1")
-    rows = []
-    for i in range(args.grid + 1):
-        x = i / args.grid
-        rows.append((x, takagi_function(args.poly, args.q, args.k, x, args.depth)))
+    rows = takagi_grid(args.poly, args.q, args.k, args.grid, args.depth)
     _emit(args, ("x", "value"), map(_line, rows),
           meta={"poly": list(args.poly.coeffs), "q": args.q, "k": args.k,
                 "depth": args.depth})

@@ -88,9 +88,8 @@ class CylFunction:
                 raise ValueError(f"keys {keys[word]!r} and {key!r} name the same word")
             keys[word] = key
             values[word] = val
-        g = cls(doc["N"], values)
-        g.validate_for(file_poly)
-        return file_poly, g
+        # word_from_string has refused every letter outside the file's alphabet
+        return file_poly, cls(doc["N"], values)
 
     def to_json(self, poly: GenPolynomial) -> str:
         values = {word_to_string(w, poly): v for w, v in sorted(self.values.items())}
@@ -228,16 +227,23 @@ def _grid_numerators(g: CylFunction, n: int, kap: int, m: int,
     return H, nodes
 
 
+def _normalizer(g: CylFunction, n: int, kap: int, m: int,
+                table: DimTable | PathColumn):
+    """(H, nodes, peak, R_n): the depth-m grid numerators at (n, kap), their largest
+    |numerator| and R_n = peak / (2^s H) = max |F(L) - L F(H) / H|, rounded once."""
+    H, nodes = _grid_numerators(g, n, kap, m, table)
+    peak = max(abs(num) for _, num in nodes)
+    return H, nodes, peak, _to_float(peak, H << _dyadic_bits(g.values.values()), "R", n)
+
+
 def fluctuation_curve(g: CylFunction, n: int, kap: int, m: int,
                       table: DimTable | PathColumn) -> PolygonalCurve:
     """Depth-m polygonal fluctuation curve of the tower at (n, kap)."""
-    H, nodes = _grid_numerators(g, n, kap, m, table)
-    peak = max(abs(num) for _, num in nodes)
+    H, nodes, peak, R = _normalizer(g, n, kap, m, table)
     if peak == 0:
         raise DegenerateCurve(
             f"numerator vanishes on the whole grid at ({n}, {kap}); "
             "the function acts as a constant on this tower")
-    R = _to_float(peak, H << _dyadic_bits(g.values.values()), "R", n)
     xs, ys = [0.0], [0.0]
     for L, num in nodes:
         x = L / H           # exact ints: correctly rounded even past 2**53
@@ -397,13 +403,8 @@ def cohomology_verdict(g: CylFunction, table: DimTable, n_max: int,
     N = g.N
     if n_max < N:
         raise ValueError("n_max below function rank")
-    s = _dyadic_bits(g.values.values())
-    series = []
-    for n in range(N, n_max + 1):
-        kap = central_vertex(table, n)
-        H, nodes = _grid_numerators(g, n, kap, min(m, n - N), table)
-        peak = max(abs(num) for _, num in nodes)
-        series.append((n, _to_float(peak, H << s, "R", n)))
+    series = [(n, _normalizer(g, n, central_vertex(table, n), min(m, n - N), table)[3])
+              for n in range(N, n_max + 1)]
     values = [v for _, v in series]
     peak = max(values)
     tail = values[len(values) // 2:]

@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice, product, repeat
+from itertools import accumulate, chain, islice, product, repeat
 
 from .errors import CapacityError, NoRoot
 from .paths import _check_letters, letter_table
@@ -127,10 +127,11 @@ def _root(poly: GenPolynomial, q: float) -> tuple[int, int, tuple[float, ...], t
         bits = min(2 * bits, 2 * PREC)
     else:
         raise NoRoot(f"integer Newton for t did not settle at q={q}")
-    out = [(qn, qd), (n, 1 << e)]
-    for _ in range(2, d + 1):
-        out.append((out[-1][0] * n * c, out[-1][1] * y))
-    return n, e, tuple(x / y for x, y in out), tuple(_round_div(x << PREC, y) for x, y in out)
+    # each step ratio is the one before times u = n c / y: formed, rounded, dropped
+    ratios = accumulate(range(2, d + 1), lambda r, _: (r[0] * n * c, r[1] * y),
+                        initial=(n, 1 << e))
+    return (n, e, *zip(*((num / den, _round_div(num << PREC, den))
+                         for num, den in chain([(qn, qd)], ratios))))
 
 
 def weight_residual(poly: GenPolynomial, q: float, t: float) -> float:
@@ -207,7 +208,8 @@ def stationary_points(mp: MeasureParams, m: int) -> list[float]:
     r = len(mp.weights)
     if r ** m > _WORD_BUDGET:
         raise CapacityError(f"{r}^{m} stationary points exceed budget")
-    return sorted({encode_theta(mp, w) for w in product(range(r), repeat=m)})
+    coder = (mp.weights,), (mp.lows,)
+    return sorted({encode(*coder, w) for w in product(range(r), repeat=m)})
 
 
 # -- the digit coder ----------------------------------------------------------

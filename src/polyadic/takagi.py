@@ -185,6 +185,14 @@ def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
                             f"float: {k}! * {c_k!r}") from None
 
 
+def takagi_grid(poly: GenPolynomial, q: float, k: int, grid: int, depth: int = 60):
+    """Rows (x, takagi_function(poly, q, k, x, depth)) at x = i/grid, i = 0..grid."""
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    return [(i / grid, takagi_function(poly, q, k, i / grid, depth))
+            for i in range(grid + 1)]
+
+
 def self_affinity_residual(poly: GenPolynomial, q1: float, q2: float, w0,
                            x: float, depth: int = 60) -> float:
     """Defect of S(x0 + r1 x) = S(x0) + r2 S(x) at the cylinder of w0.
@@ -217,11 +225,7 @@ def parabola_profile(d: int, grid: int, depth: int = 60):
     if grid < 1:
         raise ValueError("grid must be >= 1")
     _check_coder_budget(d)
-    poly = GenPolynomial((1,) * (d + 1))
-    q = 1.0 / (d + 1)
-    rows = []
-    for i in range(grid + 1):
-        x = i / grid
-        value = MIRROR_SIGN * takagi_function(poly, q, 1, x, depth) / (d + 1)
-        rows.append((x, value, x * (1.0 - x), value - x * (1.0 - x)))
-    return rows
+    poly, q = GenPolynomial((1,) * (d + 1)), 1.0 / (d + 1)
+    return [(x, v, x * (1.0 - x), v - x * (1.0 - x))
+            for x, value in takagi_grid(poly, q, 1, grid, depth)
+            for v in [MIRROR_SIGN * value / (d + 1)]]

@@ -563,6 +563,21 @@ def test_g_file_keys_naming_one_word_are_rejected(tmp_path, capsys):
     assert err.startswith("error: ") and "'01'" in err and "'0,1'" in err
 
 
+def test_g_file_letter_outside_its_alphabet_is_refused(tmp_path, capsys):
+    # from_json reads every key through word_from_string, which refuses the
+    # letter before the function is built
+    doc = '{"poly": [1, 1], "N": 1, "values": {"2": 1.0}}'
+    text = "letter out of range in '2' (alphabet size 2)"
+    with pytest.raises(ValueError) as info:
+        CylFunction.from_json(doc)
+    assert str(info.value) == text
+    gpath = tmp_path / "g.json"
+    gpath.write_text(doc)
+    code, out, err = run(capsys, "cohom", "--poly", "1,1", "--g", str(gpath),
+                         "--nmax", "5")
+    assert (code, out, err) == (1, "", f"error: {text}\n")
+
+
 def test_rank_word_past_the_dense_table_budget(capsys):
     word = "01" * 1500
     code, out, err = run(capsys, "rank", "--poly", "1,1", "--word", word)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -83,6 +84,19 @@ def test_measure_params_root_within_8_ulp_at_any_q(coeffs, frac, x):
     assert _exact_weight_sum_minus_one(coeffs, q_exact, Fraction(2 * n - 1, 2 << e)) <= 0
     assert _exact_weight_sum_minus_one(coeffs, q_exact, Fraction(2 * n + 1, 2 << e)) >= 0
     assert mp.t == n / (1 << e)
+
+
+def test_root_holds_one_step_ratio_at_a_time():
+    # step ratio s has about s times the root's bits: all d + 1 at once are
+    # O(d^2) bits (8 MB at degree 400), one at a time O(d)
+    measure._root.cache_clear()
+    tracemalloc.start()
+    try:
+        measure._root(GenPolynomial((1,) * 401), 0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_coder_integers_are_pinned():
