@@ -13,6 +13,7 @@ import sys
 from contextlib import nullcontext
 from functools import cache
 from itertools import chain, islice
+from operator import add
 
 from .errors import DegenerateCurve, NoConvergence, PolyadicError
 from .ergodic import (CylFunction, cohomology_verdict, extract_limiting_curve)
@@ -74,10 +75,11 @@ def _level(value: int, option: str) -> int:
 
 def _cmd_dims(args, parser) -> int:
     # Built up front: the rows are the output, and a request past the entry
-    # budget fails before any row is built.
+    # budget fails before any row is built.  Each level is one string.
     table = DimTable(args.poly, _level(args.nmax, "--nmax"))
-    lines = (f"{n},{k},{v}\n" for n in range(args.nmax + 1)
-             for k, v in enumerate(table.row(n)))
+    labels = [f",{k}," for k in range(args.nmax * args.poly.degree + 1)]
+    lines = (f"{n}" + f"\n{n}".join(map(add, labels, map(str, table.row(n)))) + "\n"
+             for n in range(args.nmax + 1))
     _emit(args, ("n", "k", "dim"), lines)
     return 0
 

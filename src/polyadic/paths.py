@@ -26,6 +26,8 @@ from .errors import (CapacityError, HorizonExhausted, MaximalPath, MinimalPath,
 from .poly import (DEFAULT_ENTRY_BUDGET, DimTable, GenPolynomial, PathColumn, VertexCone,
                    VertexDescent, _admit, _vertex_plan, vertex_source)
 
+_DIGIT_LABELS = [{c: str(c) for c in range(r)} for r in range(11)]  # by alphabet size r
+
 
 @dataclass(frozen=True)
 class LetterTable:
@@ -63,10 +65,12 @@ def kappa(word, poly: GenPolynomial) -> int:
 
 
 def word_to_string(word, poly: GenPolynomial) -> str:
-    """Digit string for r <= 10, comma-separated labels otherwise."""
-    if poly.alphabet_size <= 10:
-        return "".join(str(c) for c in word)
-    return ",".join(str(c) for c in word)
+    """Digit string for r <= 10, comma-separated labels otherwise; letters checked."""
+    if (r := poly.alphabet_size) <= 10:
+        with suppress(KeyError):
+            return "".join(map(_DIGIT_LABELS[r].__getitem__, word))
+    _check_letters(word, r)
+    return ("" if r <= 10 else ",").join(map(str, word))
 
 
 def word_from_string(text: str, poly: GenPolynomial) -> tuple[int, ...]:

@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul
 
 from .errors import CapacityError
 
@@ -98,7 +100,8 @@ def _next_level(a, n, prev_lo, prev, lo, hi) -> list[int]:
     whole row).  Convolution, C(n, k) = sum_j a_j C(n-1, k-j), gives the
     entries whose C(n-1, k-j) are held.  The zeros past an end of level n - 1
     count as held, padded on only where ``prev`` reaches that end: a whole
-    row gives all of [0, n*d].  ``_sideways`` gives the other ends.
+    row gives all of [0, n*d].  ``_sideways`` gives the other ends.  Each
+    tap is one ``map``, summed in j order, with products only where a_j > 1.
     """
     d = len(a) - 1
     lead = d if prev_lo == 0 else 0
@@ -107,9 +110,10 @@ def _next_level(a, n, prev_lo, prev, lo, hi) -> list[int]:
         prev, prev_lo = [*(0,) * lead, *prev, *(0,) * tail], prev_lo - lead
     start, stop = max(lo, prev_lo + d), min(hi, prev_lo + len(prev) - 1)
     i0, i1 = start - prev_lo, stop - prev_lo + 1
-    vals = [a[0] * v for v in prev[i0:i1]]
+    vals = [*prev[i0:i1]] if a[0] == 1 else [*map(mul, prev[i0:i1], repeat(a[0]))]
     for j in range(1, d + 1):
-        vals = [u + a[j] * v for u, v in zip(vals, prev[i0 - j:i1 - j])]
+        taps = prev[i0 - j:i1 - j]
+        vals = [*map(add, vals, taps if a[j] == 1 else map(mul, taps, repeat(a[j])))]
     return _sideways(a, n, start, vals, lo, hi)
 
 
@@ -230,8 +234,8 @@ class PathColumn(_LevelStore):
     on the last depth + 1 levels built: a prefix walk reads level n - 1
     within d of the path, a reader of depth m level n - j within j*d <= m*d.
     A level is built narrow, within d of the path, from the level below by
-    ``_next_level``: 2d + 1 entries and O(d^2) big-integer products a level
-    at any depth, which a prefix walk never widens.
+    ``_next_level``: 2d + 1 entries a level at any depth, with big-integer
+    products only where a_j > 1; a prefix walk never widens it.
     """
 
     def __init__(self, poly: GenPolynomial, steps, depth: int = 0):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tower_words_comparison_sorted, tower_words_sorted
-from polyadic import (CapacityError, DimTable, GenPolynomial, HorizonExhausted, MaximalPath,
-                      MinimalPath, PathPrefix, PrefixExhausted,
+from polyadic import (CapacityError, CylFunction, DimTable, GenPolynomial,
+                      HorizonExhausted, MaximalPath, MinimalPath, PathPrefix, PrefixExhausted,
                       RankOutOfRange, cylinder_measure, encode_theta,
                       iter_tower, jump, kappa, letter_stream, letter_table,
                       maximal_word, measure_params, minimal_word, predecessor,
@@ -430,6 +430,21 @@ def test_word_strings():
     assert word_from_string("0,10", eleven) == (0, 10)
     assert word_from_string("0", eleven) == (0,)
     assert word_from_string("0010", P113) == (0, 0, 1, 0)
+
+
+def test_word_to_string_refuses_letters_outside_the_alphabet():
+    # (12, -1, 3) over (1,1) once printed as "12-13", which reads back as
+    # another word; a g file written that way is refused by from_json
+    twelve = GenPolynomial((12,))
+    for word, poly, c in [((2,), P11, 2), ((0, -1), P11, -1), ((12, -1, 3), P11, 12),
+                          ((0, 12), twelve, 12), ((-1,), twelve, -1)]:
+        r = poly.alphabet_size
+        with pytest.raises(ValueError) as err:
+            word_to_string(word, poly)
+        assert str(err.value) == f"letter {c} outside the alphabet 0..{r - 1}"
+    with pytest.raises(ValueError) as err:
+        CylFunction(1, {(2,): 1.0}).to_json(P11)
+    assert str(err.value) == "letter 2 outside the alphabet 0..1"
 
 
 def test_prefix_walk_matches_rank():
