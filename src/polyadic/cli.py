@@ -74,13 +74,18 @@ def _level(value: int, option: str) -> int:
 
 
 def _cmd_dims(args, parser) -> int:
-    # Built up front: the rows are the output, and a request past the entry
-    # budget fails before any row is built.  Each level is one string.
-    table = DimTable(args.poly, _level(args.nmax, "--nmax"))
+    # A budget refusal comes before any output, and a bad --out before level 1
+    # is built: the table is built by one DimTable.extend once --out is open.
+    table = DimTable(args.poly)
+    table.admit(_level(args.nmax, "--nmax"))
     labels = [f",{k}," for k in range(args.nmax * args.poly.degree + 1)]
-    lines = (f"{n}" + f"\n{n}".join(map(add, labels, map(str, table.row(n)))) + "\n"
-             for n in range(args.nmax + 1))
-    _emit(args, ("n", "k", "dim"), lines)
+
+    def lines():    # each level is one string
+        table.extend(args.nmax)
+        for n in range(args.nmax + 1):
+            yield f"{n}" + f"\n{n}".join(map(add, labels, map(str, table.row(n)))) + "\n"
+
+    _emit(args, ("n", "k", "dim"), lines())
     return 0
 
 

@@ -229,25 +229,33 @@ def encode(wcols, lcols, digits):
     value of the empty word; one column (K = 0) gives the plain coding, the
     left end of the digits' interval.  The step acc = l_c + w_c acc is
     linear in acc, so pass i is that Horner in coefficient i plus the offset
-    sum_{j=1..i} w_j[c] a_{i-j}, read from the earlier passes.
+    sum_{j=1..i} w_j[c] a_{i-j}, read from the earlier passes.  Pass 0 has no
+    offset and pass i's starts at its j = 1 term: a zero added could only turn
+    -0.0 into 0.0, a sign that adding l_c (never -0.0) erases, so no bit moves.
     """
     seq = digits[::-1]
     zero, w0, last = lcols[0][0], wcols[0], len(lcols) - 1
     passes = []     # passes[i][s]: coefficient i of acc before step s
     for i, low in enumerate(lcols):
-        offset = repeat(zero)
-        for j in range(1, i + 1):
-            wj = wcols[j]
-            offset = [o + wj[c] * a for o, c, a in zip(offset, seq, passes[i - j])]
-        acc = zero
-        if i == last:       # the last pass keeps no accumulators
+        acc, path = zero, [zero]
+        if i:
+            w1 = wcols[1]
+            offset = [w1[c] * a for c, a in zip(seq, passes[i - 1])]
+            for j, wj in enumerate(wcols[2:i + 1], 2):
+                offset = [o + wj[c] * a for o, c, a in zip(offset, seq, passes[i - j])]
+            if i == last:       # the last pass keeps no accumulators
+                for c, o in zip(seq, offset):
+                    acc = low[c] + (w0[c] * acc + o)
+                return acc
             for c, o in zip(seq, offset):
-                acc = low[c] + (w0[c] * acc + o)
+                path.append(acc := low[c] + (w0[c] * acc + o))
+        elif last:
+            for c in seq:
+                path.append(acc := low[c] + w0[c] * acc)
+        else:               # nor does the plain coding
+            for c in seq:
+                acc = low[c] + w0[c] * acc
             return acc
-        path = [acc]
-        for c, o in zip(seq, offset):
-            acc = low[c] + (w0[c] * acc + o)
-            path.append(acc)
         passes.append(path)
 
 
@@ -297,8 +305,27 @@ def digit_horizon(poly: GenPolynomial, q: float, k: int, depth: int) -> tuple[fl
     return tuple(floors)
 
 
+def _decoder(poly: GenPolynomial, q: float):
+    """``decode``'s digit reader for (poly, q): the fixed-point weights and low sums
+    and the float weights are read once, so a Takagi grid reads them once in all."""
+    (weights, lows), float_weights = fixed_coder(poly, q), measure_params(poly, q).weights
+    def read(x, m: int, floors=()) -> tuple[int, ...]:
+        num, den = x.as_integer_ratio()
+        y = min(max((num << PREC) // den, 0), _ONE)
+        out, width = [], 1.0
+        for floor in floors or repeat(0.0, m):
+            c = bisect_right(lows, y) - 1
+            out.append(c)
+            y = ((y - lows[c]) << PREC) // weights[c]
+            width *= float_weights[c]
+            if not y or width < floor:
+                break
+        return tuple(out) if floors else tuple(out) + (0,) * (m - len(out))
+    return read
+
+
 def decode(poly: GenPolynomial, q: float, x, m: int, floors=()) -> tuple[int, ...]:
-    """First m letters of the coding of x (a float or a rational).
+    """First m letters of the coding of x (a float or a rational), read by ``_decoder``.
 
     Points on an interval boundary take the right-hand letter, so a
     stationary number decodes to its finite word padded with the lowest
@@ -313,19 +340,7 @@ def decode(poly: GenPolynomial, q: float, x, m: int, floors=()) -> tuple[int, ..
     (1 - rho e) dominates each weight's series; below the floor that is 2^-64
     of the bound at D = 0, the scale rho^k / (1-w)^(k+1), so rho cancels.
     """
-    weights, lows = fixed_coder(poly, q)
-    float_weights = measure_params(poly, q).weights
-    num, den = x.as_integer_ratio()
-    y = min(max((num << PREC) // den, 0), _ONE)
-    out, width = [], 1.0
-    for floor in floors or repeat(0.0, m):
-        c = bisect_right(lows, y) - 1
-        out.append(c)
-        y = ((y - lows[c]) << PREC) // weights[c]
-        width *= float_weights[c]
-        if not y or width < floor:
-            break
-    return tuple(out) if floors else tuple(out) + (0,) * (m - len(out))
+    return _decoder(poly, q)(x, m, floors)
 
 
 def cylinder(poly: GenPolynomial, q: float, word) -> tuple[Fraction, Fraction]:

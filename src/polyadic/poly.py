@@ -164,10 +164,15 @@ class DimTable:
     def n_max(self) -> int:
         return len(self._rows) - 1
 
+    def admit(self, n_max: int) -> None:
+        """Refuse, before any level is built, a table to ``n_max`` past the entry budget."""
+        d = self.poly.degree
+        _admit(f"table with n_max={n_max}, degree={d}", _table_entries(d, n_max))
+
     def extend(self, n_max: int) -> None:
         """Grow the table so that all levels up to ``n_max`` are present."""
+        self.admit(n_max)
         a, d = self.poly.coeffs, self.poly.degree
-        _admit(f"table with n_max={n_max}, degree={d}", _table_entries(d, n_max))
         for n in range(len(self._rows), n_max + 1):
             self._rows.append(tuple(_next_level(a, n, 0, self._rows[-1], 0, n * d)))
 

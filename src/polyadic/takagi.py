@@ -9,7 +9,8 @@ truncated Taylor arithmetic (forward mode; Griewank and Walther, *Evaluating
 Derivatives*, 2008) through the implicitly defined root t(q): the letter
 weights are jets once per (system, q, order), and ``measure.encode``, the
 package's one digit coder, takes their Taylor columns and runs one float pass
-per coefficient.
+per coefficient.  One evaluator, ``_takagi_rows``, reads those columns, the digit
+horizon and the decoder's tables once per grid; a single point is a grid of one.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapacityError, DivisionByZeroJet, NoRoot
-from .measure import (_weights, _check_coder_budget, _check_unit, cylinder,
-                      cylinder_measure, decode, digit_horizon, encode, low_sums,
-                      measure_params, solve_t)
+from .measure import (_decoder, _weights, _check_coder_budget, _check_unit,
+                      cylinder, cylinder_measure, decode, digit_horizon, encode,
+                      low_sums, measure_params, solve_t)
 from .paths import letter_table
 from .poly import GenPolynomial
 
@@ -162,35 +163,43 @@ def coding_map(poly: GenPolynomial, q1: float, q2: float, x: float,
     return encode((mp2.weights,), (mp2.lows,), decode(poly, q1, x, depth))
 
 
-def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
-                    depth: int = 60) -> float:
-    """k-th derivative of q2 -> coding_map(q1=q, q2, x) at the diagonal.
-
-    k = 0 is the identity on [0, 1] by convention.  `depth` caps the digits:
-    each point stops at its proven horizon (``measure.decode``).
-    """
+def _takagi_rows(poly: GenPolynomial, q: float, k: int, xs, depth: int) -> list:
+    """The one Takagi evaluator: rows (x, k! c_k) for each x of xs, checked as one x is
+    (k, x, depth), with the floors, decoder tables, Taylor columns and k! read once."""
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    _check_unit(x)
+    for x in xs:
+        _check_unit(x)
     _check_depth(depth)
     if k == 0:
-        return float(x)
-    digits = decode(poly, q, x, depth, digit_horizon(poly, q, k, depth))
-    c_k = encode(*_letter_jets(poly, q, k), digits)
-    try:        # k! c_k formed exactly and rounded once: k! leaves float range at 171
-        num, den = c_k.as_integer_ratio()
-        return math.factorial(k) * num / den
-    except (OverflowError, ValueError):
-        raise CapacityError(f"derivative of order {k} at x={x} is not a finite "
-                            f"float: {k}! * {c_k!r}") from None
+        return [(x, float(x)) for x in xs]
+    floors, read = digit_horizon(poly, q, k, depth), _decoder(poly, q)
+    cols, fact, rows = _letter_jets(poly, q, k), math.factorial(k), []
+    for x in xs:
+        c_k = encode(*cols, read(x, depth, floors))
+        try:    # k! c_k formed exactly and rounded once: k! leaves float range at 171
+            num, den = c_k.as_integer_ratio()
+            rows.append((x, fact * num / den))
+        except (OverflowError, ValueError):
+            raise CapacityError(f"derivative of order {k} at x={x} is not a finite "
+                                f"float: {k}! * {c_k!r}") from None
+    return rows
+
+
+def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
+                    depth: int = 60) -> float:
+    """k-th derivative of q2 -> coding_map(q1=q, q2, x) at the diagonal; k = 0 is the
+    identity on [0, 1] by convention.  `depth` caps the digits: each point stops at its
+    proven horizon (``measure.decode``).  This is ``takagi_grid``'s evaluator at one x."""
+    return _takagi_rows(poly, q, k, (x,), depth)[0][1]
 
 
 def takagi_grid(poly: GenPolynomial, q: float, k: int, grid: int, depth: int = 60):
-    """Rows (x, takagi_function(poly, q, k, x, depth)) at x = i/grid, i = 0..grid."""
+    """Rows (x, takagi_function(poly, q, k, x, depth)) at x = i/grid, i = 0..grid,
+    from one evaluator: the floors and tables are read once per grid, not per point."""
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    return [(i / grid, takagi_function(poly, q, k, i / grid, depth))
-            for i in range(grid + 1)]
+    return _takagi_rows(poly, q, k, [i / grid for i in range(grid + 1)], depth)
 
 
 def self_affinity_residual(poly: GenPolynomial, q1: float, q2: float, w0,

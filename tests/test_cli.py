@@ -18,6 +18,7 @@ from polyadic import (CylFunction, DimTable, GenPolynomial, PathPrefix,
                       measure_params, minimal_word, predecessor, successor,
                       unrank, word_to_string)
 from polyadic import cli, paths
+from polyadic import poly as poly_module
 from polyadic.cli import _emit, _line, main
 from polyadic.poly import DEFAULT_ENTRY_BUDGET, VertexCone, _bezout, vertex_source
 
@@ -64,6 +65,35 @@ def test_dims_bytes_equal_an_independent_csv_writer(coeffs, capsys, tmp_path):
     assert (code, out, err) == (0, "", "")
     assert path.read_text() == expected
     assert [f.name for f in tmp_path.iterdir()] == ["dims.csv"]
+
+
+def test_dims_opens_out_after_the_budget_check_and_before_building(capsys, monkeypatch,
+                                                                  tmp_path):
+    # a bad --out path once failed only after the whole table was built
+    built = []
+
+    def counted(*args):
+        built.append(args[1])
+        return next_level(*args)
+
+    next_level = poly_module._next_level
+    monkeypatch.setattr(poly_module, "_next_level", counted)
+    bad = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "dims", "--poly", "1,1,3", "--nmax", "50", "--out", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{bad}'\n"
+    assert built == []
+    # a budget refusal still comes first: no file, no output, the same text
+    good = tmp_path / "x.csv"
+    code, out, err = run(capsys, "dims", "--poly", "1,1,3", "--nmax", "100000",
+                         "--out", str(good))
+    assert (code, out, built) == (1, "", [])
+    assert err == ("error: table with n_max=100000, degree=2 needs 10000200001 "
+                   "entries, budget is 4000000\n")
+    assert not good.exists()
+    code, out, err = run(capsys, "dims", "--poly", "1,1,3", "--nmax", "50", "--out", str(good))
+    assert (code, out, err) == (0, "", "")
+    assert built == list(range(1, 51))
 
 
 def test_dims_usage_error(capsys):

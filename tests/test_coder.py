@@ -1,5 +1,6 @@
 """The digit coder against the reference decoder in conftest, and its properties."""
 
+import math
 import os
 import random
 import subprocess
@@ -111,17 +112,19 @@ def test_taylor_encode_matches_the_jet_horner(system, order, data):
     assert abs(encode(wcols, lcols, word) - want) <= 1e-12 * scale
 
 
-def _parent_taylor_encode(wcols, lcols, digits) -> float:
-    """The Taylor coder as it stood beside the single-column Horner: float passes."""
+def _parent_taylor_encode(wcols, lcols, digits):
+    """The Taylor coder as it stood beside the single-column Horner, with explicit
+    zero offsets in the ring of ``lcols[0][0]``: pass 0 adds that zero at every
+    step, and each higher pass's offset starts at it."""
     seq = digits[::-1]
-    w0 = wcols[0]
+    zero, w0 = lcols[0][0], wcols[0]
     passes = []
     for i, low in enumerate(lcols):
-        offset = [0.0] * len(seq)
+        offset = [zero] * len(seq)
         for j in range(1, i + 1):
             wj = wcols[j]
             offset = [o + wj[c] * a for o, c, a in zip(offset, seq, passes[i - j])]
-        acc = 0.0
+        acc = zero
         path = [acc]
         for c, o in zip(seq, offset):
             acc = low[c] + (w0[c] * acc + o)
@@ -159,6 +162,43 @@ def test_taylor_coefficients_are_the_float_passes_bit_for_bit(system, order, dat
     wcols, lcols = _letter_jets(poly, q, order)
     for w in (word, ()):
         assert encode(wcols, lcols, w).hex() == _parent_taylor_encode(wcols, lcols, w).hex()
+
+
+def _bit_words(r, rng):
+    """Words that start or end with the lowest letter, runs of it, and random words."""
+    top = r - 1
+    fixed = [(), (0,), (top,), (0,) * 7, (0, top, 0), (top, 0, 0, 0), (0, 0, top),
+             (top,) * 9 + (0,), (0,) + (top,) * 9]
+    drawn = [tuple(rng.randrange(r) for _ in range(rng.randrange(1, 50))) for _ in range(24)]
+    return fixed + drawn + [(0,) + w for w in drawn[:8]] + [w + (0,) for w in drawn[8:16]]
+
+
+def _signed_variants(wcols):
+    """The columns as given (the higher ones already hold negative entries), each
+    higher column negated, and each with its first entry made -0.0."""
+    yield wcols
+    yield (wcols[0],) + tuple(tuple(-v for v in col) for col in wcols[1:])
+    yield (wcols[0],) + tuple((-0.0,) + col[1:] for col in wcols[1:])
+
+
+@pytest.mark.parametrize("coeffs,q", [((1, 1), 0.3), ((1, 1, 2), 0.2187), ((2, 1, 1, 2), 0.19)])
+def test_encode_without_zero_offsets_keeps_every_bit(coeffs, q):
+    # encode adds no zero offset; in floats that can move only the sign of a
+    # zero, which the low sums drop, and in Fractions the two forms are equal.
+    # The benchmark's takagi oracle reads coding_map, which runs this same
+    # encode, so only a reference kept here can show a moved bit
+    poly = GenPolynomial(coeffs)
+    words = _bit_words(poly.alphabet_size, random.Random(sum(coeffs)))
+    for k in range(4):
+        for wcols in _signed_variants(_letter_jets(poly, q, k)[0]):
+            assert k == 0 or any(math.copysign(1.0, v) < 0 for col in wcols[1:] for v in col)
+            lcols = tuple(low_sums(col, 0.0) for col in wcols)
+            exact = ([tuple(map(Fraction, col)) for col in wcols],
+                     [low_sums(tuple(map(Fraction, col)), Fraction(0)) for col in wcols])
+            for w in words:
+                got, want = encode(wcols, lcols, w), _parent_taylor_encode(wcols, lcols, w)
+                assert got.hex() == want.hex(), (k, w)
+                assert encode(*exact, w) == _parent_taylor_encode(*exact, w)
 
 
 MEASURE_SYSTEMS = [(1, 1), (1, 1, 2), (2, 1, 1), (1, 1, 3), (1, 2, 1), (3, 1, 2)]

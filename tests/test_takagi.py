@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from polyadic import (CapacityError, DivisionByZeroJet, GenPolynomial, Jet,
 from polyadic.cli import main
 from polyadic.measure import (_root, _weights, decode, encode,
                               fixed_coder, digit_horizon)
-from polyadic.takagi import _letter_jets
+from polyadic.takagi import _letter_jets, takagi_grid
 
 P11 = GenPolynomial((1, 1))
 P111 = GenPolynomial((1, 1, 1))
@@ -343,6 +344,57 @@ def test_a_cold_takagi_op_forms_the_root_weights_once(capsys):
     assert main(["takagi", "--poly", "1,1,2", "--q", "0.2187", "--grid", "8"]) == 0
     # read for the coder's integers and for the floats that measure the width
     assert _root.cache_info().misses == 1
+
+
+# -- one evaluator per grid ----------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_a_grid_row_is_takagi_function_at_its_point_bit_for_bit(k):
+    for poly, q, grid in ((P11, 0.5, 64), (P112, 0.2187, 96), (GenPolynomial((2, 1, 1, 2)), 0.19, 40)):
+        rows = takagi_grid(poly, q, k, grid)
+        assert [x for x, _ in rows] == [i / grid for i in range(grid + 1)]
+        for x, value in rows:
+            assert value.hex() == takagi_function(poly, q, k, x).hex()
+
+
+def test_a_grid_reads_its_horizon_and_taylor_columns_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name in ("digit_horizon", "_letter_jets"):
+        monkeypatch.setattr(polyadic.takagi, name, counted(getattr(polyadic.takagi, name)))
+    for k in (1, 3):
+        calls.clear()
+        assert len(takagi_grid(P112, 0.2187, k, 256)) == 257
+        assert sorted(calls) == ["_letter_jets", "digit_horizon"]
+
+
+@pytest.mark.parametrize("args,error,text", [
+    ((1e-200, -1, 0, 0), ValueError, "grid must be >= 1"),
+    ((1e-200, -1, 4, 0), ValueError, "derivative order must be >= 0"),
+    ((1e-200, 1, 4, 0), ValueError, "depth must be >= 1, got 0"),
+    ((1e-200, 1, 4, 60), CapacityError,
+     "a letter weight at q=1e-200 is below 2^-192, the coder's resolution"),
+    ((1e-20, 1, 4, 60), CapacityError, "Taylor coefficient 1 of the letter weights "
+                                       "lost its precision at q=1e-20: they do not sum to 1"),
+])
+def test_a_grid_reports_the_first_of_its_faults(args, error, text):
+    # checked in the order a single point checks them: grid, k, depth, the
+    # coder, then the Taylor columns
+    q, k, grid, depth = args
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        takagi_grid(P112, q, k, grid, depth)
+
+
+def test_an_order_zero_grid_reads_no_coder():
+    # k = 0 is the identity, so a q the coder refuses still answers
+    assert takagi_grid(P112, 1e-200, 0, 2) == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
 
 
 # -- the digit horizon ---------------------------------------------------------
