@@ -1,8 +1,9 @@
 """Command-line surface: reproducible CSV/JSON output for every module.
 
-Exit codes: 2 for usage problems, 3 when a curve run degenerates or fails to
-converge, 1 for any other domain error.  All randomness sits behind --seed;
-big integers are printed as decimal strings.
+``main`` alone returns the exit code: 0, or 3 when a curve run degenerates or
+fails to converge, or 1 for any other domain error; usage problems exit with 2
+through argparse.  All randomness sits behind --seed; big integers are printed
+as decimal strings.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ def _field(text: str) -> str:
 
 
 def _emit(args, header, lines, meta=None) -> None:
-    """Write the header row, then the \\n-ended CSV ``lines`` as they come, to --out or stdout."""
+    """Write ``header`` unless None, then the \\n-ended ``lines`` as they come, to --out or stdout."""
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-        fh.write(_line(header))
+        if header is not None:
+            fh.write(_line(header))
         fh.writelines(lines)
     if meta is None:
         return
@@ -73,7 +75,7 @@ def _level(value: int, option: str) -> int:
     return value
 
 
-def _cmd_dims(args, parser) -> int:
+def _cmd_dims(args, parser) -> None:
     # A budget refusal comes before any output, and a bad --out before level 1
     # is built: the table is built by one DimTable.extend once --out is open.
     table = DimTable(args.poly)
@@ -86,10 +88,9 @@ def _cmd_dims(args, parser) -> int:
             yield f"{n}" + f"\n{n}".join(map(add, labels, map(str, table.row(n)))) + "\n"
 
     _emit(args, ("n", "k", "dim"), lines())
-    return 0
 
 
-def _cmd_tq(args, parser) -> int:
+def _cmd_tq(args, parser) -> None:
     mp = measure_params(args.poly, args.q)
     lt = letter_table(args.poly)
     rows = [("q", repr(mp.q)), ("t", repr(mp.t)),
@@ -97,10 +98,9 @@ def _cmd_tq(args, parser) -> int:
     rows += [(f"letter{c}", f"kstep={lt.kstep[c]}", repr(w))
              for c, w in enumerate(mp.weights)]
     _emit(args, ("field", "value"), map(_line, rows))
-    return 0
 
 
-def _cmd_rank(args, parser) -> int:
+def _cmd_rank(args, parser) -> None:
     unrank_args = (args.level, args.kappa, args.index)
     if args.word is not None:
         if any(v is not None for v in unrank_args):
@@ -120,22 +120,15 @@ def _cmd_rank(args, parser) -> int:
         word = unrank(n, kap, rnk, source)
     row = (word_to_string(word, args.poly), n, kap, str(rnk), str(total))
     _emit(args, ("word", "n", "kappa", "rank", "dim"), [_line(row)])
-    return 0
 
 
-def _cmd_succ(args, parser) -> int:
+def _cmd_succ(args, parser) -> None:
     word = word_from_string(args.word, args.poly)
     word = jump(word, args.poly, _level(args.steps, "--steps"), -1 if args.pred else 1)
-    out = word_to_string(word, args.poly)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
-    return 0
+    _emit(args, None, [word_to_string(word, args.poly) + "\n"])
 
 
-def _cmd_orbit(args, parser) -> int:
+def _cmd_orbit(args, parser) -> None:
     if args.word is not None and args.n is not None:
         parser.error("orbit takes --word or --n, not both")
     if args.word is None and args.n is None:
@@ -154,10 +147,9 @@ def _cmd_orbit(args, parser) -> int:
             for step, word in enumerate(y.known() for y in walk)]
     _emit(args, ("step", "theta", "word"), map(_line, rows),
           meta={"poly": list(args.poly.coeffs), "q": args.q, "seed": args.seed})
-    return 0
 
 
-def _cmd_curve(args, parser) -> int:
+def _cmd_curve(args, parser) -> None:
     nmax = _level(args.nmax, "--nmax")
     m = _level(args.m, "--m")
     mp = measure_params(args.poly, args.q)
@@ -174,10 +166,9 @@ def _cmd_curve(args, parser) -> int:
             "distances": diag["distances"],
             "converged_at": diag.get("converged_at")}
     _emit(args, ("x", "y"), map(_line, rows), meta)
-    return 0
 
 
-def _cmd_cohom(args, parser) -> int:
+def _cmd_cohom(args, parser) -> None:
     nmax = _level(args.nmax, "--nmax")
     m = _level(args.m, "--m")
     g = _load_g(args.g, args.poly)
@@ -186,22 +177,19 @@ def _cmd_cohom(args, parser) -> int:
           meta={"verdict": verdict, "poly": list(args.poly.coeffs),
                 "nmax": args.nmax, "m": args.m})
     sys.stderr.write(f"verdict: {verdict}\n")
-    return 0
 
 
-def _cmd_takagi(args, parser) -> int:
+def _cmd_takagi(args, parser) -> None:
     rows = takagi_grid(args.poly, args.q, args.k, args.grid, args.depth)
     _emit(args, ("x", "value"), map(_line, rows),
           meta={"poly": list(args.poly.coeffs), "q": args.q, "k": args.k,
                 "depth": args.depth})
-    return 0
 
 
-def _cmd_parabola(args, parser) -> int:
+def _cmd_parabola(args, parser) -> None:
     rows = parabola_profile(args.d, args.grid, args.depth)
     _emit(args, ("x", "value", "parabola", "deviation"), map(_line, rows),
           meta={"d": args.d, "grid": args.grid, "depth": args.depth})
-    return 0
 
 
 @cache     # one parser per process: main builds nine subcommands otherwise
@@ -288,13 +276,11 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
-    except (NoConvergence, DegenerateCurve) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        args.func(args, parser)
+        return 0
     except (PolyadicError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 3 if isinstance(exc, (NoConvergence, DegenerateCurve)) else 1
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -403,6 +403,7 @@ def cohomology_verdict(g: CylFunction, table: DimTable, n_max: int,
     N = g.N
     if n_max < N:
         raise ValueError("n_max below function rank")
+    table.admit(n_max)
     series = [(n, _normalizer(g, n, central_vertex(table, n), min(m, n - N), table)[3])
               for n in range(N, n_max + 1)]
     values = [v for _, v in series]

@@ -13,7 +13,8 @@ unranking at one vertex, ``VertexCone`` holds the vertices on some path up
 to it, and ``VertexDescent`` a few entries a level along the walk down
 from it, and ``vertex_source`` picks the one that builds fewer entries.
 Each ``dim`` raises ValueError at a negative level, is zero for k outside
-[0, n*d], and in a stand-in raises KeyError where no entry is held.
+[0, n*d], and in a stand-in raises KeyError where no entry is held or a
+read passes a record's reach.
 ``DimTable`` and ``PathColumn`` build a level from the one below with the
 one level builder, ``_next_level``; a descent builds it from the one above
 by a Bezout identity of p and p', solved once per polynomial, so p must

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import poly_power_row, poly_power_rows
 from polyadic import (CylFunction, DimTable, GenPolynomial, PathPrefix,
-                      extract_limiting_curve, letter_stream, maximal_word,
-                      measure_params, minimal_word, predecessor, successor,
-                      unrank, word_to_string)
+                      extract_limiting_curve, kappa, letter_stream, maximal_word,
+                      measure_params, minimal_word, predecessor, rank, successor,
+                      unrank, word_from_string, word_to_string)
 from polyadic import cli, paths
 from polyadic import poly as poly_module
 from polyadic.cli import _emit, _line, main
@@ -96,6 +96,26 @@ def test_dims_opens_out_after_the_budget_check_and_before_building(capsys, monke
     assert built == list(range(1, 51))
 
 
+def test_cohom_refuses_a_table_past_the_budget_before_building(capsys, monkeypatch, tmp_path):
+    # R of a constant g stays 0, so only the entry budget can end this run
+    built = []
+
+    def counted(*args):
+        built.append(args[1])
+        return next_level(*args)
+
+    next_level = poly_module._next_level
+    monkeypatch.setattr(poly_module, "_next_level", counted)
+    gpath = _write_g(tmp_path, GenPolynomial((1, 1)), CylFunction(1, {(0,): 1.0, (1,): 1.0}))
+    out = tmp_path / "r.csv"
+    code, stdout, err = run(capsys, "cohom", "--poly", "1,1", "--g", gpath, "--nmax", "3000",
+                            "--out", str(out))
+    assert (code, stdout, built) == (1, "", [])
+    assert err == ("error: table with n_max=3000, degree=1 needs 4504501 entries, "
+                   "budget is 4000000\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["g.json"]
+
+
 def test_dims_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["dims", "--nmax", "3"])
@@ -166,6 +186,17 @@ def test_emit_writes_the_bytes_of_csv_writer(rows):
             sys.set_int_max_str_digits(limit)
 
 
+def test_emit_without_a_header_writes_only_its_lines(tmp_path):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(argparse.Namespace(out=None), None, ["0110\n", "a,b\n"])
+    assert buf.getvalue() == "0110\na,b\n"
+    path = tmp_path / "x.txt"
+    _emit(argparse.Namespace(out=str(path)), None, iter(["1001\n"]))
+    assert path.read_text() == "1001\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["x.txt"]
+
+
 def test_tq(capsys):
     code, out, _ = run(capsys, "tq", "--poly", "1,1", "--q", "0.3")
     assert code == 0
@@ -211,6 +242,30 @@ def test_succ_and_pred(capsys):
     code, out, err = run(capsys, "succ", "--poly", "1,1,3", "--word", first,
                          "--steps", str(dim))
     assert code == 1 and out == "" and "maximal through level 5" in err
+
+
+_README_WORD = "01234" * 12     # the README's 60-letter word on 1,1,3
+
+
+def _jumped(word, steps):
+    poly = GenPolynomial((1, 1, 3))
+    w = word_from_string(word, poly)
+    moved = unrank(len(w), kappa(w, poly), rank(w, poly) + steps, DimTable(poly))
+    return word_to_string(moved, poly) + "\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--poly", "1,1", "--word", "0110"), "1001\n"),
+    (("--poly", "1,1", "--word", "1001", "--pred"), "0110\n"),
+    (("--poly", "1,1,3", "--word", _README_WORD, "--steps", "20000"),
+     _jumped(_README_WORD, 20000)),
+])
+def test_succ_writes_the_same_bytes_to_stdout_and_to_out(capsys, tmp_path, argv, expected):
+    assert run(capsys, "succ", *argv) == (0, expected, "")
+    path = tmp_path / "succ.txt"
+    assert run(capsys, "succ", *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_text() == expected
+    assert [f.name for f in tmp_path.iterdir()] == ["succ.txt"]
 
 
 def test_succ_jumps_by_rank_without_stepping(capsys, monkeypatch):
@@ -403,6 +458,15 @@ def test_cohom(tmp_path, capsys):
     meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
     assert meta["verdict"] == "BOUNDED"
     assert out.read_text().splitlines()[0] == "n,R"
+
+
+def test_cohom_reports_an_inconclusive_series(tmp_path, capsys):
+    gpath = _write_g(tmp_path, GenPolynomial((1, 1)), CylFunction(1, {(0,): 1.0}))
+    code, out, err = run(capsys, "cohom", "--poly", "1,1", "--g", gpath, "--nmax", "3",
+                         "--m", "0")
+    assert code == 0
+    assert out == "n,R\n1,0.0\n2,0.5\n3,0.3333333333333333\n"
+    assert err.endswith("verdict: INCONCLUSIVE\n")
 
 
 def test_takagi_subcommand(capsys):

@@ -21,6 +21,7 @@ from polyadic import (CapacityError, CylFunction, DegenerateCurve, DimTable,
                       rank, stationary_points, sup_distance,
                       tower_total, maximal_word, minimal_word,
                       iter_tower, prefix_walk)
+from polyadic import poly as poly_module
 from polyadic.ergodic import _grid_numerators, _stabilizing_levels
 from polyadic.paths import path_column
 
@@ -411,6 +412,46 @@ def test_cohomology_verdicts():
     tele = CylFunction(2, {(0, 1): 1.0, (1, 0): -1.0})
     verdict, series = cohomology_verdict(tele, T11, 20, m=4)
     assert verdict == "BOUNDED"
+
+
+def test_cohomology_verdict_inconclusive():
+    # at depth 0 the tail of the series is neither flat nor nondecreasing
+    assert cohomology_verdict(G_FIRST0, DimTable(P11), 3, 0) == (
+        "INCONCLUSIVE", [(1, 0.0), (2, 0.5), (3, 0.3333333333333333)])
+    assert cohomology_verdict(G_FIRST0, DimTable(P11), 10, 0)[0] == "INCONCLUSIVE"
+
+
+def test_cohomology_verdict_admits_its_table_before_level_one(monkeypatch):
+    # a constant g keeps R at 0, so only the entry budget can end the run; a
+    # cut budget keeps short any build of levels before the refusal
+    monkeypatch.setattr(poly_module, "DEFAULT_ENTRY_BUDGET", 10_000)
+    table = DimTable(P11)
+    g = CylFunction(1, {(0,): 1.0, (1,): 1.0})
+    with pytest.raises(CapacityError) as exc:
+        cohomology_verdict(g, table, 3000)
+    assert str(exc.value) == ("table with n_max=3000, degree=1 needs 4504501 entries, "
+                              "budget is 10000")
+    assert table.n_max == 0
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: CylFunction.from_table(P113, 10, lambda w: 1.0), CapacityError,
+     "5^10 words exceed tabulation budget"),
+    (lambda: tower_total(h_coeffs(CylFunction(2, {(0, 1): 1.0}), P11), 1, 0, T11), ValueError,
+     "tower level below function rank"),
+    (lambda: fluctuation_curve(G_FIRST0, 12, 6, 11, DimTable(GenPolynomial((1,) * 5), 12)),
+     CapacityError, "5^11 top words exceed grid budget"),
+    (lambda: node_grid(5, 2, 6, T11), ValueError, "need 0 <= m <= n"),
+    (lambda: _grid_numerators(G_FIRST0, 6, 3, 6, T11), ValueError, "need depth m <= n - N = 5"),
+    (lambda: _grid_numerators(G_FIRST0, 6, 9, 2, T11), ValueError, "empty tower at (6, 9)"),
+    (lambda: DimTable(P11, -1), ValueError, "n_max must be >= 0"),
+    (lambda: minimal_word(-1, 0, P11), ValueError, "level -1 is negative"),
+], ids=["tabulation", "tower-rank", "grid-words", "node-depth", "grid-depth", "empty-tower",
+        "table-level", "word-level"])
+def test_refusals_name_their_reason_in_full(call, error, text):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == text
 
 
 def test_partial_sum_exact_is_rational():
