@@ -227,35 +227,38 @@ def encode(wcols, lcols, digits):
     and low sums (column i: every letter's i-th coefficient) in any ring:
     float, ``Fraction`` or jet.  ``lcols[0][0]`` is the ring's zero, the
     value of the empty word; one column (K = 0) gives the plain coding, the
-    left end of the digits' interval.  The step acc = l_c + w_c acc is
-    linear in acc, so pass i is that Horner in coefficient i plus the offset
-    sum_{j=1..i} w_j[c] a_{i-j}, read from the earlier passes.  Pass 0 has no
-    offset and pass i's starts at its j = 1 term: a zero added could only turn
-    -0.0 into 0.0, a sign that adding l_c (never -0.0) erases, so no bit moves.
+    left end of the digits' interval.  The step acc = l_c + w_c acc is linear
+    in acc, so column i is that Horner plus sum_{j=1..i} w_j[c] a_{i-j}; columns
+    0 and 1 run in one loop.  No zero is added: it could turn only -0.0 into
+    0.0, which adding l_c (never -0.0) erases, so no bit moves.
     """
-    seq = digits[::-1]
-    zero, w0, last = lcols[0][0], wcols[0], len(lcols) - 1
-    passes = []     # passes[i][s]: coefficient i of acc before step s
-    for i, low in enumerate(lcols):
+    zero, w0, l0, last = lcols[0][0], wcols[0], lcols[0], len(lcols) - 1
+    a0 = a1 = zero
+    if not last:            # the plain coding keeps no accumulators
+        for c in reversed(digits):
+            a0 = l0[c] + w0[c] * a0
+        return a0
+    w1, l1 = wcols[1], lcols[1]
+    if last == 1:           # nor does the last column
+        for c in reversed(digits):
+            a1 = l1[c] + (w0[c] * a1 + w1[c] * a0)
+            a0 = l0[c] + w0[c] * a0
+        return a1
+    seq, passes = digits[::-1], [[zero], [zero]]  # passes[i][s]: coefficient i before step s
+    for c in seq:
+        passes[1].append(a1 := l1[c] + (w0[c] * a1 + w1[c] * a0))
+        passes[0].append(a0 := l0[c] + w0[c] * a0)
+    for i, low in enumerate(lcols[2:], 2):
         acc, path = zero, [zero]
-        if i:
-            w1 = wcols[1]
-            offset = [w1[c] * a for c, a in zip(seq, passes[i - 1])]
-            for j, wj in enumerate(wcols[2:i + 1], 2):
-                offset = [o + wj[c] * a for o, c, a in zip(offset, seq, passes[i - j])]
-            if i == last:       # the last pass keeps no accumulators
-                for c, o in zip(seq, offset):
-                    acc = low[c] + (w0[c] * acc + o)
-                return acc
+        offset = [w1[c] * a for c, a in zip(seq, passes[i - 1])]
+        for j, wj in enumerate(wcols[2:i + 1], 2):
+            offset = [o + wj[c] * a for o, c, a in zip(offset, seq, passes[i - j])]
+        if i == last:       # nor does the last column
             for c, o in zip(seq, offset):
-                path.append(acc := low[c] + (w0[c] * acc + o))
-        elif last:
-            for c in seq:
-                path.append(acc := low[c] + w0[c] * acc)
-        else:               # nor does the plain coding
-            for c in seq:
-                acc = low[c] + w0[c] * acc
+                acc = low[c] + (w0[c] * acc + o)
             return acc
+        for c, o in zip(seq, offset):
+            path.append(acc := low[c] + (w0[c] * acc + o))
         passes.append(path)
 
 

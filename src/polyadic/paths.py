@@ -24,7 +24,7 @@ from itertools import accumulate, count, islice
 from .errors import (CapacityError, HorizonExhausted, MaximalPath, MinimalPath,
                      PrefixExhausted, RankOutOfRange)
 from .poly import (DEFAULT_ENTRY_BUDGET, DimTable, GenPolynomial, PathColumn, VertexCone,
-                   VertexDescent, _admit, _vertex_plan, vertex_source)
+                   VertexDescent, _admit, _check_poly, _vertex_plan, vertex_source)
 
 _DIGIT_LABELS = [{c: str(c) for c in range(r)} for r in range(11)]  # by alphabet size r
 
@@ -95,7 +95,7 @@ def word_from_string(text: str, poly: GenPolynomial) -> tuple[int, ...]:
 def path_column(x, poly: GenPolynomial, depth: int = 0) -> PathColumn:
     """Exact dimensions near the vertices of the path x, see PathColumn."""
     x = _as_prefix(x)
-    ks = letter_table(poly).kstep
+    ks = letter_table(_check_poly(poly)).kstep
     return PathColumn(poly, (ks[x.letter(n)] for n in count(1)), depth)
 
 

@@ -94,6 +94,13 @@ class GenPolynomial:
         return ",".join(str(a) for a in self.coeffs)
 
 
+def _check_poly(poly) -> GenPolynomial:
+    """``poly`` itself; a ValueError naming it if it is not a GenPolynomial."""
+    if not isinstance(poly, GenPolynomial):
+        raise ValueError(f"expected a GenPolynomial, got {poly!r}")
+    return poly
+
+
 def _next_level(a, n, prev_lo, prev, lo, hi) -> list[int]:
     """C(n, lo..hi) for coefficients ``a``, from level n - 1's ``prev``.
 
@@ -157,7 +164,7 @@ class DimTable:
     def __init__(self, poly: GenPolynomial, n_max: int = 0):
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        self.poly = poly
+        self.poly = _check_poly(poly)
         self._rows: list[tuple[int, ...]] = [(1,)]
         self.extend(n_max)
 
@@ -193,7 +200,7 @@ class DimTable:
 
 class _LevelStore:
     """One record per level, ``_rows[n] = (lo, vals, anchor)``: the run
-    vals = C(n, lo..), answering reads within ``_reach`` of the anchor vertex.
+    vals = C(n, lo..), answering reads within ``_reach`` = levels * d of the anchor.
 
     ``dim`` is zero for k outside [0, n*d] and refuses a negative level as in
     DimTable.  A level that is not held goes to the subclass's ``_build``,
@@ -202,8 +209,8 @@ class _LevelStore:
     widens the run to the whole reach by ``_sideways``.
     """
 
-    def __init__(self, poly: GenPolynomial, reach: int):
-        self.poly, self._d, self._reach = poly, poly.degree, reach
+    def __init__(self, poly: GenPolynomial, levels: int):
+        self.poly, self._d, self._reach = _check_poly(poly), poly.degree, levels * poly.degree
         self._rows: dict[int, tuple[int, list[int], int]] = {}
 
     def dim(self, n: int, k: int) -> int:
@@ -247,7 +254,7 @@ class PathColumn(_LevelStore):
     def __init__(self, poly: GenPolynomial, steps, depth: int = 0):
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        super().__init__(poly, max(depth, 1) * poly.degree)
+        super().__init__(poly, max(depth, 1))
         self._steps = iter(steps)
         self._keep = depth + 1
         self._rows[0] = 0, [1], 0
@@ -348,7 +355,7 @@ class VertexCone:
     def __init__(self, poly: GenPolynomial, n: int, kap: int):
         if n < 0:
             raise ValueError(f"level {n} is negative")
-        self.poly = poly
+        self.poly = _check_poly(poly)
         self._levels: list[tuple[int, int, int, int]] = []
         a, d = poly.coeffs, poly.degree
         if not 0 <= kap <= n * d:
@@ -470,7 +477,7 @@ class VertexDescent(_LevelStore):
     def __init__(self, poly: GenPolynomial, n: int, kap: int):
         if n < 0:
             raise ValueError(f"level {n} is negative")
-        super().__init__(poly, poly.degree)
+        super().__init__(poly, 1)
         identity = _bezout(poly.coeffs)
         if identity is None:
             raise ValueError(f"{poly} has a repeated root: no descent")

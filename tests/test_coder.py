@@ -201,6 +201,30 @@ def test_encode_without_zero_offsets_keeps_every_bit(coeffs, q):
                 assert encode(*exact, w) == _parent_taylor_encode(*exact, w)
 
 
+@pytest.mark.parametrize("coeffs,q", [((1, 1), 0.3), ((1, 1, 2), 0.2187), ((2, 1, 1, 2), 0.19)])
+def test_shared_column_loop_keeps_every_bit_to_order_8(coeffs, q):
+    # columns 0 and 1 run in one loop, which keeps their accumulators only
+    # where columns 2..K read them: every order from the plain coding to 8,
+    # on -0.0 entries too, keeps the bits of one pass per column, and in
+    # Fractions the two are equal (on the words of up to 12 letters: a
+    # Fraction's terms grow with every digit); the empty word and each
+    # one-letter word take every branch with no step or one
+    poly = GenPolynomial(coeffs)
+    r = poly.alphabet_size
+    words = _bit_words(r, random.Random(sum(coeffs) + 8)) + [(c,) for c in range(r)]
+    assert () in words
+    for k in range(9):
+        for wcols in _signed_variants(_letter_jets(poly, q, k)[0]):
+            lcols = tuple(low_sums(col, 0.0) for col in wcols)
+            exact = ([tuple(map(Fraction, col)) for col in wcols],
+                     [low_sums(tuple(map(Fraction, col)), Fraction(0)) for col in wcols])
+            for w in words:
+                got, want = encode(wcols, lcols, w), _parent_taylor_encode(wcols, lcols, w)
+                assert got.hex() == want.hex(), (k, w)
+                if len(w) <= 12:
+                    assert encode(*exact, w) == _parent_taylor_encode(*exact, w), (k, w)
+
+
 MEASURE_SYSTEMS = [(1, 1), (1, 1, 2), (2, 1, 1), (1, 1, 3), (1, 2, 1), (3, 1, 2)]
 
 

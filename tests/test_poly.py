@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import poly_power_row, poly_power_rows
 from polyadic import CapacityError, DimTable, GenPolynomial, letter_table, poly, prefix_walk
 from polyadic.measure import fixed_coder
+from polyadic.paths import path_column
 from polyadic.poly import (_BIT_BUDGET, PathColumn, VertexCone, VertexDescent, _cone_bits,
                            _cone_entries, _descent_entries, _table_entries)
 
@@ -638,3 +639,18 @@ def test_every_refusal_states_its_need_and_the_budget_in_full(build, text):
     with pytest.raises(CapacityError) as refused:
         build()
     assert str(refused.value) == text
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: DimTable(p), lambda p: DimTable(p, 3), lambda p: PathColumn(p, [1, 0, 1, 0], 1),
+    lambda p: VertexCone(p, 4, 2), lambda p: VertexDescent(p, 4, 2),
+    lambda p: path_column((0, 1, 1, 0), p)],
+    ids=["DimTable", "DimTable-n_max", "PathColumn", "VertexCone", "VertexDescent",
+         "path_column"])
+@pytest.mark.parametrize("coeffs", [(1, 1), [1, 1]])
+def test_row_sources_refuse_a_bare_coefficient_list(build, coeffs):
+    # refused, naming what was given, before any attribute of a GenPolynomial is read
+    with pytest.raises(ValueError) as refused:
+        build(coeffs)
+    assert str(refused.value) == f"expected a GenPolynomial, got {coeffs!r}"
+    build(GenPolynomial(tuple(coeffs))).dim(4, 2)

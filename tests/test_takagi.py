@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -476,3 +477,23 @@ def test_a_zero_remainder_ends_the_word_and_moves_no_bit():
         for i in range(256):
             assert len(decode(P112, 0.25, i / 256, 60, floors)) <= 4
             assert takagi_function(P112, 0.25, k, i / 256) == _full_depth(P112, 0.25, k, i / 256)
+
+
+# sha256 of the space-joined .hex() of the 33 values of takagi_grid(..., 32),
+# formed while each Taylor column still ran its own pass over the digits
+GRID_DIGESTS = [
+    ((1, 1), 0.5, 1, "dad41eb4a381c83a104fc1ba7626f78c5b4bacc2bd9e1c8b7065a3ef72d98ca6"),
+    ((1, 1, 2), 0.2233, 1, "6c07d9292172202c85fd35deedf0e94928266ea89e58c43490ba08a30184ce46"),
+    ((1, 1, 2), 0.2233, 3, "b87194db1e6127d2b850bd7d2b8b730b9a5caec5c2fdf562c9650c0b9e606402"),
+    ((2, 1, 1, 2), 0.19, 2, "6b948097ca262eea329879a6f22c67877be4464e88a2605915665870189df09b"),
+]
+
+
+@pytest.mark.parametrize("coeffs,q,k,digest", GRID_DIGESTS)
+def test_takagi_grid_values_keep_their_bits(coeffs, q, k, digest):
+    # the bench's oracles read the values within tolerances: only a digest
+    # shows a moved bit
+    rows = takagi_grid(GenPolynomial(coeffs), q, k, 32)
+    assert [x for x, _ in rows] == [i / 32 for i in range(33)]
+    text = " ".join(v.hex() for _, v in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
