@@ -21,10 +21,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
+from operator import add
 
 from .errors import CapacityError, DegenerateCurve, NoConvergence
-from .paths import (kappa, letter_table, minimal_word, path_column, prefix_walk,
-                    unrank, word_from_string, word_to_string)
+from .paths import (_check_letters, kappa, letter_table, minimal_word, path_column,
+                    prefix_walk, unrank, word_from_string, word_to_string)
 from .poly import _WORD_BUDGET, DimTable, GenPolynomial, PathColumn
 
 
@@ -38,6 +39,7 @@ class CylFunction:
         self.values = {}
         for word, val in dict(values).items():
             word = tuple(word)
+            _check_letters(word)
             if len(word) != N:
                 raise ValueError(f"key {word} does not have length {N}")
             if isinstance(val, bool) or not isinstance(val, numbers.Real):
@@ -55,12 +57,6 @@ class CylFunction:
         if len(word) < self.N:
             raise ValueError(f"need at least {self.N} letters, got {len(word)}")
         return self.values.get(tuple(word[:self.N]), 0.0)
-
-    def validate_for(self, poly: GenPolynomial) -> None:
-        r = poly.alphabet_size
-        for word in self.values:
-            if any(not 0 <= c < r for c in word):
-                raise ValueError(f"word {word} outside alphabet of size {r}")
 
     @classmethod
     def from_table(cls, poly: GenPolynomial, N: int, fn) -> "CylFunction":
@@ -106,11 +102,18 @@ class HCoeffs:
 
 
 def h_coeffs(g: CylFunction, poly: GenPolynomial) -> HCoeffs:
-    g.validate_for(poly)
-    out = [Fraction(0)] * (g.N * poly.degree + 1)
+    s = _dyadic_bits(g.values.values())
+    return HCoeffs(g.N, tuple(Fraction(hl, 1 << s) for hl in _scaled_h(g, poly, s)))
+
+
+def _scaled_h(g: CylFunction, poly: GenPolynomial, s: int) -> list[int]:
+    """The integers 2^s h_l, exact sums for s >= _dyadic_bits(g.values.values())."""
+    r, out = poly.alphabet_size, [0] * (g.N * poly.degree + 1)
     for word, val in g.values.items():
-        out[kappa(word, poly)] += Fraction(val)
-    return HCoeffs(g.N, tuple(out))
+        if not all(0 <= c < r for c in word):
+            raise ValueError(f"word {word} outside alphabet of size {r}")
+        out[kappa(word, poly)] += _scaled(val, s)
+    return out
 
 
 def _dyadic_bits(values) -> int:
@@ -129,8 +132,7 @@ def _to_float(num: int, den: int, what: str, n: int) -> float:
     try:
         return num / den
     except OverflowError:
-        raise CapacityError(
-            f"{what} at level {n} exceeds float range") from None
+        raise CapacityError(f"{what} at level {n} exceeds float range") from None
 
 
 def tower_total(h: HCoeffs, n: int, kap: int, table: DimTable) -> float:
@@ -144,22 +146,26 @@ def tower_total(h: HCoeffs, n: int, kap: int, table: DimTable) -> float:
 def _top_blocks(n: int, kap: int, m: int, table: DimTable | PathColumn):
     """Valid top-m letter blocks of the tower at (n, kap), in rank order.
 
-    Returns the (bottom_kappa, rank) pair of each block and the sizes
-    {kb: C(n-m, kb)}.  A block's rank is that of its minimal completion, 1
-    plus the sizes of the blocks before it, so it is a prefix sum read from
-    level n - m alone, one read per distinct kb.  The blocks are built level
-    by level, each block's kids in letter order.
+    Returns each block's bottom kappa kb, an iterator over their ranks (then
+    H + 1) and the sizes {kb: C(n-m, kb)}.  A block's rank is that of its
+    minimal completion, 1 plus the sizes of the blocks before it: a prefix
+    sum read from level n - m alone, once per distinct kb.  The m-letter
+    drops are listed top letter first, kids in letter order, and a block is
+    kept where 0 <= kb <= (n-m)*d, as all are where m*d <= kap <= (n-m)*d.
+    That end-level test decides every level: partial drops only grow, so
+    kb >= 0 keeps each partial kappa >= 0, and a letter drops at most d, so
+    j letters down the kappa is at most kb + (m-j)*d <= (n-j)*d.
     """
-    poly = table.poly
-    r, d = poly.alphabet_size, poly.degree
+    r, d, top = table.poly.alphabet_size, table.poly.degree, (n - m) * table.poly.degree
     if r ** m > _WORD_BUDGET:
         raise CapacityError(f"{r}^{m} top words exceed grid budget")
-    ks = letter_table(poly).kstep
-    kbs = [kap] if 0 <= kap <= n * d else []
-    for level in range(n - 1, n - m - 1, -1):
-        kbs = [k - s for k in kbs for s in ks if 0 <= k - s <= level * d]
+    ks, kbs = letter_table(table.poly).kstep, [kap]
+    for _ in range(m):
+        kbs = [k - s for k in kbs for s in ks]
+    if not m * d <= kap <= top:
+        kbs = [k for k in kbs if 0 <= k <= top]
     size = {kb: table.dim(n - m, kb) for kb in set(kbs)}
-    return list(zip(kbs, accumulate(map(size.__getitem__, kbs), initial=1))), size
+    return kbs, accumulate(map(size.__getitem__, kbs), initial=1), size
 
 
 def node_grid(n: int, kap: int, m: int, table: DimTable):
@@ -172,8 +178,8 @@ def node_grid(n: int, kap: int, m: int, table: DimTable):
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     # the word of rank L is its block's minimal completion
-    blocks, _ = _top_blocks(n, kap, m, table)
-    return [(w[n - m:], L, w) for _, L in blocks for w in [unrank(n, kap, L, table)]]
+    kbs, ranks, _ = _top_blocks(n, kap, m, table)
+    return [(w[n - m:], L, w) for _, L in zip(kbs, ranks) for w in [unrank(n, kap, L, table)]]
 
 
 @dataclass(frozen=True)
@@ -194,8 +200,7 @@ class PolygonalCurve:
     depth: int
 
 
-def _grid_numerators(g: CylFunction, n: int, kap: int, m: int,
-                     table: DimTable | PathColumn):
+def _grid_numerators(g: CylFunction, n: int, kap: int, m: int, table: DimTable | PathColumn):
     """Exact integers 2^s (H*F(L) - L*F(H)), s = _dyadic_bits(g.values.values()).
 
     Returns (H, [(L, numerator), ...]) in rank order.  Exact numerators make
@@ -212,23 +217,19 @@ def _grid_numerators(g: CylFunction, n: int, kap: int, m: int,
     if H == 0:
         raise ValueError(f"empty tower at ({n}, {kap})")
     s = _dyadic_bits(g.values.values())
-    h = [(l, _scaled(v, s)) for l, v in enumerate(h_coeffs(g, poly).values) if v]
+    h = [(l, hl) for l, hl in enumerate(_scaled_h(g, poly, s)) if hl]
     FH = sum(hl * table.dim(n - N, kap - l) for l, hl in h)
-    blocks, size = _top_blocks(n, kap, m, table)
-    step, own = {}, {}
+    kbs, ranks, size = _top_blocks(n, kap, m, table)
+    step, own, below = {}, {}, (n - m - N) * poly.degree
     for kb, C in size.items():
         phi = sum(hl * table.dim(n - m - N, kb - l) for l, hl in h)  # 2^s sum of g
         step[kb] = H * phi - FH * C
-        own[kb] = H * _scaled(g(minimal_word(n - m, kb, poly)), s) - FH
-    acc, nodes = 0, []
-    for kb, L in blocks:
-        nodes.append((L, acc + own[kb]))
-        acc += step[kb]
-    return H, nodes
+        own[kb] = H * _scaled(g(minimal_word(N, max(kb - below, 0), poly)), s) - FH
+    sums = accumulate(map(step.__getitem__, kbs), initial=0)
+    return H, [*zip(ranks, map(add, sums, map(own.__getitem__, kbs)))]
 
 
-def _normalizer(g: CylFunction, n: int, kap: int, m: int,
-                table: DimTable | PathColumn):
+def _normalizer(g: CylFunction, n: int, kap: int, m: int, table: DimTable | PathColumn):
     """(H, nodes, peak, R_n): the depth-m grid numerators at (n, kap), their largest
     |numerator| and R_n = peak / (2^s H) = max |F(L) - L F(H) / H|, rounded once."""
     H, nodes = _grid_numerators(g, n, kap, m, table)
@@ -310,8 +311,7 @@ def sup_distance(c1: PolygonalCurve, c2: PolygonalCurve) -> float:
     return max(_gap(c1, c2), _gap(c2, c1))
 
 
-def _stabilizing_levels(x, table: DimTable | PathColumn, eps: float,
-                        delta: float, n_max: int):
+def _stabilizing_levels(x, table: DimTable | PathColumn, eps: float, delta: float, n_max: int):
     """Yield (n, kappa_n) at each stabilizing level of the prefix up to n_max.
 
     A level qualifies when the prefix sits low in its tower, rank/H < eps,
@@ -339,10 +339,9 @@ def measure_ray(mp, n: int) -> int:
     return math.floor(n * mean + 0.5)
 
 
-def extract_limiting_curve(g: CylFunction, x, poly: GenPolynomial, *,
-                           eps: float = 0.1, delta: float = 0.1, m: int = 6,
-                           tol: float = 0.05, n_max: int = 300,
-                           mp=None, align: int = 1):
+def extract_limiting_curve(g: CylFunction, x, poly: GenPolynomial, *, eps: float = 0.1,
+                           delta: float = 0.1, m: int = 6, tol: float = 0.05,
+                           n_max: int = 300, mp=None, align: int = 1):
     """Walk stabilizing levels until consecutive curves agree within tol.
 
     Returns (curve, diagnostics); diagnostics carries the candidate levels
@@ -386,12 +385,10 @@ def extract_limiting_curve(g: CylFunction, x, poly: GenPolynomial, *,
 def central_vertex(table: DimTable, n: int) -> int:
     """Vertex index maximizing the dimension at level n (lowest on ties)."""
     row = table.row(n)
-    best = max(row)
-    return row.index(best)
+    return row.index(max(row))
 
 
-def cohomology_verdict(g: CylFunction, table: DimTable, n_max: int,
-                       m: int = 4):
+def cohomology_verdict(g: CylFunction, table: DimTable, n_max: int, m: int = 4):
     """Classify the growth of the normalizing coefficients along the ridge.
 
     Returns (verdict, series) with verdict BOUNDED, UNBOUNDED or

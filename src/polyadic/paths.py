@@ -50,9 +50,12 @@ def letter_table(poly: GenPolynomial) -> LetterTable:
     return LetterTable(poly, kstep, first, last)
 
 
-def _check_letters(letters, r: int) -> None:
-    """Refuse, with ValueError, a letter outside the alphabet 0..r-1."""
-    if (labels := set(letters)) and (min(labels) < 0 or max(labels) >= r):
+def _check_letters(letters, r: int | None = None) -> None:
+    """Refuse, with ValueError, a letter not an int (bools too), or given r outside 0..r-1."""
+    if {*map(type, letters)} - {int}:
+        c = next(c for c in letters if type(c) is not int)
+        raise ValueError(f"letter {c!r} is not an integer")
+    if r is not None and (labels := set(letters)) and (min(labels) < 0 or max(labels) >= r):
         c = next(c for c in letters if not 0 <= c < r)
         raise ValueError(f"letter {c} outside the alphabet 0..{r - 1}")
 
@@ -140,8 +143,7 @@ def unrank(n: int, kap: int, index: int,
     return tuple(letters)
 
 
-def _extreme_word(n: int, kap: int, lt: LetterTable,
-                  direction: int) -> tuple[int, ...]:
+def _extreme_word(n: int, kap: int, lt: LetterTable, direction: int) -> tuple[int, ...]:
     """First (direction 1) or last (direction -1) word of the tower at (n, kap).
 
     From the top down each letter of the first word steps min(d, rest), the
@@ -164,7 +166,12 @@ def _extreme_word(n: int, kap: int, lt: LetterTable,
 
 
 def minimal_word(n: int, kap: int, poly: GenPolynomial) -> tuple[int, ...]:
-    """Rank-1 word at (n, kap)."""
+    """Rank-1 word at (n, kap).
+
+    For 0 <= N <= n, its first N letters are minimal_word(N, max(kap - (n-N)*d, 0)):
+    the steps are filled greedily from the top, so the n - N letters above
+    take min(kap, (n-N)*d) and leave the rest to the N below.
+    """
     return _extreme_word(n, kap, letter_table(poly), 1)
 
 
@@ -183,6 +190,7 @@ class PathPrefix:
 
     def __init__(self, letters=(), extend=None, max_level: int | None = None):
         self._letters = list(letters)
+        _check_letters(self._letters)
         self._extend = iter(extend) if extend is not None else None
         self.max_level = max_level
 
@@ -214,10 +222,13 @@ class PathPrefix:
             if self._extend is None:
                 raise PrefixExhausted(f"no letter at level {nxt} and no extension policy")
             try:
-                self._letters.append(int(next(self._extend)))
+                c = next(self._extend)
             except StopIteration:
                 self._extend = None
                 raise PrefixExhausted(f"extension policy ended before level {nxt}") from None
+            if type(c) is not int:
+                _check_letters((c,))
+            self._letters.append(c)
 
 
 def _as_prefix(x) -> PathPrefix:

@@ -4,28 +4,21 @@ The coefficient table holds ``C(n, k)``, the coefficient of ``x^k`` in
 ``p(x)^n``, for a polynomial ``p`` with positive integer coefficients.  Entry
 ``(n, k)`` counts the paths from the root to vertex ``(n, k)`` of the graded
 graph generated by ``p``, so everything downstream (ranking, measures, curve
-extraction) leans on these integers being exact.  Four row sources share
-one read surface (``poly``, ``dim(n, k)``), and only ``DimTable`` also
-returns whole rows (``row(n)``): ``DimTable`` holds dense rows;
-``PathColumn`` holds only the entries near one path's vertices, which is
-all that ranking and curve extraction along that path read; for
-unranking at one vertex, ``VertexCone`` holds the vertices on some path up
-to it, and ``VertexDescent`` a few entries a level along the walk down
-from it, and ``vertex_source`` picks the one that builds fewer entries.
-Each ``dim`` raises ValueError at a negative level, is zero for k outside
-[0, n*d], and in a stand-in raises KeyError where no entry is held or a
-read passes a record's reach.
-``DimTable`` and ``PathColumn`` build a level from the one below with the
-one level builder, ``_next_level``; a descent builds it from the one above
-by a Bezout identity of p and p', solved once per polynomial, so p must
-have no repeated root.  The sparse sources hold one record per level.
-Column and descent share one level store, ``_LevelStore``: a record is a
-run anchored at one vertex, built narrow, answering reads within a fixed
-reach of its anchor, and widened sideways to that reach by the row
-recurrence ``_next_level`` ends its windows with (``_sideways``) on the
-first read the run lacks; a cone's is a band packed into one integer.
-Every build is counted before it starts, and refused past the budgets,
-by one gate, ``_admit``.
+extraction) leans on these integers being exact.  Four row sources answer
+``dim(n, k)``: ``DimTable`` holds dense rows, and alone returns ``row(n)``;
+``PathColumn`` the entries near one path's vertices, all that ranking and
+curve extraction along that path read; for unranking at one vertex,
+``VertexCone`` the vertices on some path up to it, or ``VertexDescent`` a few
+entries a level on the walk down from it, whichever ``vertex_source`` finds
+builds fewer.  Each ``dim`` raises ValueError at a negative level, is zero
+for k outside [0, n*d], and in a stand-in raises KeyError where no entry is
+held or a read passes a record's reach.  ``_next_level`` builds a level from
+the one below; a descent builds it from the one above by a Bezout identity
+of p and p', so p must have no repeated root.  Column and descent share one
+level store, ``_LevelStore``, of runs widened by the row recurrence
+``_sideways``; a cone's level is a band packed into one integer.  Every build
+is counted before it starts, and refused past the budgets, by one gate,
+``_admit``.
 """
 
 from __future__ import annotations
@@ -255,10 +248,8 @@ class PathColumn(_LevelStore):
         if depth < 0:
             raise ValueError("depth must be >= 0")
         super().__init__(poly, max(depth, 1))
-        self._steps = iter(steps)
-        self._keep = depth + 1
+        self._steps, self._keep, self._n = iter(steps), depth + 1, 0
         self._rows[0] = 0, [1], 0
-        self._n = 0
 
     def _build(self, n: int, k: int) -> tuple[int, list[int], int]:
         """Build levels newest + 1 to n narrow, each from the run below it."""

@@ -102,6 +102,28 @@ def t_prime_closed_form(poly: GenPolynomial, q: float) -> float:
     return -num / den
 
 
+def reference_store_dim(store, n, k):
+    """A sparse source's dim(n, k) by the level store's checks in their stated order.
+
+    Negative level, then off the row, then a level not held (built or
+    KeyError), then past the reach, then a read the run lacks (widened).  It
+    reads and widens the store's own records, as its ``dim`` does.
+    """
+    if n < 0:
+        raise ValueError(f"level {n} is negative")
+    if not 0 <= k <= n * store.poly.degree:
+        return 0
+    run = store._rows.get(n)
+    if run is None:
+        run = store._build(n, k)
+    lo, vals, kap = run
+    if abs(k - kap) > store._reach:
+        raise KeyError((n, k))
+    if not lo <= k < lo + len(vals):
+        lo, vals, _ = store._cover(n, kap - store._reach, kap + store._reach)
+    return vals[k - lo]
+
+
 # -- reference digit decoder --------------------------------------------------
 #
 # An independent check on the library's fixed-point coder: its own root

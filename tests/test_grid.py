@@ -1,5 +1,6 @@
 """The level-by-level integer grid against the enumerate-all-blocks oracle in conftest."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,8 +17,8 @@ from polyadic import (CylFunction, DegenerateCurve, DimTable, GenPolynomial,
                       PathPrefix, PolygonalCurve,
                       cohomology_verdict, curve_value, extract_limiting_curve,
                       fluctuation_curve, kappa, letter_stream, letter_table,
-                      measure_params, node_grid, sup_distance)
-from polyadic.ergodic import _dyadic_bits, _grid_numerators
+                      measure_params, minimal_word, node_grid, sup_distance)
+from polyadic.ergodic import _dyadic_bits, _grid_numerators, _top_blocks
 from polyadic.paths import path_column
 from polyadic.poly import PathColumn
 
@@ -272,3 +273,82 @@ def test_sup_distance_on_shared_nodes_matches_reference():
         assert sup_distance(c1, c2) == max(
             abs(reference_curve_value(c1.xs, c1.ys, x)
                 - reference_curve_value(c2.xs, c2.ys, x)) for x in grid)
+
+
+@pytest.mark.parametrize("coeffs", POOL)
+def test_top_blocks_match_reference_at_every_vertex_of_level_12(coeffs):
+    # the blocks are kept by one test at the end level; the oracle tests
+    # every level of every top word
+    poly = GenPolynomial(coeffs)
+    table = DimTable(poly, 12)
+    r, d, n = poly.alphabet_size, poly.degree, 12
+    for m in range(n + 1):
+        if r ** m > 4096:
+            break
+        for kap in range(n * d + 1):
+            kbs, ranks, size = _top_blocks(n, kap, m, table)
+            ref = sorted((L, kb) for _, kb, L, _ in reference_top_blocks(n, kap, m, table))
+            assert list(zip(ranks, kbs)) == ref
+            assert size == {kb: table.dim(n - m, kb) for _, kb in ref}
+        assert _top_blocks(n, -1, m, table)[0] == _top_blocks(n, n * d + 1, m, table)[0] == []
+
+
+@pytest.mark.parametrize("coeffs", POOL + [(3,), (2, 1, 1, 2)])
+def test_a_minimal_word_begins_with_a_minimal_word(coeffs):
+    poly = GenPolynomial(coeffs)
+    d = poly.degree
+    for L in range(10):
+        for kap in range(L * d + 1):
+            word = minimal_word(L, kap, poly)
+            for N in range(L + 1):
+                assert word[:N] == minimal_word(N, max(kap - (L - N) * d, 0), poly)
+
+
+def _k1(coeffs):
+    """g = -k1 on the first letter, the bench's A8 function."""
+    poly = GenPolynomial(coeffs)
+    ks = letter_table(poly).kstep
+    return {(c,): -float(poly.degree - s) for c, s in enumerate(ks) if poly.degree - s}
+
+
+# sha256 of each extraction's xs, ys and R (as .hex()), levels and distances,
+# formed before the grid's blocks were listed by one end-level test
+CURVE_DIGESTS = [
+    ((1, 1), 0.5, {(0,): 1.0}, 1,
+     "b5c2db253bec8aa9e97454d36ce03ab2db895a9912ffb610f71c9fc0dcc19d13"),
+    ((1, 1), 0.5, {(0,): 1.0}, 2,
+     "ebe33e4bdf55aa3e7d82202cc7a5073d1842a554fc813f6d7a4aa67518417737"),
+    ((1, 1, 1), 0.25, _k1((1, 1, 1)), 1,
+     "3b74bd99d0a14f89e00398f965e084672bfe52ad1c29ba24e828d5a0a8ebea44"),
+    ((1, 1, 1), 0.25, _k1((1, 1, 1)), 2,
+     "eb80541729c3c6d1e2ee5dbd59d3861f0de70b18debad27f6c94bcf18083c105"),
+    ((1, 1, 2), 0.25, _k1((1, 1, 2)), 1,
+     "f717550b22892c673bd24c4ac8644233fe078976d8a664b060215d10eed34a88"),
+    ((1, 1, 2), 0.25, _k1((1, 1, 2)), 2,
+     "3bc3fd544d9c87b2e69119007bd76d3cb81e3d65c2fe823c7107c0644c802c34"),
+]
+
+
+@pytest.mark.parametrize("coeffs,q,values,seed,digest", CURVE_DIGESTS)
+def test_extracted_curves_keep_their_bits(coeffs, q, values, seed, digest):
+    poly = GenPolynomial(coeffs)
+    mp = measure_params(poly, q)
+    x = PathPrefix((), extend=letter_stream(mp, seed), max_level=300)
+    # each of the six converges
+    curve, diag = extract_limiting_curve(CylFunction(1, values), x, poly, m=6, n_max=300, mp=mp)
+    text = " ".join(v.hex() for v in curve.xs + curve.ys + (curve.R,))
+    text += f" {diag['levels']} {[v.hex() for v in diag['distances']]}"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("coeffs,n_max,values,digest", [
+    ((1, 1), 200, {(0,): 1.0},
+     "d3ee7ca77ed6a32478f1208b863a76373948ca45abf2dd9010d1819ce2a7849b"),
+    ((3,), 14, {(0, 1): 1.5, (1, 1): -0.5, (2, 0): 1.0, (2, 2): -3.0, (0, 0): 0.5},
+     "5aff5d5f23e17d237fbe379731e833705c05295a57b9563bb1e42efe0e892c65"),
+])
+def test_cohomology_series_keep_their_bits(coeffs, n_max, values, digest):
+    g = CylFunction(len(next(iter(values))), values)
+    verdict, series = cohomology_verdict(g, DimTable(GenPolynomial(coeffs)), n_max)
+    text = verdict + " " + " ".join(f"{n}:{R.hex()}" for n, R in series)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import tower_words_comparison_sorted, tower_words_sorted
 from polyadic import (CapacityError, CylFunction, DimTable, GenPolynomial,
                       HorizonExhausted, MaximalPath, MinimalPath, PathPrefix, PrefixExhausted,
-                      RankOutOfRange, cylinder_measure, encode_theta,
+                      RankOutOfRange, cylinder_measure, encode_theta, h_coeffs,
                       iter_tower, jump, kappa, letter_stream, letter_table,
                       maximal_word, measure_params, minimal_word, predecessor,
                       prefix_walk, rank, successor,
@@ -445,6 +445,29 @@ def test_word_to_string_refuses_letters_outside_the_alphabet():
     with pytest.raises(ValueError) as err:
         CylFunction(1, {(2,): 1.0}).to_json(P11)
     assert str(err.value) == "letter 2 outside the alphabet 0..1"
+
+
+_MP11 = measure_params(P11, 0.5)
+
+
+@pytest.mark.parametrize("call,text", [
+    (lambda: rank("0110", P11), "letter '0' is not an integer"),
+    (lambda: kappa("0110", P11), "letter '0' is not an integer"),
+    (lambda: kappa((0, 1.0), P11), "letter 1.0 is not an integer"),
+    (lambda: jump("0110", P11, 1), "letter '0' is not an integer"),
+    (lambda: encode_theta(_MP11, "01"), "letter '0' is not an integer"),
+    (lambda: word_to_string("01", P11), "letter '0' is not an integer"),
+    (lambda: h_coeffs(CylFunction(1, {("0",): 1.0}), P11), "letter '0' is not an integer"),
+    (lambda: rank((True, False), P11), "letter True is not an integer"),
+    (lambda: PathPrefix((0, 1), extend=iter((1, 1.0))).prefix(4), "letter 1.0 is not an integer"),
+    (lambda: PathPrefix(extend=iter((False,))).letter(1), "letter False is not an integer"),
+], ids=["rank", "kappa-str", "kappa-float", "jump", "encode_theta", "word_to_string",
+        "h_coeffs", "rank-bool", "extension-float", "extension-bool"])
+def test_letters_that_are_not_integers_are_refused(call, text):
+    # each once ended in a bare TypeError, or read a bool or a float as a label
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == text
 
 
 def test_prefix_walk_matches_rank():

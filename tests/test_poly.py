@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_power_row, poly_power_rows
+from conftest import poly_power_row, poly_power_rows, reference_store_dim
 from polyadic import CapacityError, DimTable, GenPolynomial, letter_table, poly, prefix_walk
 from polyadic.measure import fixed_coder
 from polyadic.paths import path_column
@@ -654,3 +654,56 @@ def test_row_sources_refuse_a_bare_coefficient_list(build, coeffs):
         build(coeffs)
     assert str(refused.value) == f"expected a GenPolynomial, got {coeffs!r}"
     build(GenPolynomial(tuple(coeffs))).dim(4, 2)
+
+
+def _read(read, n, k):
+    """read(n, k), or the type of the ValueError or KeyError it raised."""
+    try:
+        return read(n, k)
+    except (ValueError, KeyError) as exc:
+        return type(exc)
+
+
+def _compare_reads(a, b, reads):
+    """``a.dim`` and the stated order on twin store ``b`` give the same answers and records."""
+    for n, k in reads:
+        assert _read(a.dim, n, k) == _read(lambda n, k: reference_store_dim(b, n, k), n, k)
+        assert a._rows == b._rows
+
+
+def _around(store, extra):
+    """Every read within 2 reach + 2 of each held level's anchor, and ``extra``."""
+    w = 2 * store._reach + 2
+    reads = [(n, k) for n, (_, _, kap) in sorted(store._rows.items())
+             for k in range(kap - w, kap + w + 1)]
+    return reads + extra
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 3), (2, 1, 1, 2)])
+def test_held_reads_answer_what_the_stated_order_answers(coeffs):
+    # every read's answer and side effects follow the stated order, held
+    # reads within reach included; a shortcut that answers those first
+    # (held runs lie in their rows) must pass this too
+    poly = GenPolynomial(coeffs)
+    r, d = poly.alphabet_size, poly.degree
+    rng = random.Random(35)
+    steps = [letter_table(poly).kstep[rng.randrange(r)] for _ in range(30)]
+    for depth in (0, 2, 5):
+        a, b = PathColumn(poly, steps, depth), PathColumn(poly, steps, depth)
+        for n in range(len(steps) + 2):
+            # level n + 1 is built, or past the path a KeyError; n - depth - 2
+            # is dropped; -1 is negative; n * d + 1 is off the row
+            _compare_reads(a, b, _around(a, [(n + 1, 0), (n + 1, steps[0]), (n - depth - 2, 0),
+                                             (-1, 0), (n, n * d + 1), (n, -1)]))
+    for n in (6, 17):
+        for kap in {0, 1, n * d // 2, n * d - 1, n * d}:
+            a, b = VertexDescent(poly, n, kap), VertexDescent(poly, n, kap)
+            for _ in range(n + 1):
+                (L, (_, _, anchor)), = a._rows.items()
+                # level L - 1 is entered within d left of the anchor, or
+                # refused; L - 2 and L + 1 are not held
+                down = anchor - rng.randint(0, d)
+                _compare_reads(a, b, _around(a, [(L - 2, anchor), (L + 1, anchor),
+                                                 (-1, 0), (L - 1, anchor + d + 1), (L - 1, down)]))
+                if L - 1 not in a._rows:
+                    break
