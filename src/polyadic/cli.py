@@ -19,9 +19,9 @@ from operator import add
 from .errors import DegenerateCurve, NoConvergence, PolyadicError
 from .ergodic import (CylFunction, cohomology_verdict, extract_limiting_curve)
 from .measure import encode, letter_stream, measure_params, weight_residual
-from .paths import (PathPrefix, _steps, jump, letter_table, path_column,
+from .paths import (PathPrefix, _labels, _steps, jump, letter_table, path_column,
                     prefix_walk, unrank, word_from_string, word_to_string)
-from .poly import DimTable, GenPolynomial, vertex_source
+from .poly import DimTable, GenPolynomial, _count, vertex_source
 from .takagi import parabola_profile, takagi_grid
 
 
@@ -69,17 +69,11 @@ def _load_g(path: str, poly: GenPolynomial) -> CylFunction:
     return g
 
 
-def _level(value: int, option: str) -> int:
-    if value < 0:
-        raise ValueError(f"{option} must be >= 0")
-    return value
-
-
 def _cmd_dims(args, parser) -> None:
     # A budget refusal comes before any output, and a bad --out before level 1
     # is built: the table is built by one DimTable.extend once --out is open.
     table = DimTable(args.poly)
-    table.admit(_level(args.nmax, "--nmax"))
+    table.admit(_count(args.nmax, "--nmax"))
     labels = [f",{k}," for k in range(args.nmax * args.poly.degree + 1)]
 
     def lines():    # each level is one string
@@ -114,7 +108,7 @@ def _cmd_rank(args, parser) -> None:
     elif None in unrank_args:
         parser.error("rank needs --word, or --level/--kappa/--index")
     else:
-        n, kap, rnk = unrank_args
+        n, kap, rnk = _count(args.level, "--level"), args.kappa, args.index
         source = vertex_source(args.poly, n, kap)
         total = source.dim(n, kap)          # the descent drops level n as it walks
         word = unrank(n, kap, rnk, source)
@@ -124,7 +118,7 @@ def _cmd_rank(args, parser) -> None:
 
 def _cmd_succ(args, parser) -> None:
     word = word_from_string(args.word, args.poly)
-    word = jump(word, args.poly, _level(args.steps, "--steps"), -1 if args.pred else 1)
+    word = jump(word, args.poly, _count(args.steps, "--steps"), -1 if args.pred else 1)
     _emit(args, None, [word_to_string(word, args.poly) + "\n"])
 
 
@@ -133,25 +127,23 @@ def _cmd_orbit(args, parser) -> None:
         parser.error("orbit takes --word or --n, not both")
     if args.word is None and args.n is None:
         parser.error("orbit needs --word or --n")
-    horizon = _level(args.horizon, "--horizon")
-    steps = _level(args.steps, "--steps")
+    horizon, steps = _count(args.horizon, "--horizon"), _count(args.steps, "--steps")
     mp = measure_params(args.poly, args.q)
     word = () if args.word is None else word_from_string(args.word, args.poly)
     x = PathPrefix(word, extend=letter_stream(mp, args.seed), max_level=horizon)
     if args.n is not None:
-        x.prefix(_level(args.n, "--n"))
+        x.prefix(_count(args.n, "--n"))
     walk = chain((x,), islice(_steps(x, args.poly, 1), steps))
     # the start is checked or drawn in range, and _steps checks every letter it reads
     coder = (mp.weights,), (mp.lows,)
-    rows = [(step, repr(encode(*coder, word)), word_to_string(word, args.poly))
+    rows = [(step, repr(encode(*coder, word)), _labels(word, len(mp.weights)))
             for step, word in enumerate(y.known() for y in walk)]
     _emit(args, ("step", "theta", "word"), map(_line, rows),
           meta={"poly": list(args.poly.coeffs), "q": args.q, "seed": args.seed})
 
 
 def _cmd_curve(args, parser) -> None:
-    nmax = _level(args.nmax, "--nmax")
-    m = _level(args.m, "--m")
+    nmax, m = _count(args.nmax, "--nmax"), _count(args.m, "--m")
     mp = measure_params(args.poly, args.q)
     g = _load_g(args.g, args.poly)
     x = PathPrefix((), extend=letter_stream(mp, args.seed), max_level=nmax)
@@ -169,8 +161,7 @@ def _cmd_curve(args, parser) -> None:
 
 
 def _cmd_cohom(args, parser) -> None:
-    nmax = _level(args.nmax, "--nmax")
-    m = _level(args.m, "--m")
+    nmax, m = _count(args.nmax, "--nmax"), _count(args.m, "--m")
     g = _load_g(args.g, args.poly)
     verdict, series = cohomology_verdict(g, DimTable(args.poly), nmax, m)
     _emit(args, ("n", "R"), map(_line, series),

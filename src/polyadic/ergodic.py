@@ -26,16 +26,14 @@ from operator import add
 from .errors import CapacityError, DegenerateCurve, NoConvergence
 from .paths import (_check_letters, kappa, letter_table, minimal_word, path_column,
                     prefix_walk, unrank, word_from_string, word_to_string)
-from .poly import _WORD_BUDGET, DimTable, GenPolynomial, PathColumn
+from .poly import DimTable, GenPolynomial, PathColumn, _check_words, _count
 
 
 class CylFunction:
     """Rank-N cylindric function: word of length N -> value, default 0."""
 
     def __init__(self, N: int, values):
-        if N < 1:
-            raise ValueError("rank must be >= 1")
-        self.N = N
+        self.N = _count(N, "N", 1)
         self.values = {}
         for word, val in dict(values).items():
             word = tuple(word)
@@ -62,8 +60,7 @@ class CylFunction:
     def from_table(cls, poly: GenPolynomial, N: int, fn) -> "CylFunction":
         """Tabulate a callable on all words of length N."""
         r = poly.alphabet_size
-        if r ** N > _WORD_BUDGET:
-            raise CapacityError(f"{r}^{N} words exceed tabulation budget")
+        _check_words(r, _count(N, "N", 1), "words exceed tabulation budget")
         return cls(N, {w: fn(w) for w in product(range(r), repeat=N)})
 
     @classmethod
@@ -108,10 +105,8 @@ def h_coeffs(g: CylFunction, poly: GenPolynomial) -> HCoeffs:
 
 def _scaled_h(g: CylFunction, poly: GenPolynomial, s: int) -> list[int]:
     """The integers 2^s h_l, exact sums for s >= _dyadic_bits(g.values.values())."""
-    r, out = poly.alphabet_size, [0] * (g.N * poly.degree + 1)
-    for word, val in g.values.items():
-        if not all(0 <= c < r for c in word):
-            raise ValueError(f"word {word} outside alphabet of size {r}")
+    out = [0] * (g.N * poly.degree + 1)
+    for word, val in g.values.items():     # kappa refuses a letter outside the alphabet
         out[kappa(word, poly)] += _scaled(val, s)
     return out
 
@@ -137,8 +132,7 @@ def _to_float(num: int, den: int, what: str, n: int) -> float:
 
 def tower_total(h: HCoeffs, n: int, kap: int, table: DimTable) -> float:
     """F at the full tower height: sum_l h_l C(n-N, kap-l), exactly combined."""
-    if n < h.N:
-        raise ValueError("tower level below function rank")
+    _count(n, "n", h.N), _count(kap, "kap", None)
     total = sum(hl * table.dim(n - h.N, kap - l) for l, hl in enumerate(h.values))
     return _to_float(total.numerator, total.denominator, "tower total", n)
 
@@ -157,8 +151,7 @@ def _top_blocks(n: int, kap: int, m: int, table: DimTable | PathColumn):
     j letters down the kappa is at most kb + (m-j)*d <= (n-j)*d.
     """
     r, d, top = table.poly.alphabet_size, table.poly.degree, (n - m) * table.poly.degree
-    if r ** m > _WORD_BUDGET:
-        raise CapacityError(f"{r}^{m} top words exceed grid budget")
+    _check_words(r, m, "top words exceed grid budget")
     ks, kbs = letter_table(table.poly).kstep, [kap]
     for _ in range(m):
         kbs = [k - s for k in kbs for s in ks]
@@ -175,8 +168,7 @@ def node_grid(n: int, kap: int, m: int, table: DimTable):
     rank/H approach the coding's stationary points of rank m as n grows along
     a fixed vertex direction.
     """
-    if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
+    _count(n, "n", _count(m, "m")), _count(kap, "kap", None)
     # the word of rank L is its block's minimal completion
     kbs, ranks, _ = _top_blocks(n, kap, m, table)
     return [(w[n - m:], L, w) for _, L in zip(kbs, ranks) for w in [unrank(n, kap, L, table)]]
@@ -211,7 +203,8 @@ def _grid_numerators(g: CylFunction, n: int, kap: int, m: int, table: DimTable |
     sum of H Phi - FH C plus H 2^s g(node) - FH, each built once per kb.
     """
     N, poly = g.N, table.poly
-    if m < 0 or n - m < N:
+    _count(n, "n"), _count(kap, "kap", None), _count(m, "m")
+    if n - m < N:
         raise ValueError(f"need depth m <= n - N = {n - N}")
     H = table.dim(n, kap)
     if H == 0:
@@ -336,7 +329,7 @@ def measure_ray(mp, n: int) -> int:
     """Vertex the measure concentrates on at level n: round(n * E[step])."""
     ks = letter_table(mp.poly).kstep
     mean = sum(w * s for w, s in zip(mp.weights, ks))
-    return math.floor(n * mean + 0.5)
+    return math.floor(_count(n, "n") * mean + 0.5)
 
 
 def extract_limiting_curve(g: CylFunction, x, poly: GenPolynomial, *, eps: float = 0.1,
@@ -360,6 +353,7 @@ def extract_limiting_curve(g: CylFunction, x, poly: GenPolynomial, *, eps: float
         raise ValueError("need tol >= 0")
     if mp is not None and mp.poly != poly:
         raise ValueError(f"measure polynomial {mp.poly} does not match {poly}")
+    _count(m, "m"), _count(n_max, "n_max"), _count(align, "align")
     diagnostics = {"levels": [], "distances": []}
     prev = None
     # A curve at level n reads levels n-m-N..n within (m+N)*d of the path.
@@ -384,7 +378,7 @@ def extract_limiting_curve(g: CylFunction, x, poly: GenPolynomial, *, eps: float
 
 def central_vertex(table: DimTable, n: int) -> int:
     """Vertex index maximizing the dimension at level n (lowest on ties)."""
-    row = table.row(n)
+    row = table.row(_count(n, "n"))
     return row.index(max(row))
 
 
@@ -398,8 +392,7 @@ def cohomology_verdict(g: CylFunction, table: DimTable, n_max: int, m: int = 4):
     constant; the verdict is a diagnostic, not a proof.
     """
     N = g.N
-    if n_max < N:
-        raise ValueError("n_max below function rank")
+    _count(n_max, "n_max", N), _count(m, "m")
     table.admit(n_max)
     series = [(n, _normalizer(g, n, central_vertex(table, n), min(m, n - N), table)[3])
               for n in range(N, n_max + 1)]

@@ -28,7 +28,7 @@ from itertools import accumulate, chain, islice, product, repeat
 
 from .errors import CapacityError, NoRoot
 from .paths import _check_letters, letter_table
-from .poly import _BIT_BUDGET, _WORD_BUDGET, GenPolynomial
+from .poly import _BIT_BUDGET, GenPolynomial, _admit, _check_words, _count
 
 # Fractional bits of the fixed-point coder (50 decimal digits are 166 bits).
 # After k letters the decoder's remainder is off by about 2^-PREC over the
@@ -73,7 +73,7 @@ def _round_div(a: int, b: int) -> int:
     return quo + (2 * rem > b or 2 * rem == b and quo & 1)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def _root(poly: GenPolynomial, q: float) -> tuple[int, int, tuple[float, ...], tuple[int, ...]]:
     """Root t of the weight equation as (n, e, floats, fixed): t = n / 2^e to 2 PREC
     significant bits, rounded to nearest, and the step weights q, t and t u^(s-1)
@@ -85,7 +85,10 @@ def _root(poly: GenPolynomial, q: float) -> tuple[int, int, tuple[float, ...], t
     Integer Newton follows at 106 bits, doubled each pass up to 2 PREC, until
     a step moves n by at most one: with u = x / y, the weight sum less one
     times y^d / q is sum_s a_s x^s y^(d-s) - y^d / q, a Horner sum, no gcd.
-    At degree 0 the equation forces q = 1/a_0; t, read by no weight, is q."""
+    At degree 0 the equation forces q = 1/a_0; t, read by no weight, is q.  q must be a
+    float: the integer Newton takes its ratio's denominator to be a power of two."""
+    if not isinstance(q, float):
+        raise ValueError(f"q must be a float, got {q!r} of type {type(q).__name__}")
     if not math.isfinite(q):
         raise NoRoot(f"q={q} is not a finite number")
     a, d = poly.coeffs, poly.degree
@@ -153,7 +156,7 @@ class MeasureParams:
     lows: tuple[float, ...]
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def measure_params(poly: GenPolynomial, q: float) -> MeasureParams:
     """The measure at q: t and each letter weight rounded once from the exact root."""
     t = solve_t(poly, q)
@@ -173,6 +176,7 @@ def cylinder_measure(mp: MeasureParams, word) -> float:
 
 def sample_word(mp: MeasureParams, n: int, seed: int) -> tuple[int, ...]:
     """n i.i.d. letters drawn from the weight vector, reproducible by seed."""
+    _admit("sample", _count(n, "n"), "letters")
     return tuple(islice(letter_stream(mp, seed), n))
 
 
@@ -190,7 +194,9 @@ def encode_theta(mp: MeasureParams, word) -> float:
 
 
 def _check_unit(x) -> None:
-    """Refuse a point outside [0, 1], nan included: the coding's domain."""
+    """Refuse a point outside [0, 1], nan included, and a bool: the coding's domain."""
+    if isinstance(x, bool):
+        raise ValueError(f"x must be a number, got {x!r}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
 
@@ -198,16 +204,14 @@ def _check_unit(x) -> None:
 def decode_digits(mp: MeasureParams, x: float, m: int) -> tuple[int, ...]:
     """First m letters of the coding of x in [0, 1], as ``decode`` reads them."""
     _check_unit(x)
+    _admit("word", _count(m, "m"), "letters")
     return decode(mp.poly, mp.q, x, m)
 
 
 def stationary_points(mp: MeasureParams, m: int) -> list[float]:
     """Sorted left endpoints of the rank-m coding intervals: encode_theta of each word."""
-    if m < 0:
-        raise ValueError(f"depth {m} is negative")
     r = len(mp.weights)
-    if r ** m > _WORD_BUDGET:
-        raise CapacityError(f"{r}^{m} stationary points exceed budget")
+    _check_words(r, _count(m, "m"), "stationary points exceed budget")
     coder = (mp.weights,), (mp.lows,)
     return sorted({encode(*coder, w) for w in product(range(r), repeat=m)})
 
@@ -272,7 +276,7 @@ def _check_coder_budget(degree: int) -> None:
                             f"{bits} bits, budget is {_BIT_BUDGET} bits")
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def fixed_coder(poly: GenPolynomial, q: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Letter weights and low sums in units of 2^-PREC.
 
@@ -289,7 +293,7 @@ def fixed_coder(poly: GenPolynomial, q: float) -> tuple[tuple[int, ...], tuple[i
     return tuple(weights), low_sums(weights, 0)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def digit_horizon(poly: GenPolynomial, q: float, k: int, depth: int) -> tuple[float, ...]:
     """``decode``'s width floors for coefficient k at depths D = 1, 2, ...: 2^-64 /
     sum_{i<=k} C(D+i-1, i) (1-w)^i, w the largest letter weight, up to `depth` or

@@ -24,7 +24,7 @@ from itertools import accumulate, count, islice
 from .errors import (CapacityError, HorizonExhausted, MaximalPath, MinimalPath,
                      PrefixExhausted, RankOutOfRange)
 from .poly import (DEFAULT_ENTRY_BUDGET, DimTable, GenPolynomial, PathColumn, VertexCone,
-                   VertexDescent, _admit, _check_poly, _vertex_plan, vertex_source)
+                   VertexDescent, _admit, _check_poly, _count, _vertex_plan, vertex_source)
 
 _DIGIT_LABELS = [{c: str(c) for c in range(r)} for r in range(11)]  # by alphabet size r
 
@@ -69,11 +69,13 @@ def kappa(word, poly: GenPolynomial) -> int:
 
 def word_to_string(word, poly: GenPolynomial) -> str:
     """Digit string for r <= 10, comma-separated labels otherwise; letters checked."""
-    if (r := poly.alphabet_size) <= 10:
-        with suppress(KeyError):
-            return "".join(map(_DIGIT_LABELS[r].__getitem__, word))
-    _check_letters(word, r)
-    return ("" if r <= 10 else ",").join(map(str, word))
+    _check_letters(word, poly.alphabet_size)
+    return _labels(word, poly.alphabet_size)
+
+
+def _labels(word, r: int) -> str:
+    """``word_to_string`` of a word already checked or generated in range."""
+    return "".join(map(_DIGIT_LABELS[r].__getitem__, word)) if r <= 10 else ",".join(map(str, word))
 
 
 def word_from_string(text: str, poly: GenPolynomial) -> tuple[int, ...]:
@@ -99,7 +101,10 @@ def path_column(x, poly: GenPolynomial, depth: int = 0) -> PathColumn:
     """Exact dimensions near the vertices of the path x, see PathColumn."""
     x = _as_prefix(x)
     ks = letter_table(_check_poly(poly)).kstep
-    return PathColumn(poly, (ks[x.letter(n)] for n in count(1)), depth)
+    def steps():    # end where the path does: the column raises KeyError above it
+        with suppress(PrefixExhausted, HorizonExhausted):
+            yield from (ks[x.letter(n)] for n in count(1))
+    return PathColumn(poly, steps(), depth)
 
 
 def rank(word, poly: GenPolynomial) -> int:
@@ -123,6 +128,7 @@ def unrank(n: int, kap: int, index: int,
     the word's path there: the cone or the descent at (n, kap) holds those
     reads, a ``PathColumn`` (its last few levels only) does not.
     """
+    _count(n, "n"), _count(kap, "kap", None), _count(index, "index", None)
     lt = letter_table(table.poly)
     a, d = lt.poly.coeffs, lt.poly.degree
     total = table.dim(n, kap)
@@ -153,8 +159,6 @@ def _extreme_word(n: int, kap: int, lt: LetterTable, direction: int) -> tuple[in
     label.  Either way the steps are d..d, one remainder, 0..0.
     """
     d = lt.poly.degree
-    if n < 0:
-        raise ValueError(f"level {n} is negative")
     if not 0 <= kap <= n * d:
         raise RankOutOfRange(f"empty tower at vertex ({n}, {kap})")
     label = lt.first if direction > 0 else lt.last
@@ -172,12 +176,18 @@ def minimal_word(n: int, kap: int, poly: GenPolynomial) -> tuple[int, ...]:
     the steps are filled greedily from the top, so the n - N letters above
     take min(kap, (n-N)*d) and leave the rest to the N below.
     """
-    return _extreme_word(n, kap, letter_table(poly), 1)
+    return _end_word(n, kap, poly, 1)
 
 
 def maximal_word(n: int, kap: int, poly: GenPolynomial) -> tuple[int, ...]:
     """Last word at (n, kap), of rank C(n, kap)."""
-    return _extreme_word(n, kap, letter_table(poly), -1)
+    return _end_word(n, kap, poly, -1)
+
+
+def _end_word(n: int, kap: int, poly: GenPolynomial, direction: int) -> tuple[int, ...]:
+    """``_extreme_word`` at a caller's (n, kap): both checked, and n letters admitted."""
+    _count(n, "n"), _count(kap, "kap", None), _admit("word", n, "letters")
+    return _extreme_word(n, kap, letter_table(poly), direction)
 
 
 class PathPrefix:
@@ -192,7 +202,7 @@ class PathPrefix:
         self._letters = list(letters)
         _check_letters(self._letters)
         self._extend = iter(extend) if extend is not None else None
-        self.max_level = max_level
+        self.max_level = None if max_level is None else _count(max_level, "max_level")
 
     def __len__(self) -> int:
         return len(self._letters)
@@ -202,9 +212,7 @@ class PathPrefix:
 
     def prefix(self, n: int) -> tuple[int, ...]:
         """The letters of levels 1..n, extending the prefix if allowed."""
-        if n < 0:
-            raise ValueError(f"level {n} is negative")
-        self._ensure(n)
+        self._ensure(_count(n, "n"))
         return tuple(self._letters[:n])
 
     def letter(self, n: int) -> int:
@@ -254,6 +262,8 @@ def prefix_walk(x, table: DimTable | PathColumn, n_max: int | None = None):
     kap = 0
     rnk = 1
     n = 0
+    if n_max is not None:
+        _count(n_max, "n_max")
     while n_max is None or n < n_max:
         try:
             c = x.letter(n + 1)
@@ -282,7 +292,7 @@ def _steps(x, poly: GenPolynomial, direction: int):
     (the last, for -1) of the tower below followed by b, and the letters
     above the pivot are untouched, so a step costs O(1) levels on average.
     """
-    if direction not in (1, -1):
+    if type(direction) is not int or direction not in (1, -1):
         raise ValueError(f"direction must be 1 or -1, got {direction!r}")
     x = _as_prefix(x)
     y = PathPrefix(x.known(), map(x.letter, count(len(x) + 1)), x.max_level)
@@ -325,10 +335,9 @@ def jump(word, poly: GenPolynomial, steps: int, direction: int = 1) -> tuple[int
     would build more big-integer entries than there are steps (``_jump``);
     more steps than the entry budget are refused with a CapacityError.
     """
-    if direction not in (1, -1):
+    if type(direction) is not int or direction not in (1, -1):
         raise ValueError(f"direction must be 1 or -1, got {direction!r}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    _count(steps, "steps")
     word = tuple(word)
     _check_letters(word, poly.alphabet_size)
     if not steps:

@@ -18,7 +18,7 @@ of p and p', so p must have no repeated root.  Column and descent share one
 level store, ``_LevelStore``, of runs widened by the row recurrence
 ``_sideways``; a cone's level is a band packed into one integer.  Every build
 is counted before it starts, and refused past the budgets, by one gate,
-``_admit``.
+``_admit``, and every count a public call takes is checked by one other, ``_count``.
 """
 
 from __future__ import annotations
@@ -85,6 +85,15 @@ class GenPolynomial:
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.coeffs)
+
+
+def _count(value, name: str, lo: int | None = 0) -> int:
+    """``value`` if it is an int, not a bool, and at least ``lo`` (any int for None);
+    else a ValueError naming it by ``name``."""
+    if type(value) is int and (lo is None or value >= lo):
+        return value
+    floor = "" if lo is None else f" >= {lo}"
+    raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
 
 
 def _check_poly(poly) -> GenPolynomial:
@@ -155,8 +164,6 @@ class DimTable:
     """
 
     def __init__(self, poly: GenPolynomial, n_max: int = 0):
-        if n_max < 0:
-            raise ValueError("n_max must be >= 0")
         self.poly = _check_poly(poly)
         self._rows: list[tuple[int, ...]] = [(1,)]
         self.extend(n_max)
@@ -167,7 +174,7 @@ class DimTable:
 
     def admit(self, n_max: int) -> None:
         """Refuse, before any level is built, a table to ``n_max`` past the entry budget."""
-        d = self.poly.degree
+        d, n_max = self.poly.degree, _count(n_max, "n_max")
         _admit(f"table with n_max={n_max}, degree={d}", _table_entries(d, n_max))
 
     def extend(self, n_max: int) -> None:
@@ -245,9 +252,7 @@ class PathColumn(_LevelStore):
     """
 
     def __init__(self, poly: GenPolynomial, steps, depth: int = 0):
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        super().__init__(poly, max(depth, 1))
+        super().__init__(poly, max(_count(depth, "depth"), 1))
         self._steps, self._keep, self._n = iter(steps), depth + 1, 0
         self._rows[0] = 0, [1], 0
 
@@ -268,6 +273,13 @@ class PathColumn(_LevelStore):
             self._rows.pop(m - self._keep, None)
             self._n = m
         return self._rows[n]
+
+
+def _check_words(r: int, m: int, what: str) -> None:
+    """Refuse r^m words past ``_WORD_BUDGET``, naming ``what``; r^m is formed only up to
+    m = 64, past which every r >= 2 is over the budget, so a huge m is refused at once."""
+    if r ** min(m, 64) > _WORD_BUDGET:
+        raise CapacityError(f"{r}^{m} {what}")
 
 
 def _table_entries(d: int, n: int) -> int:
@@ -344,8 +356,7 @@ class VertexCone:
     """
 
     def __init__(self, poly: GenPolynomial, n: int, kap: int):
-        if n < 0:
-            raise ValueError(f"level {n} is negative")
+        _count(n, "n"), _count(kap, "kap", None)
         self.poly = _check_poly(poly)
         self._levels: list[tuple[int, int, int, int]] = []
         a, d = poly.coeffs, poly.degree
@@ -466,8 +477,7 @@ class VertexDescent(_LevelStore):
     """
 
     def __init__(self, poly: GenPolynomial, n: int, kap: int):
-        if n < 0:
-            raise ValueError(f"level {n} is negative")
+        _count(n, "n"), _count(kap, "kap", None)
         super().__init__(poly, 1)
         identity = _bezout(poly.coeffs)
         if identity is None:

@@ -25,7 +25,7 @@ from .measure import (_decoder, _weights, _check_coder_budget, _check_unit,
                       cylinder, cylinder_measure, decode, digit_horizon, encode,
                       low_sums, measure_params, solve_t)
 from .paths import letter_table
-from .poly import GenPolynomial
+from .poly import GenPolynomial, _admit, _count
 
 # The coding subdivides intervals in letter-label order, which runs through
 # [0, 1] opposite to the step-ordered subdivision that the classical
@@ -93,11 +93,13 @@ class Jet:
 
 
 def jet_const(value: float, order: int) -> Jet:
+    _admit("jet", _count(order, "order") + 1, "coefficients")
     return Jet((float(value),) + (0.0,) * order)
 
 
 def jet_var(value: float, order: int) -> Jet:
     """The perturbation variable itself: value + epsilon."""
+    _admit("jet", _count(order, "order") + 1, "coefficients")
     return Jet(((float(value), 1.0) + (0.0,) * order)[:order + 1])
 
 
@@ -106,7 +108,7 @@ def t_jet(poly: GenPolynomial, q: float, order: int) -> Jet:
     if poly.degree == 0:
         raise NoRoot("degree-0 system has no free parameter to expand in")
     t0 = solve_t(poly, q)
-    if order == 0:
+    if _count(order, "order") == 0:
         return Jet((t0,))
     q2 = jet_var(q, order)
     rest = 1.0 - poly.coeffs[0] * q2
@@ -122,7 +124,7 @@ def t_jet(poly: GenPolynomial, q: float, order: int) -> Jet:
     return t
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def _letter_jets(poly: GenPolynomial, q: float, order: int):
     """Taylor columns of the letter weights and low sums at q2 = q.
 
@@ -143,11 +145,6 @@ def _letter_jets(poly: GenPolynomial, q: float, order: int):
     return wcols, tuple(low_sums(col, 0.0) for col in wcols)
 
 
-def _check_depth(depth: int) -> None:
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-
-
 def coding_map(poly: GenPolynomial, q1: float, q2: float, x: float,
                depth: int = 60) -> float:
     """Decode x in [0, 1] to exactly `depth` digits under q1, and re-encode them under q2.
@@ -158,7 +155,7 @@ def coding_map(poly: GenPolynomial, q1: float, q2: float, x: float,
     in q2 check ``takagi_function`` independently.
     """
     _check_unit(x)
-    _check_depth(depth)
+    _admit("word", _count(depth, "depth", 1), "letters")
     mp2 = measure_params(poly, q2)
     return encode((mp2.weights,), (mp2.lows,), decode(poly, q1, x, depth))
 
@@ -166,11 +163,10 @@ def coding_map(poly: GenPolynomial, q1: float, q2: float, x: float,
 def _takagi_rows(poly: GenPolynomial, q: float, k: int, xs, depth: int) -> list:
     """The one Takagi evaluator: rows (x, k! c_k) for each x of xs, checked as one x is
     (k, x, depth), with the floors, decoder tables, Taylor columns and k! read once."""
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
+    _admit("jet", _count(k, "k") + 1, "coefficients")
     for x in xs:
         _check_unit(x)
-    _check_depth(depth)
+    _count(depth, "depth", 1)
     if k == 0:
         return [(x, float(x)) for x in xs]
     floors, read = digit_horizon(poly, q, k, depth), _decoder(poly, q)
@@ -197,8 +193,7 @@ def takagi_function(poly: GenPolynomial, q: float, k: int, x: float,
 def takagi_grid(poly: GenPolynomial, q: float, k: int, grid: int, depth: int = 60):
     """Rows (x, takagi_function(poly, q, k, x, depth)) at x = i/grid, i = 0..grid,
     from one evaluator: the floors and tables are read once per grid, not per point."""
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+    _admit("grid", _count(grid, "grid", 1) + 1, "points")
     return _takagi_rows(poly, q, k, [i / grid for i in range(grid + 1)], depth)
 
 
@@ -229,10 +224,7 @@ def parabola_profile(d: int, grid: int, depth: int = 60):
     points i/(d+1) it equals a(1-a)(d+1)/d exactly, and as d grows the
     whole profile approaches the parabola x(1-x).
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+    _count(d, "d", 1), _count(grid, "grid", 1)
     _check_coder_budget(d)
     poly, q = GenPolynomial((1,) * (d + 1)), 1.0 / (d + 1)
     return [(x, v, x * (1.0 - x), v - x * (1.0 - x))

@@ -554,10 +554,11 @@ def test_non_finite_g_values_are_rejected(tmp_path, capsys, bad):
     ("orbit", "--poly", "1,1", "--q", "0.5", "--n", "4", "--horizon", "-1"),
 ])
 def test_negative_levels_are_rejected(capsys, argv):
+    option = argv[argv.index("-1") - 1]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and "must be >= 0" in err
+    assert err == f"error: {option} must be an integer >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("command", ["rank", "succ"])
@@ -641,10 +642,11 @@ def test_g_file_shape_is_checked(tmp_path, capsys, doc):
     (("orbit", "--poly", "1,1", "--q", "0.5", "--n", "-5", "--steps", "2"), "--n"),
 ])
 def test_negative_counts_are_rejected(capsys, argv, option):
+    value = argv[argv.index(option) + 1]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err == f"error: {option} must be >= 0\n"
+    assert err == f"error: {option} must be an integer >= 0, got {value}\n"
 
 
 def test_g_file_keys_naming_one_word_are_rejected(tmp_path, capsys):
@@ -793,7 +795,7 @@ def test_unrank_builds_no_dense_table(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("level,kap,index,message", [
-    ("-1", "0", "1", "error: level -1 is negative\n"),
+    ("-1", "0", "1", "error: --level must be an integer >= 0, got -1\n"),
     ("5", "-1", "1", "error: index 1 outside [1, 0] at vertex (5, -1)\n"),
     ("5", "11", "1", "error: index 1 outside [1, 0] at vertex (5, 11)\n"),
     ("5", "4", "0", "error: index 0 outside [1, 185] at vertex (5, 4)\n"),

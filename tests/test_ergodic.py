@@ -373,8 +373,10 @@ def test_extract_limiting_curve_refuses_a_measure_of_another_polynomial():
 
 @pytest.mark.parametrize("word", [(3,), (-1,), (0, 2)])
 def test_letters_outside_the_alphabet_name_the_word(word):
+    # the first letter of the word outside 0..1, as paths._check_letters names it
     g = CylFunction(len(word), {word: 1.0})
-    named = re.escape(f"word {word} outside alphabet of size 2")
+    bad = next(c for c in word if c not in (0, 1))
+    named = f"^{re.escape(f'letter {bad} outside the alphabet 0..1')}$"
     with pytest.raises(ValueError, match=named):
         fluctuation_curve(g, 20, 10, 4, T11)
     with pytest.raises(ValueError, match=named):
@@ -438,14 +440,14 @@ def test_cohomology_verdict_admits_its_table_before_level_one(monkeypatch):
     (lambda: CylFunction.from_table(P113, 10, lambda w: 1.0), CapacityError,
      "5^10 words exceed tabulation budget"),
     (lambda: tower_total(h_coeffs(CylFunction(2, {(0, 1): 1.0}), P11), 1, 0, T11), ValueError,
-     "tower level below function rank"),
+     "n must be an integer >= 2, got 1"),
     (lambda: fluctuation_curve(G_FIRST0, 12, 6, 11, DimTable(GenPolynomial((1,) * 5), 12)),
      CapacityError, "5^11 top words exceed grid budget"),
-    (lambda: node_grid(5, 2, 6, T11), ValueError, "need 0 <= m <= n"),
+    (lambda: node_grid(5, 2, 6, T11), ValueError, "n must be an integer >= 6, got 5"),
     (lambda: _grid_numerators(G_FIRST0, 6, 3, 6, T11), ValueError, "need depth m <= n - N = 5"),
     (lambda: _grid_numerators(G_FIRST0, 6, 9, 2, T11), ValueError, "empty tower at (6, 9)"),
-    (lambda: DimTable(P11, -1), ValueError, "n_max must be >= 0"),
-    (lambda: minimal_word(-1, 0, P11), ValueError, "level -1 is negative"),
+    (lambda: DimTable(P11, -1), ValueError, "n_max must be an integer >= 0, got -1"),
+    (lambda: minimal_word(-1, 0, P11), ValueError, "n must be an integer >= 0, got -1"),
 ], ids=["tabulation", "tower-rank", "grid-words", "node-depth", "grid-depth", "empty-tower",
         "table-level", "word-level"])
 def test_refusals_name_their_reason_in_full(call, error, text):

@@ -335,7 +335,7 @@ def test_stationary_points_refuse_a_negative_depth():
     mp = measure_params(P11, 0.3)
     with mock.patch.object(measure, "product") as words:
         for m in (-1, -5):
-            with pytest.raises(ValueError, match=f"depth {m} is negative"):
+            with pytest.raises(ValueError, match=f"^m must be an integer >= 0, got {m}$"):
                 stationary_points(mp, m)
     assert not words.called
     assert stationary_points(mp, 0) == [0.0]

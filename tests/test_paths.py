@@ -317,7 +317,7 @@ def test_prefix_refuses_levels_below_the_first():
         with pytest.raises(ValueError, match=f"level {n} is below 1"):
             x.letter(n)
     for n in (-1, -3):
-        with pytest.raises(ValueError, match=f"level {n} is negative"):
+        with pytest.raises(ValueError, match=f"^n must be an integer >= 0, got {n}$"):
             x.prefix(n)
     assert x.prefix(0) == () and x.prefix(2) == (3, 1)
     assert (x.letter(1), x.letter(3)) == (3, 4)

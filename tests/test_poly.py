@@ -351,7 +351,7 @@ def test_path_column_widens_only_the_levels_read_wide(coeffs, depth, data):
 
 
 def test_path_column_rejects_negative_depth():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^depth must be an integer >= 0, got -1$"):
         PathColumn(GenPolynomial((1, 1)), [], -1)
 
 
@@ -484,7 +484,7 @@ def test_vertex_cone_bands_stay_exact_across_repacks(coeffs):
 
 
 def test_vertex_cone_checks_level_and_budget_before_building():
-    with pytest.raises(ValueError, match="level -1 is negative"):
+    with pytest.raises(ValueError, match="^n must be an integer >= 0, got -1$"):
         VertexCone(GenPolynomial((1, 1)), -1, 0)
     # counted in closed form: building these would run out of memory
     with pytest.raises(CapacityError, match=r"vertex \(1000000000, 5\) needs "
@@ -588,7 +588,7 @@ def test_an_empty_descent_refuses_every_read_in_the_rows_below_its_vertex():
 
 
 def test_vertex_descent_checks_its_polynomial_and_budget_before_building():
-    with pytest.raises(ValueError, match="level -1 is negative"):
+    with pytest.raises(ValueError, match="^n must be an integer >= 0, got -1$"):
         VertexDescent(GenPolynomial((1, 1, 3)), -1, 0)
     with pytest.raises(ValueError, match="repeated root"):
         VertexDescent(GenPolynomial((1, 2, 1)), 3, 2)

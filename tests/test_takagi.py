@@ -377,9 +377,9 @@ def test_a_grid_reads_its_horizon_and_taylor_columns_once(monkeypatch):
 
 
 @pytest.mark.parametrize("args,error,text", [
-    ((1e-200, -1, 0, 0), ValueError, "grid must be >= 1"),
-    ((1e-200, -1, 4, 0), ValueError, "derivative order must be >= 0"),
-    ((1e-200, 1, 4, 0), ValueError, "depth must be >= 1, got 0"),
+    ((1e-200, -1, 0, 0), ValueError, "grid must be an integer >= 1, got 0"),
+    ((1e-200, -1, 4, 0), ValueError, "k must be an integer >= 0, got -1"),
+    ((1e-200, 1, 4, 0), ValueError, "depth must be an integer >= 1, got 0"),
     ((1e-200, 1, 4, 60), CapacityError,
      "a letter weight at q=1e-200 is below 2^-192, the coder's resolution"),
     ((1e-20, 1, 4, 60), CapacityError, "Taylor coefficient 1 of the letter weights "
