@@ -13,8 +13,7 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import cache
-from itertools import chain, islice
-from operator import add
+from itertools import accumulate, chain, islice
 
 from .errors import DegenerateCurve, NoConvergence, PolyadicError
 from .ergodic import (CylFunction, cohomology_verdict, extract_limiting_curve)
@@ -74,12 +73,15 @@ def _cmd_dims(args, parser) -> None:
     # is built: the table is built by one DimTable.extend once --out is open.
     table = DimTable(args.poly)
     table.admit(_count(args.nmax, "--nmax"))
-    labels = [f",{k}," for k in range(args.nmax * args.poly.degree + 1)]
+    d = args.poly.degree
+    body = [f"n,{k},%d\n" for k in range(args.nmax * d + 1)]
+    ends = list(accumulate(map(len, body)))     # level n's lines end at ends[n * d]
+    body = "".join(body)
 
-    def lines():    # each level is one string
+    def lines():    # each level is one string: its template slice, "n" made the level, % its row
         table.extend(args.nmax)
         for n in range(args.nmax + 1):
-            yield f"{n}" + f"\n{n}".join(map(add, labels, map(str, table.row(n)))) + "\n"
+            yield body[:ends[n * d]].replace("n", str(n)) % table.row(n)
 
     _emit(args, ("n", "k", "dim"), lines())
 
@@ -133,12 +135,24 @@ def _cmd_orbit(args, parser) -> None:
     x = PathPrefix(word, extend=letter_stream(mp, args.seed), max_level=horizon)
     if args.n is not None:
         x.prefix(_count(args.n, "--n"))
-    walk = chain((x,), islice(_steps(x, args.poly, 1), steps))
+    walk = chain([(len(x), x)], islice(_steps(x, args.poly, 1), steps))
     # the start is checked or drawn in range, and _steps checks every letter it reads
-    coder = (mp.weights,), (mp.lows,)
-    rows = [(step, repr(encode(*coder, word)), _labels(word, len(mp.weights)))
-            for step, word in enumerate(y.known() for y in walk)]
-    _emit(args, ("step", "theta", "word"), map(_line, rows),
+    weights, lows, r = (mp.weights,), (mp.lows,), len(mp.weights)
+    # held: (level, coding of the letters above it), highest first; a step rewrites
+    # only the letters up to its pivot level, so it drops the levels below that
+    held, text, rows = [(len(x), 0.0)], "", []
+    for step, (level, y) in enumerate(walk):
+        word = y.known()
+        if held[0][0] < len(word):      # the step read above the word
+            held = [(len(word), 0.0)]
+        while held[-1][0] < level:
+            held.pop()
+        top, acc = held[-1]
+        if top > level:
+            held.append((level, acc := encode(weights, lows, word[level:top], acc)))
+        text = _labels(word[:level], r) + text[level:] if r <= 10 else _labels(word, r)
+        rows.append(_line((step, repr(encode(weights, lows, word[:level], acc)), text)))
+    _emit(args, ("step", "theta", "word"), rows,
           meta={"poly": list(args.poly.coeffs), "q": args.q, "seed": args.seed})
 
 

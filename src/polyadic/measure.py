@@ -224,21 +224,24 @@ def low_sums(weights, zero) -> tuple:
     return tuple(accumulate(weights[:-1], initial=zero))
 
 
-def encode(wcols, lcols, digits):
+def encode(wcols, lcols, digits, start=None):
     """Coefficient K of the digits' coding, by Horner from the last digit.
 
     ``wcols`` and ``lcols`` hold K + 1 Taylor columns of the letter weights
     and low sums (column i: every letter's i-th coefficient) in any ring:
     float, ``Fraction`` or jet.  ``lcols[0][0]`` is the ring's zero, the
     value of the empty word; one column (K = 0) gives the plain coding, the
-    left end of the digits' interval.  The step acc = l_c + w_c acc is linear
-    in acc, so column i is that Horner plus sum_{j=1..i} w_j[c] a_{i-j}; columns
-    0 and 1 run in one loop.  No zero is added: it could turn only -0.0 into
-    0.0, which adding l_c (never -0.0) erases, so no bit moves.
+    left end of the digits' interval, and there ``start``, if given, is the
+    coding of the digits that follow, which the Horner goes on from.  The step
+    acc = l_c + w_c acc is linear in acc, so column i is that Horner plus
+    sum_{j=1..i} w_j[c] a_{i-j}; columns 0 and 1 run in one loop.  No zero is
+    added: it could turn only -0.0 into 0.0, which adding l_c (never -0.0)
+    erases, so no bit moves.
     """
     zero, w0, l0, last = lcols[0][0], wcols[0], lcols[0], len(lcols) - 1
     a0 = a1 = zero
     if not last:            # the plain coding keeps no accumulators
+        a0 = zero if start is None else start
         for c in reversed(digits):
             a0 = l0[c] + w0[c] * a0
         return a0

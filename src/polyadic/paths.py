@@ -81,6 +81,8 @@ def _labels(word, r: int) -> str:
 def word_from_string(text: str, poly: GenPolynomial) -> tuple[int, ...]:
     r = poly.alphabet_size
     text = text.strip()
+    if r <= 10 and text.isdigit() and text.isascii() and max(text) < chr(48 + r):
+        return tuple(map(int, text))    # one label a digit, each in range
     if not text:
         return ()
     if "," in text:
@@ -211,8 +213,9 @@ class PathPrefix:
         return tuple(self._letters)
 
     def prefix(self, n: int) -> tuple[int, ...]:
-        """The letters of levels 1..n, extending the prefix if allowed."""
-        self._ensure(_count(n, "n"))
+        """The letters of levels 1..n, extending the prefix if allowed and ``_admit`` does."""
+        _admit("word", _count(n, "n"), "letters")
+        self._ensure(n)
         return tuple(self._letters[:n])
 
     def letter(self, n: int) -> int:
@@ -220,7 +223,11 @@ class PathPrefix:
         if n < 1:
             raise ValueError(f"level {n} is below 1")
         self._ensure(n)
-        return self._letters[n - 1]
+        try:
+            return self._letters[n - 1]
+        except TypeError:       # a float level: refused by name, off the hot path
+            _count(n, "n", 1)
+            raise
 
     def _ensure(self, n: int) -> None:
         while len(self._letters) < n:
@@ -284,7 +291,8 @@ def _steps(x, poly: GenPolynomial, direction: int):
     """Yield the successors of x one after another, or its predecessors for -1.
 
     One copy of x's letters, with x's horizon, is rewritten in place and
-    yielded at every step; it reads the letters above its prefix through x,
+    yielded at every step, after the step's pivot level (the number of letters
+    it rewrote); it reads the letters above its prefix through x,
     so x keeps its own letters.  A step walks up the letters to the first level
     n where a label b past the letter there, in that direction, leaves a
     nonempty tower below (0 <= kappa_n - step(b) <= (n-1)*d); every head
@@ -315,7 +323,7 @@ def _steps(x, poly: GenPolynomial, direction: int):
             b += direction
         if 0 <= b < r:
             letters[:n + 1] = _extreme_word(n, kap - ks[b], lt, direction) + (b,)
-            yield y
+            yield n + 1, y
             kap = n = 0
         else:
             n += 1
@@ -347,7 +355,7 @@ def jump(word, poly: GenPolynomial, steps: int, direction: int = 1) -> tuple[int
         if steps > DEFAULT_ENTRY_BUDGET:
             raise CapacityError(f"cannot jump {steps} steps within the entry budget, and "
                                 f"more than {DEFAULT_ENTRY_BUDGET} are not taken one by one")
-        for y in islice(_steps(word, poly, direction), steps):
+        for _, y in islice(_steps(word, poly, direction), steps):
             pass
         moved = y.known()
     return moved
@@ -385,7 +393,7 @@ def _jump(word: tuple[int, ...], poly: GenPolynomial, steps: int, direction: int
 
 def successor(x, poly: GenPolynomial, direction: int = 1) -> PathPrefix:
     """Next path in the tail-lexicographic order, or the previous one for -1."""
-    return next(_steps(x, poly, direction))
+    return next(_steps(x, poly, direction))[1]
 
 
 def predecessor(x, poly: GenPolynomial) -> PathPrefix:
@@ -398,4 +406,4 @@ def iter_tower(n: int, kap: int, poly: GenPolynomial):
     with suppress(RankOutOfRange, MaximalPath):     # empty tower, last word
         word = minimal_word(n, kap, poly)
         yield word
-        yield from (y.known() for y in _steps(word, poly, 1))
+        yield from (y.known() for _, y in _steps(word, poly, 1))

@@ -190,7 +190,11 @@ class DimTable:
             self.extend(n)
         elif n < 0:
             raise ValueError(f"level {n} is negative")
-        return self._rows[n]
+        try:
+            return self._rows[n]
+        except TypeError:       # a float level: refused by name, off the hot path
+            _count(n, "n")
+            raise
 
     def dim(self, n: int, k: int) -> int:
         """C(n, k); zero for k outside [0, n*d]."""

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import poly_power_row, poly_power_rows
-from polyadic import (CylFunction, DimTable, GenPolynomial, PathPrefix,
+from polyadic import (CapacityError, CylFunction, DimTable, GenPolynomial, PathPrefix,
                       extract_limiting_curve, kappa, letter_stream, maximal_word,
                       measure_params, minimal_word, predecessor, rank, successor,
                       unrank, word_from_string, word_to_string)
@@ -598,6 +599,60 @@ def test_orbit_horizon_only_bounds_the_search(capsys):
     code, out, err = run(capsys, "orbit", "--poly", "1,1", "--q", "0.5",
                          "--word", "1111", "--horizon", "4", "--steps", "1")
     assert code == 1 and out == "" and "error: level 5 beyond horizon 4" in err
+
+
+# sha256 of the CSV and of its sidecar for four orbits, as written before
+# each row was rebuilt only below its step's pivot: the README example, a
+# degree-2 walk, a start whose steps read above its prefix (1111 grows to
+# seven letters, then eight), and twelve letters, whose labels take commas
+ORBIT_PINS = [
+    (("--poly", "1,1", "--q", "0.5", "--n", "40", "--steps", "200", "--seed", "0"),
+     "5e28a0c3c0291720f8a360957347938c1c175cd3fdd8351e7c3995c94d5d9a88",
+     "c2cc2e8beacb96c2d0714806ba4ec5ed8dba606e684da7ba24d7968f9e1a1dfc"),
+    (("--poly", "1,1,3", "--q", "0.25", "--n", "40", "--steps", "50"),
+     "3037f59ef053de68e7461708cf81cec2755a648f7e2af962b7883669cdf4d91d",
+     "2b32851ea710fc422ffabb1eb730e01a785f76eef425f5687b4f89c393e1fe02"),
+    (("--poly", "1,1", "--q", "0.5", "--word", "1111", "--steps", "60", "--seed", "2"),
+     "e8d25e6d8ab1837ff2f07bce80f1aee5ea27675de8414e6a57e1dc23e58df718",
+     "a29194a1ad107716cc5ce21118275e82e3a6f1f36286e0e7ea7c8367fc787870"),
+    (("--poly", "1,1,10", "--q", "0.05", "--n", "30", "--steps", "100", "--seed", "1"),
+     "193bf1038992f6cd2215d3658b1b143ba42cb6c2bbec2e26ac93023812b3520c",
+     "988fc30b1d0cb2217783add8ec47ae959327245184ac7bd33e752e958abcca57"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_digest, meta_digest", ORBIT_PINS,
+                         ids=["readme", "p113", "grows", "commas"])
+def test_orbit_bytes_are_pinned(capsys, tmp_path, argv, csv_digest, meta_digest):
+    code, out, _ = run(capsys, "orbit", *argv)
+    assert code == 0
+    path = tmp_path / "orbit.csv"
+    assert main(["orbit", *argv, "--out", str(path)]) == 0
+    assert path.read_text() == out
+    assert hashlib.sha256(out.encode()).hexdigest() == csv_digest
+    meta = (tmp_path / "orbit.csv.meta.json").read_bytes()
+    assert hashlib.sha256(meta).hexdigest() == meta_digest
+
+
+def test_orbit_admits_its_sampled_prefix_before_drawing_a_letter(capsys, monkeypatch):
+    # past the default horizon the sample used to end at level 1001; under a
+    # higher one, or with no max_level at all, it drew letters without end
+    drawn = []
+
+    def stream(mp=None, seed=None):
+        while True:
+            drawn.append(0)
+            yield 0
+
+    monkeypatch.setattr(cli, "letter_stream", stream)
+    argv = ("orbit", "--poly", "1,1", "--q", "0.5", "--n", "5000000")
+    for horizon in ((), ("--horizon", "6000000")):
+        code, out, err = run(capsys, *argv, *horizon)
+        assert (code, out, drawn) == (1, "", [])
+        assert err == f"error: word needs 5000000 letters, budget is {DEFAULT_ENTRY_BUDGET}\n"
+    with pytest.raises(CapacityError):
+        PathPrefix((), extend=stream()).prefix(5_000_000)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("doc", [

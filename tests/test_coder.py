@@ -147,6 +147,11 @@ def test_plain_coding_is_the_horner_bit_for_bit(system, data):
     for w in (word, ()):
         got = encode((mp.weights,), (mp.lows,), w)
         assert got.hex() == reference_encode(mp.weights, mp.lows, w).hex()
+    # going on from the coding of a suffix, as orbit does, moves no bit
+    cut = data.draw(st.integers(0, len(word)))
+    coder = (mp.weights,), (mp.lows,)
+    tail = encode(*coder, word[cut:])
+    assert encode(*coder, word[:cut], tail).hex() == encode(*coder, word).hex()
     weights, lows = fixed_coder(poly, q)
     weights = [Fraction(v, 1 << 192) for v in weights]
     lows = [Fraction(v, 1 << 192) for v in lows]

@@ -219,7 +219,8 @@ def test_every_count_is_an_int_at_least_its_floor_or_refused_by_name(
 
 _COUNT_NAMES = {"n", "kap", "m", "N", "n_max", "depth", "k", "grid", "d", "order",
                 "steps", "index", "max_level", "align"}
-# the hot reads keep their own checks: a call per entry there would cost the walks
+# the hot reads keep their own checks: a call per entry there would cost the
+# walks; a float level is refused by name only where it fails (pinned below)
 _HOT = {"DimTable.row-n", "DimTable.dim-n", "DimTable.dim-k", "PathPrefix.letter-n"}
 
 
@@ -240,6 +241,22 @@ def test_the_property_covers_every_count_parameter_of_the_public_names():
     needed = {f"{call}-{p}" for call, fn in calls.items()
               for p in inspect.signature(fn).parameters if p in _COUNT_NAMES}
     assert needed - _HOT - {site.id for site in SITES} == set()
+
+
+HOT_PROBE = [
+    (lambda: DimTable(P11, 3).row(1.5), "n must be an integer >= 0, got 1.5"),
+    (lambda: DimTable(P11, 3).dim(2.0, 1), "n must be an integer >= 0, got 2.0"),
+    (lambda: PathPrefix((0, 1, 1)).letter(1.5), "n must be an integer >= 1, got 1.5"),
+    # above the table the level goes to extend, which names it n_max
+    (lambda: DimTable(P11, 3).row(4.5), "n_max must be an integer >= 0, got 4.5"),
+]
+
+
+@pytest.mark.parametrize("call, text", HOT_PROBE, ids=[text for _, text in HOT_PROBE])
+def test_a_hot_read_refuses_a_float_level_by_name(call, text):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and str(exc.value) == text
 
 
 # -- the two mended faults ----------------------------------------------------

@@ -229,8 +229,12 @@ def test_jump_equals_stepping_on_every_short_word(coeffs):
             for direction in (1, -1):
                 seen, end = [w], None
                 try:
-                    for y in islice(_steps(w, poly, direction), 40):
-                        seen.append(y.known())
+                    for level, y in islice(_steps(w, poly, direction), 40):
+                        # the letters above the pivot level stay, the pivot's moves
+                        prev, word = seen[-1], y.known()
+                        assert word[level:] == prev[level:]
+                        assert word[level - 1] != prev[level - 1]
+                        seen.append(word)
                 except (MaximalPath, MinimalPath) as exc:
                     end = exc
                 for k in (0, 1, 2, 3, 7, 40):
@@ -252,7 +256,7 @@ def test_jump_leaves_costly_cones_to_stepping(monkeypatch):
     # budget, but the descent from there about 24,000: with no budget of its
     # own the rank jump answers, as stepping does
     word = maximal_word(2999, 2999, P113) + (0,)
-    stepped = list(islice(_steps(word, P113, 1), 3))[-1].known()
+    stepped = list(islice(_steps(word, P113, 1), 3))[-1][1].known()
     assert _jump(word, P113, 3, 1, math.inf) == stepped
     assert jump(word, P113, 1) == successor(PathPrefix(word), P113).known()
     # at (1000, 1001) the descent's 8,000 entries and the cone's 501,000 both
@@ -261,7 +265,7 @@ def test_jump_leaves_costly_cones_to_stepping(monkeypatch):
         raise AssertionError("source built")
 
     word = maximal_word(999, 999, P113) + (0,)
-    stepped = list(islice(_steps(word, P113, 1), 3))[-1].known()
+    stepped = list(islice(_steps(word, P113, 1), 3))[-1][1].known()
     monkeypatch.setattr(paths, "vertex_source", no_source)
     assert jump(word, P113, 3) == stepped
 
@@ -430,6 +434,40 @@ def test_word_strings():
     assert word_from_string("0,10", eleven) == (0, 10)
     assert word_from_string("0", eleven) == (0,)
     assert word_from_string("0010", P113) == (0, 0, 1, 0)
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_word_from_string_reads_every_short_digit_word(r):
+    # every digit string of up to three letters: one letter a digit, read
+    # back or refused with the text naming the alphabet
+    poly = GenPolynomial((1, r - 1))
+    for n in range(4):
+        for digits in product("0123456789", repeat=n):
+            text = "".join(digits)
+            if all(int(c) < r for c in digits):
+                assert word_from_string(text, poly) == tuple(map(int, digits))
+                continue
+            with pytest.raises(ValueError) as exc:
+                word_from_string(text, poly)
+            assert str(exc.value) == f"letter out of range in {text!r} (alphabet size {r})"
+
+
+@pytest.mark.parametrize("text, word", [
+    ("", ()), (" 01 ", (0, 1)), ("0,1", (0, 1)), ("+1", "+1"), ("\u00b2", "\u00b2"),
+    ("\u0663", "\u0663"),
+])
+@pytest.mark.parametrize("r", [2, 10])
+def test_word_from_string_reads_blanks_and_commas_and_refuses_other_digits(r, text, word):
+    # a superscript two and an Arabic-Indic three are digits to str.isdigit,
+    # but not ASCII: refused as a sign is
+    poly = GenPolynomial((1, r - 1))
+    if isinstance(word, tuple):
+        assert word_from_string(text, poly) == word
+        return
+    with pytest.raises(ValueError) as exc:
+        word_from_string(text, poly)
+    assert str(exc.value) == (f"bad word {word!r}: labels must be ASCII digits "
+                              "without leading zeros")
 
 
 def test_word_to_string_refuses_letters_outside_the_alphabet():
