@@ -75,8 +75,7 @@ def _cmd_dims(args, parser) -> None:
     table.admit(_count(args.nmax, "--nmax"))
     d = args.poly.degree
     body = [f"n,{k},%d\n" for k in range(args.nmax * d + 1)]
-    ends = list(accumulate(map(len, body)))     # level n's lines end at ends[n * d]
-    body = "".join(body)
+    ends, body = list(accumulate(map(len, body))), "".join(body)    # level n ends at ends[n * d]
 
     def lines():    # each level is one string: its template slice, "n" made the level, % its row
         table.extend(args.nmax)
@@ -138,8 +137,7 @@ def _cmd_orbit(args, parser) -> None:
     walk = chain([(len(x), x)], islice(_steps(x, args.poly, 1), steps))
     # the start is checked or drawn in range, and _steps checks every letter it reads
     weights, lows, r = (mp.weights,), (mp.lows,), len(mp.weights)
-    # held: (level, coding of the letters above it), highest first; a step rewrites
-    # only the letters up to its pivot level, so it drops the levels below that
+    # held: (level, coding of the letters above it), top first; a step drops those below its pivot
     held, text, rows = [(len(x), 0.0)], "", []
     for step, (level, y) in enumerate(walk):
         word = y.known()

@@ -231,12 +231,11 @@ def encode(wcols, lcols, digits, start=None):
     and low sums (column i: every letter's i-th coefficient) in any ring:
     float, ``Fraction`` or jet.  ``lcols[0][0]`` is the ring's zero, the
     value of the empty word; one column (K = 0) gives the plain coding, the
-    left end of the digits' interval, and there ``start``, if given, is the
+    left end of the digits' interval, and only there may ``start`` give the
     coding of the digits that follow, which the Horner goes on from.  The step
     acc = l_c + w_c acc is linear in acc, so column i is that Horner plus
     sum_{j=1..i} w_j[c] a_{i-j}; columns 0 and 1 run in one loop.  No zero is
-    added: it could turn only -0.0 into 0.0, which adding l_c (never -0.0)
-    erases, so no bit moves.
+    added: it could turn only -0.0 into 0.0, which adding l_c (never -0.0) erases.
     """
     zero, w0, l0, last = lcols[0][0], wcols[0], lcols[0], len(lcols) - 1
     a0 = a1 = zero
@@ -245,6 +244,8 @@ def encode(wcols, lcols, digits, start=None):
         for c in reversed(digits):
             a0 = l0[c] + w0[c] * a0
         return a0
+    if start is not None:
+        raise ValueError("start is only for the plain coding")
     w1, l1 = wcols[1], lcols[1]
     if last == 1:           # nor does the last column
         for c in reversed(digits):

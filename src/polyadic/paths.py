@@ -81,14 +81,16 @@ def _labels(word, r: int) -> str:
 def word_from_string(text: str, poly: GenPolynomial) -> tuple[int, ...]:
     r = poly.alphabet_size
     text = text.strip()
-    if r <= 10 and text.isdigit() and text.isascii() and max(text) < chr(48 + r):
-        return tuple(map(int, text))    # one label a digit, each in range
     if not text:
         return ()
-    if "," in text:
-        labels = [p.strip() for p in text.split(",")]
-    else:
-        labels = list(text) if r <= 10 else [text]
+    if r <= 10 and "," not in text:     # one label a digit: one check each way
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"bad word {text!r}: labels must be ASCII digits "
+                             "without leading zeros")
+        if max(text) >= chr(48 + r):
+            raise ValueError(f"letter out of range in {text!r} (alphabet size {r})")
+        return tuple(map(int, text))
+    labels = [p.strip() for p in text.split(",")] if "," in text else [text]
     if not all(p.isascii() and p.isdigit() and (p == "0" or p[0] != "0")
                for p in labels):
         raise ValueError(f"bad word {text!r}: labels must be ASCII digits "
@@ -291,9 +293,9 @@ def _steps(x, poly: GenPolynomial, direction: int):
     """Yield the successors of x one after another, or its predecessors for -1.
 
     One copy of x's letters, with x's horizon, is rewritten in place and
-    yielded at every step, after the step's pivot level (the number of letters
-    it rewrote); it reads the letters above its prefix through x,
-    so x keeps its own letters.  A step walks up the letters to the first level
+    yielded at every step after the step's pivot level (the number of letters
+    it rewrote); it reads the letters above its prefix through x, so x keeps
+    its own letters.  A step walks up the letters to the first level
     n where a label b past the letter there, in that direction, leaves a
     nonempty tower below (0 <= kappa_n - step(b) <= (n-1)*d); every head
     below is then extremal in its tower.  The new head is the first word

@@ -169,6 +169,13 @@ def test_taylor_coefficients_are_the_float_passes_bit_for_bit(system, order, dat
         assert encode(wcols, lcols, w).hex() == _parent_taylor_encode(wcols, lcols, w).hex()
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_start_is_refused_beyond_the_plain_coding(order):
+    wcols, lcols = _letter_jets(GenPolynomial((1, 1)), 0.5, order)
+    with pytest.raises(ValueError, match="start is only for the plain coding"):
+        encode(wcols, lcols, (0, 1), 0.25)
+
+
 def _bit_words(r, rng):
     """Words that start or end with the lowest letter, runs of it, and random words."""
     top = r - 1
