@@ -9,22 +9,18 @@ as decimal strings.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import nullcontext
 from functools import cache
 from itertools import accumulate, chain, islice
 
+# The library modules are imported where a command first needs them, so that
+# --help and usage errors load none of them.
 from .errors import DegenerateCurve, NoConvergence, PolyadicError
-from .ergodic import (CylFunction, cohomology_verdict, extract_limiting_curve)
-from .measure import encode, letter_stream, measure_params, weight_residual
-from .paths import (PathPrefix, _labels, _steps, jump, letter_table, path_column,
-                    prefix_walk, unrank, word_from_string, word_to_string)
-from .poly import DimTable, GenPolynomial, _count, vertex_source
-from .takagi import parabola_profile, takagi_grid
 
 
 def _poly_arg(text: str) -> GenPolynomial:
+    from .poly import GenPolynomial
     try:
         return GenPolynomial.parse(text)
     except ValueError as exc:
@@ -54,6 +50,7 @@ def _emit(args, header, lines, meta=None) -> None:
         fh.writelines(lines)
     if meta is None:
         return
+    import json
     if args.out:
         with open(args.out + ".meta.json", "w") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
@@ -63,12 +60,14 @@ def _emit(args, header, lines, meta=None) -> None:
 
 
 def _load_g(path: str, poly: GenPolynomial) -> CylFunction:
+    from .ergodic import CylFunction
     with open(path) as fh:
         _, g = CylFunction.from_json(fh.read(), poly)
     return g
 
 
 def _cmd_dims(args, parser) -> None:
+    from .poly import DimTable, _count
     # A budget refusal comes before any output, and a bad --out before level 1
     # is built: the table is built by one DimTable.extend once --out is open.
     table = DimTable(args.poly)
@@ -86,6 +85,8 @@ def _cmd_dims(args, parser) -> None:
 
 
 def _cmd_tq(args, parser) -> None:
+    from .measure import measure_params, weight_residual
+    from .paths import letter_table
     mp = measure_params(args.poly, args.q)
     lt = letter_table(args.poly)
     rows = [("q", repr(mp.q)), ("t", repr(mp.t)),
@@ -96,6 +97,8 @@ def _cmd_tq(args, parser) -> None:
 
 
 def _cmd_rank(args, parser) -> None:
+    from .paths import path_column, prefix_walk, unrank, word_from_string, word_to_string
+    from .poly import _count, vertex_source
     unrank_args = (args.level, args.kappa, args.index)
     if args.word is not None:
         if any(v is not None for v in unrank_args):
@@ -118,12 +121,17 @@ def _cmd_rank(args, parser) -> None:
 
 
 def _cmd_succ(args, parser) -> None:
+    from .paths import jump, word_from_string, word_to_string
+    from .poly import _count
     word = word_from_string(args.word, args.poly)
     word = jump(word, args.poly, _count(args.steps, "--steps"), -1 if args.pred else 1)
     _emit(args, None, [word_to_string(word, args.poly) + "\n"])
 
 
 def _cmd_orbit(args, parser) -> None:
+    from .measure import encode, letter_stream, measure_params
+    from .paths import PathPrefix, _labels, _steps, word_from_string
+    from .poly import _count
     if args.word is not None and args.n is not None:
         parser.error("orbit takes --word or --n, not both")
     if args.word is None and args.n is None:
@@ -155,6 +163,10 @@ def _cmd_orbit(args, parser) -> None:
 
 
 def _cmd_curve(args, parser) -> None:
+    from .ergodic import extract_limiting_curve
+    from .measure import letter_stream, measure_params
+    from .paths import PathPrefix
+    from .poly import _count
     nmax, m = _count(args.nmax, "--nmax"), _count(args.m, "--m")
     mp = measure_params(args.poly, args.q)
     g = _load_g(args.g, args.poly)
@@ -173,6 +185,8 @@ def _cmd_curve(args, parser) -> None:
 
 
 def _cmd_cohom(args, parser) -> None:
+    from .ergodic import cohomology_verdict
+    from .poly import DimTable, _count
     nmax, m = _count(args.nmax, "--nmax"), _count(args.m, "--m")
     g = _load_g(args.g, args.poly)
     verdict, series = cohomology_verdict(g, DimTable(args.poly), nmax, m)
@@ -183,6 +197,7 @@ def _cmd_cohom(args, parser) -> None:
 
 
 def _cmd_takagi(args, parser) -> None:
+    from .takagi import takagi_grid
     rows = takagi_grid(args.poly, args.q, args.k, args.grid, args.depth)
     _emit(args, ("x", "value"), map(_line, rows),
           meta={"poly": list(args.poly.coeffs), "q": args.q, "k": args.k,
@@ -190,6 +205,7 @@ def _cmd_takagi(args, parser) -> None:
 
 
 def _cmd_parabola(args, parser) -> None:
+    from .takagi import parabola_profile
     rows = parabola_profile(args.d, args.grid, args.depth)
     _emit(args, ("x", "value", "parabola", "deviation"), map(_line, rows),
           meta={"d": args.d, "grid": args.grid, "depth": args.depth})

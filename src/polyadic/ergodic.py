@@ -393,7 +393,7 @@ def cohomology_verdict(g: CylFunction, table: DimTable, n_max: int, m: int = 4):
     """
     N = g.N
     _count(n_max, "n_max", N), _count(m, "m")
-    table.admit(n_max)
+    table.extend(n_max)     # refused before level 1 is built, then built at once
     series = [(n, _normalizer(g, n, central_vertex(table, n), min(m, n - N), table)[3])
               for n in range(N, n_max + 1)]
     values = [v for _, v in series]

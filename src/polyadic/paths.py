@@ -222,14 +222,12 @@ class PathPrefix:
 
     def letter(self, n: int) -> int:
         """1-based letter at level n, extending the prefix if allowed."""
+        if type(n) is not int:
+            _count(n, "n", 1)
         if n < 1:
             raise ValueError(f"level {n} is below 1")
         self._ensure(n)
-        try:
-            return self._letters[n - 1]
-        except TypeError:       # a float level: refused by name, off the hot path
-            _count(n, "n", 1)
-            raise
+        return self._letters[n - 1]
 
     def _ensure(self, n: int) -> None:
         while len(self._letters) < n:

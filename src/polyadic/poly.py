@@ -186,20 +186,26 @@ class DimTable:
 
     def row(self, n: int) -> tuple[int, ...]:
         """Level n's entries C(n, 0..n*d), building the table up to n first."""
+        if type(n) is not int:
+            _count(n, "n")
+        return self._row(n)
+
+    def dim(self, n: int, k: int) -> int:
+        """C(n, k); zero for k outside [0, n*d]."""
+        if not type(n) is type(k) is int:   # one test for both
+            if type(n) is not int:
+                _count(n, "n")
+            _count(k, "k", None)
+        row = self._row(n)
+        return row[k] if 0 <= k < len(row) else 0
+
+    def _row(self, n: int) -> tuple[int, ...]:
+        """``row`` for an int level."""
         if n >= len(self._rows):
             self.extend(n)
         elif n < 0:
             raise ValueError(f"level {n} is negative")
-        try:
-            return self._rows[n]
-        except TypeError:       # a float level: refused by name, off the hot path
-            _count(n, "n")
-            raise
-
-    def dim(self, n: int, k: int) -> int:
-        """C(n, k); zero for k outside [0, n*d]."""
-        row = self.row(n)
-        return row[k] if 0 <= k < len(row) else 0
+        return self._rows[n]
 
 
 class _LevelStore:

@@ -18,7 +18,7 @@ from polyadic import (CapacityError, CylFunction, DimTable, GenPolynomial, PathP
                       extract_limiting_curve, kappa, letter_stream, maximal_word,
                       measure_params, minimal_word, predecessor, rank, successor,
                       unrank, word_from_string, word_to_string)
-from polyadic import cli, paths
+from polyadic import measure, paths
 from polyadic import poly as poly_module
 from polyadic.cli import _emit, _line, main
 from polyadic.poly import DEFAULT_ENTRY_BUDGET, VertexCone, _bezout, vertex_source
@@ -569,15 +569,7 @@ def test_rank_and_succ_have_no_nmax(capsys, command):
     assert err.value.code == 2
 
 
-def test_orbit_table_grows_only_as_far_as_the_walk(capsys, monkeypatch):
-    tables = []
-
-    class Recorded(DimTable):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            tables.append(self)
-
-    monkeypatch.setattr(cli, "DimTable", Recorded)
+def test_orbit_table_grows_only_as_far_as_the_walk(capsys, built_tables):
     code, _, _ = run(capsys, "orbit", "--poly", "1,1", "--q", "0.5", "--n", "40",
                      "--steps", "200", "--seed", "0")
     assert code == 0
@@ -585,7 +577,7 @@ def test_orbit_table_grows_only_as_far_as_the_walk(capsys, monkeypatch):
                      "--steps", "500")
     assert code == 0
     # neighbours follow letter rules: neither command reads a dense table
-    assert tables == []
+    assert built_tables == []
 
 
 def test_orbit_horizon_only_bounds_the_search(capsys):
@@ -644,7 +636,7 @@ def test_orbit_admits_its_sampled_prefix_before_drawing_a_letter(capsys, monkeyp
             drawn.append(0)
             yield 0
 
-    monkeypatch.setattr(cli, "letter_stream", stream)
+    monkeypatch.setattr(measure, "letter_stream", stream)
     argv = ("orbit", "--poly", "1,1", "--q", "0.5", "--n", "5000000")
     for horizon in ((), ("--horizon", "6000000")):
         code, out, err = run(capsys, *argv, *horizon)
@@ -837,16 +829,12 @@ def test_dims_lists_no_letters(capsys):
     assert out.splitlines()[-1] == "2,2,1"
 
 
-def test_unrank_builds_no_dense_table(capsys, monkeypatch):
-    class Refused(DimTable):
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("unranking built a DimTable")
-
-    monkeypatch.setattr(cli, "DimTable", Refused)
+def test_unrank_builds_no_dense_table(capsys, built_tables):
     code, out, err = run(capsys, "rank", "--poly", "1,1,3", "--level", "5",
                          "--kappa", "4", "--index", "3")
     assert code == 0, err
     assert out.splitlines()[1] == "44420,5,4,3,185"
+    assert built_tables == []
 
 
 @pytest.mark.parametrize("level,kap,index,message", [

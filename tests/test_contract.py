@@ -219,9 +219,40 @@ def test_every_count_is_an_int_at_least_its_floor_or_refused_by_name(
 
 _COUNT_NAMES = {"n", "kap", "m", "N", "n_max", "depth", "k", "grid", "d", "order",
                 "steps", "index", "max_level", "align"}
-# the hot reads keep their own checks: a call per entry there would cost the
-# walks; a float level is refused by name only where it fails (pinned below)
-_HOT = {"DimTable.row-n", "DimTable.dim-n", "DimTable.dim-k", "PathPrefix.letter-n"}
+# the hot reads: one type test on a valid read, then their own level checks
+# ("level -1 is negative", "level 0 is below 1"), so an int of any sign goes
+# to the read; every other value is refused by name with _count's text
+HOT_SITES = [
+    _site("DimTable.row-n", lambda v: DimTable(P11, 3).row(v), "n"),
+    _site("DimTable.dim-n", lambda v: DimTable(P11, 3).dim(v, 1), "n"),
+    _site("DimTable.dim-k", lambda v: DimTable(P11, 3).dim(2, v), "k", None),
+    _site("PathPrefix.letter-n", lambda v: PathPrefix(WORD).letter(v), "n", 1),
+]
+
+
+@pytest.mark.parametrize("call, name, lo, none_ok, stand_in", HOT_SITES)
+@settings(max_examples=12, deadline=None)
+@example(value=True)
+@example(value=2.0)
+@example(value=2.5)
+@example(value="3")
+@example(value=None)
+@example(value=-1)
+@example(value=HUGE)
+@given(value=COUNT_LIKE)
+def test_a_hot_read_takes_an_int_or_refuses_it_by_name(call, name, lo, none_ok, stand_in,
+                                                       value):
+    if type(value) is not int:
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert type(exc.value) is ValueError and str(exc.value) == _count_text(name, lo, value)
+        return
+    try:
+        call(value)
+    except PolyadicError:
+        pass
+    except ValueError as exc:
+        assert type(exc) is ValueError and str(exc).startswith(f"level {value} is ")
 
 
 def test_the_property_covers_every_count_parameter_of_the_public_names():
@@ -240,23 +271,48 @@ def test_the_property_covers_every_count_parameter_of_the_public_names():
                           if not m.startswith("_") and callable(getattr(obj, m))})
     needed = {f"{call}-{p}" for call, fn in calls.items()
               for p in inspect.signature(fn).parameters if p in _COUNT_NAMES}
-    assert needed - _HOT - {site.id for site in SITES} == set()
+    assert needed - {site.id for site in SITES + HOT_SITES} == set()
 
 
+# each ended in a bare TypeError, or was answered with its index coerced
 HOT_PROBE = [
-    (lambda: DimTable(P11, 3).row(1.5), "n must be an integer >= 0, got 1.5"),
-    (lambda: DimTable(P11, 3).dim(2.0, 1), "n must be an integer >= 0, got 2.0"),
-    (lambda: PathPrefix((0, 1, 1)).letter(1.5), "n must be an integer >= 1, got 1.5"),
-    # above the table the level goes to extend, which names it n_max
-    (lambda: DimTable(P11, 3).row(4.5), "n_max must be an integer >= 0, got 4.5"),
+    pytest.param(lambda: DimTable(P11, 3).row(1.5), "n must be an integer >= 0, got 1.5",
+                 id="row-float"),
+    pytest.param(lambda: DimTable(P11, 3).dim(2.0, 1), "n must be an integer >= 0, got 2.0",
+                 id="dim-float-level"),
+    pytest.param(lambda: PathPrefix((0, 1, 1)).letter(1.5),
+                 "n must be an integer >= 1, got 1.5", id="letter-float"),
+    # above the table too: the level is refused before extend could name it n_max
+    pytest.param(lambda: DimTable(P11, 3).row(4.5), "n must be an integer >= 0, got 4.5",
+                 id="row-float-above"),
+    pytest.param(lambda: DimTable(P11, 3).row(True), "n must be an integer >= 0, got True",
+                 id="row-bool"),
+    pytest.param(lambda: DimTable(P11, 3).dim(True, 1), "n must be an integer >= 0, got True",
+                 id="dim-bool-level"),
+    pytest.param(lambda: DimTable(P11, 3).dim(1, True), "k must be an integer, got True",
+                 id="dim-bool-k"),
+    pytest.param(lambda: PathPrefix((0, 1, 1)).letter(True),
+                 "n must be an integer >= 1, got True", id="letter-bool"),
+    pytest.param(lambda: DimTable(P11, 3).row("1"), "n must be an integer >= 0, got '1'",
+                 id="row-str"),
+    pytest.param(lambda: DimTable(P11, 3).dim(1, 0.5), "k must be an integer, got 0.5",
+                 id="dim-float-k"),
 ]
 
 
-@pytest.mark.parametrize("call, text", HOT_PROBE, ids=[text for _, text in HOT_PROBE])
-def test_a_hot_read_refuses_a_float_level_by_name(call, text):
+@pytest.mark.parametrize("call, text", HOT_PROBE)
+def test_a_hot_read_refuses_an_index_that_is_not_an_int_by_name(call, text):
     with pytest.raises(ValueError) as exc:
         call()
     assert type(exc.value) is ValueError and str(exc.value) == text
+
+
+def test_a_refused_letter_read_draws_no_letter():
+    x = PathPrefix((0,), extend=iter([1, 1, 1]))
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got 1\.5$"):
+        x.letter(1.5)
+    assert x.known() == (0,)
+    assert x.letter(2) == 1 and x.known() == (0, 1)
 
 
 # -- the two mended faults ----------------------------------------------------
